@@ -26,6 +26,22 @@ from .encoding import Unsatisfiable
 
 SWEEP_SCHEMA = "mdsat-sweep/1"
 SPECTRAL_SCHEMA = "mdsat-spectral-sweep/1"
+# SpectralReport fields of a spectral row, in column order.
+SPECTRAL_FIELDS = (
+    "d_sol",
+    "gap",
+    "gap_lower_bound",
+    "gap_bound_slack",
+    "uniform_gap",
+    "uniform_gap_exact",
+    "mu",
+    "g",
+    "dl_slack",
+    "qub_slack",
+    "friedrichs_c",
+    "layer_count",
+    "speed_bound_slack",
+)
 
 
 def _fmt(x) -> str:
@@ -297,47 +313,11 @@ def cmd_spectral(args) -> int:
                 with_uniform=not args.no_uniform,
                 with_friedrichs=not args.no_friedrichs,
             )
-            rows.append(
-                {
-                    **base,
-                    "status": "ok",
-                    "d_sol": rep.d_sol,
-                    "gap": rep.gap,
-                    "gap_lower_bound": rep.gap_lower_bound,
-                    "gap_bound_slack": rep.gap_bound_slack,
-                    "uniform_gap": rep.uniform_gap,
-                    "uniform_gap_exact": rep.uniform_gap_exact,
-                    "mu": rep.mu,
-                    "g": rep.g,
-                    "dl_slack": rep.dl_slack,
-                    "qub_slack": rep.qub_slack,
-                    "friedrichs_c": rep.friedrichs_c,
-                    "layer_count": rep.layer_count,
-                    "speed_bound_slack": rep.speed_bound_slack,
-                    "error": "",
-                }
-            )
+            fields = {key: getattr(rep, key) for key in SPECTRAL_FIELDS}
+            rows.append({**base, "status": "ok", **fields, "error": ""})
         except (Unsatisfiable, ValueError) as exc:
-            rows.append(
-                {
-                    **base,
-                    "status": "error",
-                    "d_sol": 0,
-                    "gap": None,
-                    "gap_lower_bound": None,
-                    "gap_bound_slack": None,
-                    "uniform_gap": None,
-                    "uniform_gap_exact": None,
-                    "mu": None,
-                    "g": None,
-                    "dl_slack": None,
-                    "qub_slack": None,
-                    "friedrichs_c": None,
-                    "layer_count": None,
-                    "speed_bound_slack": None,
-                    "error": str(exc),
-                }
-            )
+            fields = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": 0}
+            rows.append({**base, "status": "error", **fields, "error": str(exc)})
     if args.out:
         _write_csv(args.out, SPECTRAL_SCHEMA, rows)
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -9,13 +9,13 @@ theta = pi/2, the projector onto the clause's unique forbidden basis pattern.
 
 All amplitudes are real; states are stored exactly as produced by the R_Y
 formula with no re-phasing (|theta_perp> equals -|0> at theta = pi/2, which is
-irrelevant to the projectors).
+irrelevant to the projectors).  Dense projectors and Hamiltonians are built by
+applying the factorized check kernel of :mod:`mdsat.statevec` to the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -77,19 +77,24 @@ class ClauseProjector:
         return len(self.support)
 
 
-def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:
-    _, _, perp, bar_perp = single_qubit_states(theta)
-    support = []
-    factors = []
-    compat = ["I"] * n
+def clause_compat_string(clause: Clause, n: int) -> str:
+    """Forbidden assignment bit on the support ('0' for a positive literal,
+    '1' for a negative one), 'I' elsewhere."""
+    chars = ["I"] * n
     for lit in clause.literals:
         if lit.var > n:
             raise ValueError(f"literal variable {lit.var} beyond n={n}")
-        support.append(lit.var)
-        factors.append(bar_perp if lit.negated else perp)
-        compat[lit.var - 1] = "1" if lit.negated else "0"
+        chars[lit.var - 1] = "1" if lit.negated else "0"
+    return "".join(chars)
+
+
+def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:
+    _, _, perp, bar_perp = single_qubit_states(theta)
     return ClauseProjector(
-        n=n, support=tuple(support), factors=tuple(factors), compat="".join(compat)
+        n=n,
+        support=clause.variables(),
+        factors=tuple(bar_perp if lit.negated else perp for lit in clause.literals),
+        compat=clause_compat_string(clause, n),
     )
 
 
@@ -97,11 +102,10 @@ def clause_projectors(f: Formula, theta: float) -> tuple[ClauseProjector, ...]:
     return tuple(clause_projector(c, theta, f.n) for c in f.clauses)
 
 
-def theta_string_state(assignment: str, theta: float, cap: int = STATE_CAP) -> np.ndarray:
+def theta_string_state(assignment: str, theta: float) -> np.ndarray:
     """Rotated product state encoding ``assignment``; length 2^n, unit norm."""
     check_angle(theta)
-    n = len(assignment)
-    check_cap(n, cap, "rotated product state")
+    check_cap(len(assignment), STATE_CAP, "rotated product state")
     up, down = ry(theta) @ _PLUS, ry(-theta) @ _PLUS
     state = np.array([1.0])
     for bit in assignment:
@@ -109,36 +113,34 @@ def theta_string_state(assignment: str, theta: float, cap: int = STATE_CAP) -> n
     return state
 
 
-def dense_projector(proj: ClauseProjector, cap: int = DENSE_CAP) -> np.ndarray:
-    """Materialize the 2^n x 2^n matrix of a clause projector."""
-    check_cap(proj.n, cap, "dense projector")
-    factor_at = dict(zip(proj.support, proj.factors))
-    eye = np.eye(2)
-    blocks = [
-        np.outer(factor_at[q], factor_at[q]) if q in factor_at else eye
-        for q in range(1, proj.n + 1)
-    ]
-    return reduce(np.kron, blocks, np.array([[1.0]]))
+def dense_projector(proj: ClauseProjector) -> np.ndarray:
+    """The 2^n x 2^n matrix of a clause projector, I - C(I)."""
+    from .statevec import apply_check_inplace  # statevec imports this module
+
+    check_cap(proj.n, DENSE_CAP, "dense projector")
+    c = np.eye(1 << proj.n)
+    apply_check_inplace(c, proj)
+    return np.eye(1 << proj.n) - c
 
 
-def hamiltonian_matrix(f: Formula, theta: float, cap: int = DENSE_CAP) -> np.ndarray:
+def hamiltonian_matrix(f: Formula, theta: float) -> np.ndarray:
     """Dense H(theta) = sum of clause projectors; symmetric PSD; its kernel is
     spanned by the rotated solution states."""
-    check_cap(f.n, cap, "dense Hamiltonian")
+    check_cap(f.n, DENSE_CAP, "dense Hamiltonian")
     check_angle(theta)
     dim = 1 << f.n
     h = np.zeros((dim, dim))
-    for c in f.clauses:
-        h += dense_projector(clause_projector(c, theta, f.n), cap)
+    for proj in clause_projectors(f, theta):
+        h += dense_projector(proj)
     return h
 
 
-def ground_space_projector(f: Formula, theta: float, cap: int = DENSE_CAP) -> np.ndarray:
+def ground_space_projector(f: Formula, theta: float) -> np.ndarray:
     """Orthogonal projector onto span of the rotated solution states.
 
     Rank equals the number of satisfying assignments (the rotation preserves
     the ground-space dimension for theta in (0, pi/2])."""
-    check_cap(f.n, cap, "ground-space projector")
+    check_cap(f.n, DENSE_CAP, "ground-space projector")
     check_angle(theta)
     sols = solution_indices(f)
     if sols.size == 0:

@@ -307,10 +307,6 @@ def _random_clause(rng: np.random.Generator, n: int, k: int) -> Clause:
     return Clause(lits)
 
 
-def _clause_satisfied_by_plant(clause: Clause, plant: str) -> bool:
-    return clause.satisfied_by(plant)
-
-
 def generate(
     kind: str,
     n: int,
@@ -364,7 +360,7 @@ def _generate_planted_unique(
     clauses: list[Clause] = []
     while len(clauses) < m:
         c = _random_clause(rng, n, k)
-        if _clause_satisfied_by_plant(c, plant):
+        if c.satisfied_by(plant):
             clauses.append(c)
     for _ in range(max_attempts):
         f = Formula(n=n, clauses=tuple(clauses), k=k)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import clause_compat_string
 from .formula import Formula
-from .statevec import apply_check_unnormalized
 
 
 class PhfBudgetExceeded(ValueError):
@@ -135,14 +135,6 @@ class Layer:
     members: tuple[int, ...]  # clause indices
 
 
-def clause_compat_string(clause, n: int) -> str:
-    """Forbidden-assignment pattern on the support, 'I' elsewhere."""
-    chars = ["I"] * n
-    for lit in clause.literals:
-        chars[lit.var - 1] = "1" if lit.negated else "0"
-    return "".join(chars)
-
-
 def candidate_patterns(n: int, k: int, subset_budget: int = 500_000) -> list[str]:
     """The 2^k * N binary patterns induced by a perfect hash family: each hash
     function combined with each symbol-to-bit map, in construction order."""
@@ -196,24 +188,6 @@ def build_layers(
         Layer(pattern=patterns[pi], members=tuple(members[pi]))
         for pi in sorted(members)
     ]
-
-
-def layer_check_probabilities(psi: np.ndarray, layer: Layer, projectors):
-    """Two-outcome layer measurement {prod C_i, I - prod C_i}.
-
-    Returns (p_pass, pass_state, fail_state); a zero-probability branch's
-    state is None.  The pass branch applies the member checks in any order
-    (they commute).
-    """
-    passed = psi
-    for ci in layer.members:
-        passed = apply_check_unnormalized(passed, projectors[ci])
-    p_pass = float(np.dot(passed, passed))
-    failed = psi - passed
-    p_fail = float(np.dot(failed, failed))
-    pass_state = passed / np.sqrt(p_pass) if p_pass > 1e-15 else None
-    fail_state = failed / np.sqrt(p_fail) if p_fail > 1e-15 else None
-    return min(p_pass, 1.0), pass_state, fail_state
 
 
 def layered_order(layers) -> list[int]:

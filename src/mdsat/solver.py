@@ -25,7 +25,7 @@ from . import spectral
 from .config import STATE_CAP, check_cap
 from .encoding import Unsatisfiable, check_angle, clause_projectors
 from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
-from .phf import build_layers, noncommuting_degree
+from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import apply_check_unnormalized, plus_state, prob_one, sample_basis
 
 _MU_ZERO = 1e-12
@@ -163,10 +163,7 @@ def resolve_mu(f: Formula, cfg: PrepConfig) -> tuple[float, str]:
             if count_solutions(f) == 0:
                 raise Unsatisfiable("no ground space to converge to")
             return 0.0, "empirical"
-        order = None
-        if cfg.plan == "layered":
-            layers = build_layers(f, theta)
-            order = [ci for layer in layers for ci in layer.members]
+        order = layered_order(build_layers(f, theta)) if cfg.plan == "layered" else None
         mu = spectral.convergence_rate(f, theta, order=order)
         return (0.0 if mu <= _MU_ZERO else min(mu, 1.0 - 1e-15)), "empirical"
     gap = spectral.spectral_gap(f, theta)
@@ -362,20 +359,19 @@ class Preparer:
         self.rng = rng
         self.counter = counter
         self.trace = trace
-        self._trajectories: dict[str, Trajectory] = {}
-        self._mu: dict[str, tuple[float, str]] = {}
+        self._trajectories: dict[tuple[Formula, int, str], Trajectory] = {}
+        self._mu: dict[Formula, tuple[float, str]] = {}
 
     def _resolve_mu(self, f: Formula) -> tuple[float | None, str]:
         if self.cfg.is_scheduled:
             return None, "schedule"
-        key = f.to_dimacs()
-        if key not in self._mu:
-            self._mu[key] = resolve_mu(f, self.cfg)
-        return self._mu[key]
+        if f not in self._mu:
+            self._mu[f] = resolve_mu(f, self.cfg)
+        return self._mu[f]
 
     def cached_mu(self, f: Formula) -> float | None:
         """The convergence-rate input already resolved for ``f``, if any."""
-        cached = self._mu.get(f.to_dimacs())
+        cached = self._mu.get(f)
         return cached[0] if cached is not None else None
 
     def trajectory(self, f: Formula, epsilon: float | None = None) -> tuple[Trajectory, float | None, str, int]:
@@ -385,7 +381,7 @@ class Preparer:
             cycles = self.cfg.theta.c_q + 1
         else:
             cycles = cycles_required(self.cfg.fixed_theta(), f.n, epsilon, mu)
-        key = f"{f.to_dimacs()}|{cycles}|{self.cfg.plan}"
+        key = (f, cycles, self.cfg.plan)
         if key not in self._trajectories:
             self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
         return self._trajectories[key], mu, source, cycles

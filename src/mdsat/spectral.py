@@ -28,14 +28,14 @@ from .encoding import (
     hamiltonian_matrix,
 )
 from .formula import Clause, Formula, count_solutions
-from .phf import Layer, build_layers, noncommuting_degree
-from .statevec import dense_check_operator, product_operator
+from .phf import Layer, build_layers, layered_order, noncommuting_degree
+from .statevec import product_operator
 
 _ZERO_TOL = 1e-9
 _GROUND_TOL = 1e-10
 
 
-def spectral_gap(f: Formula, theta: float, cap: int = DENSE_CAP) -> float:
+def spectral_gap(f: Formula, theta: float) -> float:
     """Smallest nonzero eigenvalue of H(theta).
 
     The kernel dimension is pinned by the brute-force solution count, so the
@@ -45,7 +45,7 @@ def spectral_gap(f: Formula, theta: float, cap: int = DENSE_CAP) -> float:
     d_sol = count_solutions(f)
     if d_sol == 0:
         raise Unsatisfiable("no zero-energy state: formula is unsatisfiable")
-    h = hamiltonian_matrix(f, theta, cap)
+    h = hamiltonian_matrix(f, theta)
     eigs = np.linalg.eigvalsh(h)
     if eigs[d_sol - 1] > _GROUND_TOL:
         raise AssertionError(
@@ -81,7 +81,6 @@ class UniformGapEstimate:
 def uniform_gap(
     f: Formula,
     theta: float,
-    cap: int = DENSE_CAP,
     max_exact_m: int = 12,
     samples: int = 512,
     rng: np.random.Generator | None = None,
@@ -92,13 +91,12 @@ def uniform_gap(
     that a random-subset lower-confidence estimate is returned and flagged
     non-exact.
     """
-    check_cap(f.n, cap, "uniform gap")
     check_angle(theta)
     if f.m == 0:
         raise ValueError("uniform gap undefined for an empty clause list")
     if count_solutions(f) == 0:
         raise Unsatisfiable("uniform gap requires a satisfiable formula")
-    dense = [dense_projector(p, cap) for p in clause_projectors(f, theta)]
+    dense = [dense_projector(p) for p in clause_projectors(f, theta)]
     if f.m <= max_exact_m:
         best = math.inf
         count = 0
@@ -116,16 +114,14 @@ def uniform_gap(
     return UniformGapEstimate(value=best, exact=False, subsets_checked=samples)
 
 
-def convergence_rate(
-    f: Formula, theta: float, order=None, cap: int = DENSE_CAP
-) -> float:
+def convergence_rate(f: Formula, theta: float, order=None) -> float:
     """mu = ||prod C_i - P_GS||_2, the contraction rate off the ground space.
 
     Satisfies ||(prod C)^r - P_GS|| <= mu^r for every r, since the product
     commutes with P_GS and fixes it.
     """
-    t = product_operator(f, theta, order, cap)
-    p_gs = ground_space_projector(f, theta, cap)
+    t = product_operator(f, theta, order)
+    p_gs = ground_space_projector(f, theta)
     return float(np.linalg.norm(t - p_gs, 2))
 
 
@@ -138,11 +134,11 @@ class DlQubSlack:
     qub_slack: float
 
 
-def check_dl_qub(f: Formula, theta: float, order=None, cap: int = DENSE_CAP) -> DlQubSlack:
+def check_dl_qub(f: Formula, theta: float, order=None) -> DlQubSlack:
     """Slack of the detectability lemma (upper) and quantum union bound
     (lower) on the empirical convergence rate; both must be >= -1e-9."""
-    gap = spectral_gap(f, theta, cap)
-    mu = convergence_rate(f, theta, order, cap)
+    gap = spectral_gap(f, theta)
+    mu = convergence_rate(f, theta, order)
     g = noncommuting_degree(f)
     dl_upper = 0.0 if g == 0 else 1.0 / math.sqrt(gap / g**2 + 1.0)
     return DlQubSlack(
@@ -180,22 +176,16 @@ def _projector_range_basis(p: np.ndarray) -> np.ndarray:
     return eigvecs[:, eigvals > 0.5]
 
 
-def layer_image_subspaces(
-    f: Formula, theta: float, layers: list[Layer] | None = None, cap: int = DENSE_CAP
-):
+def layer_image_subspaces(f: Formula, theta: float, layers: list[Layer] | None = None):
     """Bases of M_i intersect M-perp for the layer images M_i = im(prod C)
     and M the ground space; returns (bases, layer_product_operators, P_GS)."""
-    check_cap(f.n, cap, "layer image subspaces")
     if layers is None:
         layers = build_layers(f, theta)
-    projs = clause_projectors(f, theta)
-    p_gs = ground_space_projector(f, theta, cap)
+    p_gs = ground_space_projector(f, theta)
     bases = []
     ops = []
     for layer in layers:
-        q = np.eye(1 << f.n)
-        for ci in layer.members:
-            q = dense_check_operator(projs[ci], cap) @ q
+        q = product_operator(f, theta, order=layer.members)
         ops.append(q)
         # Members commute, so q is the orthogonal projector onto the layer
         # image; q - P_GS projects onto the part outside the ground space.
@@ -209,19 +199,15 @@ def speed_of_convergence_bound(c: float, ell: int, r: int) -> float:
     return base ** (r / 2.0)
 
 
-def friedrichs_speed_slack(
-    f: Formula, theta: float, r_max: int = 10, cap: int = DENSE_CAP
-):
+def friedrichs_speed_slack(f: Formula, theta: float, r_max: int = 10):
     """Minimum slack of the speed-of-convergence bound over r = 1..r_max for
     the layered cycle operator; returns (slack, c, ell)."""
     layers = build_layers(f, theta)
     if len(layers) < 2:
         return math.inf, 0.0, len(layers)
-    bases, ops, p_gs = layer_image_subspaces(f, theta, layers, cap)
+    bases, _, p_gs = layer_image_subspaces(f, theta, layers)
     c = friedrichs_angle(bases, 1 << f.n)
-    t = np.eye(1 << f.n)
-    for q in ops:
-        t = q @ t
+    t = product_operator(f, theta, order=layered_order(layers))
     slack = math.inf
     power = np.eye(1 << f.n)
     for r in range(1, r_max + 1):
@@ -231,9 +217,7 @@ def friedrichs_speed_slack(
     return slack, c, len(layers)
 
 
-def _embedded_propagated_projectors(
-    f: Formula, theta: float, var: int, value: bool, cap: int = DENSE_CAP
-):
+def _embedded_propagated_projectors(f: Formula, theta: float, var: int, value: bool):
     """Pairs (P_before, P_after) on the full n qubits for every clause that
     survives fixing var=value; the after-projector drops the killed literal
     (identity on the fixed qubit)."""
@@ -243,23 +227,21 @@ def _embedded_propagated_projectors(
         on_var = [l for l in lits if l.var == var]
         if on_var and on_var[0].negated != value:
             continue  # clause satisfied, discarded on both sides
-        before = dense_projector(clause_projector(c, theta, f.n), cap)
+        before = dense_projector(clause_projector(c, theta, f.n))
         rest = tuple(l for l in lits if l.var != var)
         if rest:
-            after = dense_projector(clause_projector(Clause(rest), theta, f.n), cap)
+            after = dense_projector(clause_projector(Clause(rest), theta, f.n))
         else:
             after = np.eye(1 << f.n)  # empty clause forbids everything
         pairs.append((before, after))
     return pairs
 
 
-def monotone_update_check(
-    f: Formula, theta: float, var: int, value: bool, cap: int = DENSE_CAP
-) -> bool:
+def monotone_update_check(f: Formula, theta: float, var: int, value: bool) -> bool:
     """PSD check of the per-step Hamiltonian replacement: over the surviving
     clauses, the propagated projector sum dominates the original one."""
-    check_cap(f.n, cap, "monotone update check")
-    pairs = _embedded_propagated_projectors(f, theta, var, value, cap)
+    check_cap(f.n, DENSE_CAP, "monotone update check")
+    pairs = _embedded_propagated_projectors(f, theta, var, value)
     dim = 1 << f.n
     h_before = sum((b for b, _ in pairs), np.zeros((dim, dim)))
     h_after = sum((a for _, a in pairs), np.zeros((dim, dim)))
@@ -331,7 +313,6 @@ class SpectralReport:
 def spectral_report(
     f: Formula,
     theta: float,
-    cap: int = DENSE_CAP,
     with_uniform: bool = True,
     with_friedrichs: bool = True,
     max_exact_m: int = 12,
@@ -340,13 +321,13 @@ def spectral_report(
     if d_sol == 0:
         raise Unsatisfiable("spectral report requires a satisfiable formula")
     k_eff = f.max_width()
-    sandwich = check_dl_qub(f, theta, cap=cap)
+    sandwich = check_dl_qub(f, theta)
     bound = gap_lower_bound(theta, f.n, k_eff)
     uni = None
     uni_exact = None
     notes = []
     if with_uniform:
-        est = uniform_gap(f, theta, cap, max_exact_m=max_exact_m)
+        est = uniform_gap(f, theta, max_exact_m=max_exact_m)
         uni, uni_exact = est.value, est.exact
         if not est.exact:
             notes.append(f"uniform gap sampled over {est.subsets_checked} subsets")
@@ -354,7 +335,7 @@ def spectral_report(
     layer_count = None
     speed_slack = None
     if with_friedrichs:
-        speed_slack, c_val, layer_count = friedrichs_speed_slack(f, theta, cap=cap)
+        speed_slack, c_val, layer_count = friedrichs_speed_slack(f, theta)
         if layer_count < 2:
             speed_slack, c_val = None, None
             notes.append("single layer: Friedrichs angle undefined")

@@ -1,108 +1,60 @@
-"""Dense real state-vector engine.
+"""Dense real state-vector engine and the clause-check kernel.
 
 States are plain float64 arrays of length 2^n with variable 1 on the most
 significant bit, matching the assignment-string convention of
-:mod:`mdsat.formula`.  Clause projectors are applied through their factorized
-rank-1 structure; no 2^n x 2^n matrix is ever formed on this path.
+:mod:`mdsat.formula`.  A clause check C = I - |u><u| is applied through the
+factorized rank-1 structure of its projector, in place, on any array of
+shape (2^n, *batch).  Dense operators (check products, clause projectors,
+Hamiltonians) are this same kernel applied to the identity; no Kronecker
+product or 2^n x 2^n matrix product is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+import itertools
+import math
 
 import numpy as np
 
 from .config import DENSE_CAP, STATE_CAP, check_cap
-from .encoding import ClauseProjector, clause_projectors, dense_projector
+from .encoding import ClauseProjector, clause_projectors
 from .formula import Formula
 
-_RENORM_DRIFT = 1e-9
 
-
-def plus_state(n: int, cap: int = STATE_CAP) -> np.ndarray:
-    check_cap(n, cap, "plus state")
+def plus_state(n: int) -> np.ndarray:
+    check_cap(n, STATE_CAP, "plus state")
     return np.full(1 << n, 2.0 ** (-n / 2))
 
 
-def norm(psi: np.ndarray) -> float:
-    return float(np.linalg.norm(psi))
+def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
+    """psi <- (I - |u><u|) psi for a C-contiguous ``psi`` of shape (2^n, *batch).
 
-
-def _contract_support(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:
-    """<u|psi> contracted over the support; tensor over the other qubits."""
-    w = psi.reshape((2,) * proj.n)
-    # Contract highest axis first so earlier axis indices stay valid.
-    for q, u in sorted(zip(proj.support, proj.factors), reverse=True):
-        w = np.tensordot(u, w, axes=([0], [q - 1]))
-    return w
-
-
-def fail_weight(psi: np.ndarray, proj: ClauseProjector) -> float:
-    """||P psi||^2 for the factorized rank-1 projector."""
-    w = _contract_support(psi, proj)
-    return float(np.sum(w * w))
-
-
-def apply_projector(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:
-    """P|psi> (unnormalized)."""
-    w = _contract_support(psi, proj)
-    full = w
-    for u in reversed(proj.factors):
-        full = np.multiply.outer(u, full)
-    order = list(proj.support) + [
-        q for q in range(1, proj.n + 1) if q not in proj.support
-    ]
-    full = np.transpose(full, axes=np.argsort(order))
-    return full.reshape(-1)
+    Each support qubit gets its own length-2 axis, which splits ``psi`` into
+    2^k support slices psi_b (views).  With u_b the amplitude of |u> on the
+    support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.
+    """
+    shape, prev = [], 0
+    for q in proj.support:
+        shape += [1 << (q - 1 - prev), 2]
+        prev = q
+    t = psi.reshape(shape + [1 << (proj.n - prev), *psi.shape[1:]])
+    slices, amps = [], []
+    for bits in itertools.product((0, 1), repeat=proj.width):
+        slices.append(t[tuple(x for b in bits for x in (slice(None), b))])
+        amps.append(math.prod(u[b] for u, b in zip(proj.factors, bits)))
+    w = amps[0] * slices[0]
+    tmp = np.empty_like(w)
+    for a, s in zip(amps[1:], slices[1:]):
+        w += np.multiply(s, a, out=tmp)
+    for a, s in zip(amps, slices):
+        s -= np.multiply(w, a, out=tmp)
 
 
 def apply_check_unnormalized(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:
-    """C|psi> = (I - P)|psi> (unnormalized)."""
-    return psi - apply_projector(psi, proj)
-
-
-def clause_check_probabilities(psi: np.ndarray, proj: ClauseProjector):
-    """(p_fail, p_pass) of the clause check on a normalized state."""
-    p_fail = min(fail_weight(psi, proj), 1.0)
-    return p_fail, 1.0 - p_fail
-
-
-def apply_pass(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:
-    """Post-measurement state of the passed branch, renormalized."""
-    out = apply_check_unnormalized(psi, proj)
-    p_pass = float(np.dot(out, out))
-    if p_pass <= 1e-15:
-        raise ZeroDivisionError("pass branch has zero probability")
-    if abs(p_pass - 1.0) > _RENORM_DRIFT:
-        out = out / np.sqrt(p_pass)
+    """C|psi> = (I - P)|psi> (unnormalized) as a new array; ``psi`` is untouched."""
+    out = psi.copy()
+    apply_check_inplace(out, proj)
     return out
-
-
-def apply_fail(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:
-    """Post-measurement state of the failed branch, renormalized."""
-    out = apply_projector(psi, proj)
-    p_fail = float(np.dot(out, out))
-    if p_fail <= 1e-15:
-        raise ZeroDivisionError("fail branch has zero probability")
-    return out / np.sqrt(p_fail)
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    passed: bool
-    probability: float
-    post_state: np.ndarray
-
-
-def check_clause(
-    psi: np.ndarray, proj: ClauseProjector, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Sample one projective clause check {C, P} on a normalized state."""
-    p_fail, p_pass = clause_check_probabilities(psi, proj)
-    if rng.random() < p_fail:
-        return MeasurementOutcome(False, p_fail, apply_fail(psi, proj))
-    return MeasurementOutcome(True, p_pass, apply_pass(psi, proj))
 
 
 def prob_one(psi: np.ndarray, qubit: int) -> float:
@@ -129,31 +81,15 @@ def sample_basis(psi: np.ndarray, rng: np.random.Generator, size: int) -> np.nda
     return rng.choice(psi.shape[0], size=size, p=p / total)
 
 
-def dense_check_operator(proj: ClauseProjector, cap: int = DENSE_CAP) -> np.ndarray:
-    return np.eye(1 << proj.n) - dense_projector(proj, cap)
-
-
-def product_operator(
-    f: Formula, theta: float, order=None, cap: int = DENSE_CAP
-) -> np.ndarray:
+def product_operator(f: Formula, theta: float, order=None) -> np.ndarray:
     """Dense product of clause checks, ``order[0]`` acting first.
 
     At theta = pi/2 all checks commute and the product equals the
     ground-space projector.
     """
-    check_cap(f.n, cap, "dense check product")
+    check_cap(f.n, DENSE_CAP, "dense check product")
     projs = clause_projectors(f, theta)
-    if order is None:
-        order = range(f.m)
     t = np.eye(1 << f.n)
-    for i in order:
-        t = dense_check_operator(projs[i], cap) @ t
+    for i in range(f.m) if order is None else order:
+        apply_check_inplace(t, projs[i])
     return t
-
-
-def dense_commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a @ b - b @ a, 2))
-
-
-def kron_all(blocks) -> np.ndarray:
-    return reduce(np.kron, blocks, np.array([[1.0]]))

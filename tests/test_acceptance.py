@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import oracle
 import pytest
 from scipy import stats
 
@@ -193,12 +194,12 @@ def test_c09_layer_soundness():
         f = fm.random_satisfiable(rng, n, 2 * n, 3)
         theta = 0.35 * np.pi
         layers = phf.build_layers(f, theta)
-        dense = [enc.dense_projector(p) for p in enc.clause_projectors(f, theta)]
+        dense = [oracle.kron_projector(p) for p in enc.clause_projectors(f, theta)]
         for layer in layers:
             for a in range(len(layer.members)):
                 for b in range(a + 1, len(layer.members)):
                     i1, i2 = layer.members[a], layer.members[b]
-                    assert svec.dense_commutator_norm(dense[i1], dense[i2]) <= 1e-12
+                    assert oracle.commutator_norm(dense[i1], dense[i2]) <= 1e-12
         cycles = 3
         layered = sv.allpass_trajectory(
             f, sv.PrepConfig(theta=theta, plan="layered", mode="deterministic"), cycles

@@ -211,6 +211,19 @@ class TestSpectralCmd:
         body = out.read_text().splitlines()[2:]
         assert len(body) == 2 and all(",error," in line for line in body)
 
+    def test_error_row_has_ok_row_columns(self, tmp_path, capsys):
+        sat, unsat = tmp_path / "s.cnf", tmp_path / "u.cnf"
+        sat.write_text("p cnf 2 1\n1 2 0\n")
+        unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        rows = []
+        for cnf in (sat, unsat):
+            assert run(["spectral", str(cnf), "--thetas", "0.3pi", "--no-friedrichs"]) == 0
+            rows.extend(json.loads(capsys.readouterr().out)["rows"])
+        ok, err = rows
+        assert ok["status"] == "ok" and err["status"] == "error"
+        assert list(err) == list(ok)
+        assert err["d_sol"] == 0 and err["error"]
+
     def test_unate_mu_zero_column(self, tmp_path, capsys):
         cnf = tmp_path / "un.cnf"
         run(["gen", "unate", "5", "-m", "8", "--seed", "4", "--out", str(cnf)])

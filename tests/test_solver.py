@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracle
 import pytest
 
 from mdsat import encoding as enc
@@ -134,7 +135,7 @@ class TestPrepareState:
             ok = True
             for _ in range(r_star):
                 for proj in projs:
-                    outcome = svec.check_clause(psi, proj, sim_rng)
+                    outcome = oracle.check_clause(psi, proj, sim_rng)
                     if not outcome.passed:
                         ok = False
                         break

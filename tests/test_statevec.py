@@ -1,5 +1,8 @@
 import numpy as np
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdsat import encoding as enc
 from mdsat import formula as fm
@@ -28,7 +31,7 @@ class TestPlusState:
 class TestClauseCheck:
     def test_uniform_state_three_local(self):
         psi = svec.plus_state(3)
-        p_fail, p_pass = svec.clause_check_probabilities(psi, _proj([1, 2, 3], np.pi / 2, 3))
+        p_fail, p_pass = oracle.clause_check_probabilities(psi, _proj([1, 2, 3], np.pi / 2, 3))
         assert abs(p_fail - 1 / 8) < 1e-12 and abs(p_pass - 7 / 8) < 1e-12
 
     def test_ground_state_always_passes(self):
@@ -37,7 +40,7 @@ class TestClauseCheck:
         s = next(iter(fm.brute_force_solutions(f)))
         psi = enc.theta_string_state(s, theta)
         for c in f.clauses:
-            p_fail, p_pass = svec.clause_check_probabilities(
+            p_fail, p_pass = oracle.clause_check_probabilities(
                 psi, enc.clause_projector(c, theta, f.n)
             )
             assert p_fail < 1e-12 and abs(p_pass - 1.0) < 1e-12
@@ -46,7 +49,7 @@ class TestClauseCheck:
         theta = 0.25 * np.pi
         proj = _proj([1, 2, 3], theta, 4)
         psi = enc.theta_string_state("0001", theta)  # violates (b1 v b2 v b3)
-        p_fail, _ = svec.clause_check_probabilities(psi, proj)
+        p_fail, _ = oracle.clause_check_probabilities(psi, proj)
         assert abs(p_fail - np.sin(theta) ** 6) < 1e-12
 
 
@@ -56,18 +59,18 @@ class TestBranchStates:
     def test_pass_leaves_kernel_states_unchanged(self):
         proj = _proj([1, 2], self.theta, 3)
         psi = enc.theta_string_state("110", self.theta)  # satisfies (b1 v b2)
-        assert np.abs(svec.apply_pass(psi, proj) - psi).max() < 1e-12
+        assert np.abs(oracle.apply_pass(psi, proj) - psi).max() < 1e-12
 
     def test_fail_lands_in_image(self):
         proj = _proj([1, 2], self.theta, 3)
         psi = svec.plus_state(3)
-        failed = svec.apply_fail(psi, proj)
-        assert np.abs(svec.apply_projector(failed, proj) - failed).max() < 1e-12
+        failed = oracle.apply_fail(psi, proj)
+        assert np.abs(oracle.apply_projector(failed, proj) - failed).max() < 1e-12
 
     def test_pass_norm_consistency(self):
         proj = _proj([-1, 2, 3], self.theta, 4)
         psi = svec.plus_state(4)
-        p_fail, p_pass = svec.clause_check_probabilities(psi, proj)
+        p_fail, p_pass = oracle.clause_check_probabilities(psi, proj)
         unnorm = svec.apply_check_unnormalized(psi, proj)
         assert abs(unnorm @ unnorm - p_pass) < 1e-12
 
@@ -75,7 +78,7 @@ class TestBranchStates:
         proj = _proj([1], np.pi / 2, 1)
         psi = np.array([0.0, 1.0])  # satisfies (b1): fail branch impossible
         with pytest.raises(ZeroDivisionError):
-            svec.apply_fail(psi, proj)
+            oracle.apply_fail(psi, proj)
 
 
 class TestZExpectation:
@@ -130,7 +133,7 @@ class TestDeterministicPassSequence:
             fid = np.linalg.norm(p_gs @ psi)
             for _ in range(8):
                 for pr in projs:
-                    psi = svec.apply_pass(psi, pr)
+                    psi = oracle.apply_pass(psi, pr)
                 new_fid = np.linalg.norm(p_gs @ psi)
                 assert new_fid >= fid - 1e-12
                 fid = new_fid
@@ -156,10 +159,10 @@ class TestSampling:
         theta = 0.45 * np.pi
         proj = _proj([1, 2, 3], theta, 4)
         psi = svec.plus_state(4)
-        p_fail, _ = svec.clause_check_probabilities(psi, proj)
+        p_fail, _ = oracle.clause_check_probabilities(psi, proj)
         rng = np.random.default_rng(123)
         shots = 10_000
-        fails = sum(not svec.check_clause(psi, proj, rng).passed for _ in range(shots))
+        fails = sum(not oracle.check_clause(psi, proj, rng).passed for _ in range(shots))
         sigma = np.sqrt(p_fail * (1 - p_fail) / shots)
         assert abs(fails / shots - p_fail) <= 4 * sigma
 
@@ -170,3 +173,45 @@ class TestSampling:
         freq = np.bincount(draws, minlength=4) / 20_000
         expected = psi * psi
         assert np.abs(freq - expected).max() < 0.02
+
+
+@st.composite
+def _formula_case(draw):
+    """(formula, theta, order, seed): 1-3 clauses of width 1-3 on n <= 10
+    qubits, each clause on qubit 1 or qubit n, checks in a random order."""
+    n = draw(st.integers(1, 10))
+    clauses = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = {draw(st.sampled_from([1, n]))} | draw(
+            st.sets(st.integers(1, n), max_size=2)
+        )
+        clauses.append([v if draw(st.booleans()) else -v for v in sorted(support)])
+    f = fm.formula_from_dimacs_codes(n, clauses)
+    order = draw(st.permutations(range(f.m)))
+    return f, draw(st.floats(0.05, np.pi / 2)), order, draw(st.integers(0, 2**32 - 1))
+
+
+class TestKernelMatchesKronOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_formula_case())
+    def test_vectors_batches_and_products(self, case):
+        f, theta, order, seed = case
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(1 << f.n)
+        batch = rng.standard_normal((1 << f.n, int(rng.integers(1, 5))))
+        projs = enc.clause_projectors(f, theta)
+        expected = np.eye(1 << f.n)
+        for i in order:
+            dense = oracle.kron_projector(projs[i])
+            check = np.eye(1 << f.n) - dense
+            before = psi.copy()
+            out = svec.apply_check_unnormalized(psi, projs[i])
+            assert np.array_equal(psi, before)
+            assert np.abs(out - check @ psi).max() <= 1e-13
+            out = batch.copy()
+            svec.apply_check_inplace(out, projs[i])
+            assert np.abs(out - check @ batch).max() <= 1e-13
+            assert np.abs(enc.dense_projector(projs[i]) - dense).max() <= 1e-13
+            expected = check @ expected
+        t = svec.product_operator(f, theta, order=order)
+        assert np.abs(t - expected).max() <= 1e-12
