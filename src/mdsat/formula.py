@@ -256,14 +256,20 @@ def _clause_masks(f: Formula) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solution_indices(f: Formula, cap: int = BRUTE_CAP) -> np.ndarray:
-    """Sorted basis indices of all satisfying assignments (exhaustive)."""
-    check_cap(f.n, cap, "brute-force enumeration")
-    idx = np.arange(1 << f.n, dtype=np.int64)
+    """Sorted basis indices (int64) of all satisfying assignments (exhaustive).
+
+    Enumerates on int32 indices, half the memory traffic of int64, so n is
+    limited to 31 whatever the cap.
+    """
+    check_cap(f.n, min(cap, 31), "brute-force enumeration")
+    idx = np.arange(1 << f.n, dtype=np.int32)
     ok = np.ones(idx.shape, dtype=bool)
+    tmp = np.empty_like(idx)
     masks, pats = _clause_masks(f)
-    for mask, pat in zip(masks, pats):
-        ok &= (idx & mask) != pat
-    return idx[ok]
+    for mask, pat in zip(masks.tolist(), pats.tolist()):
+        np.bitwise_and(idx, mask, out=tmp)
+        ok &= tmp != pat
+    return np.flatnonzero(ok)  # idx[i] == i
 
 
 def brute_force_solutions(f: Formula, cap: int = BRUTE_CAP) -> set[str]:

@@ -4,9 +4,15 @@ State preparation drives |+>^n toward the ground space by clause checks,
 restarting from scratch whenever a check fails.  Conditioned on passing, the
 state after j checks is a fixed vector, so the whole preparation is simulated
 exactly from the all-pass trajectory: per-step pass probabilities are
-precomputed once, restart counts follow a geometric law in the cumulative
-pass probability, and the position of the first failure within a failed
-attempt is sampled from the induced categorical distribution.  This is
+precomputed once, and the restart count follows a geometric law in the
+cumulative pass probability.  The failed attempts end at i.i.d. positions
+drawn from the first-failure distribution of the trajectory, so one
+multinomial draw gives how many attempts failed at each position, and with
+it their exact measurement cost, in time independent of the restart count.
+A CSV trace needs the failures in order: it gets a uniformly random
+permutation of the drawn positions, which has the same law as drawing them
+one by one, taken from a generator spawned for the trace so that tracing
+leaves the run's own random stream untouched.  This is
 distribution-identical to sampling every check one by one and keeps
 measurement counting exact at desk scale.
 """
@@ -18,6 +24,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -189,8 +196,15 @@ class Trajectory:
     def success_probability(self) -> float:
         return float(np.prod(self.step_pass_probs))
 
-    def cumulative_pass(self) -> np.ndarray:
-        return np.cumprod(self.step_pass_probs)
+    @cached_property
+    def failure_pmf(self) -> np.ndarray | None:
+        """Law of the failing position of a failed attempt: P(pass the first
+        j checks, fail check j) normalized; None when no attempt can fail."""
+        probs = self.step_pass_probs
+        prefix = np.concatenate(([1.0], np.cumprod(probs)[:-1]))
+        fail = prefix * (1.0 - probs)
+        total = fail.sum()
+        return fail / total if total > 0 else None
 
 
 def _plan_steps(f: Formula, theta: float, plan: str) -> list[list[int]]:
@@ -296,12 +310,14 @@ def _sample_restart_costs(
     rng: np.random.Generator,
     max_restarts: int,
     counter: MeasurementCounter | None,
-    collect_trace: bool,
+    trace_rng: np.random.Generator | None,
 ):
     """Sample the number of failed attempts and their measurement cost.
 
-    Returns (restarts, measurements, fail_positions or None); raises
-    RestartsExhausted or BudgetExhausted with the cost already counted.
+    Returns (restarts, measurements, fail_positions); the positions, in
+    attempt order, are drawn only when ``trace_rng`` is given and are None
+    otherwise.  Raises RestartsExhausted or BudgetExhausted with the cost
+    already counted.
     """
     length = traj.length
     if length == 0:
@@ -311,31 +327,26 @@ def _sample_restart_costs(
         restarts = int(rng.geometric(p_s)) - 1
     else:
         restarts = max_restarts  # success is unobservable at desk scale
-    exhausted = restarts >= max_restarts
     n_fail = min(restarts, max_restarts)
-    cum = traj.cumulative_pass()
-    prefix = np.concatenate(([1.0], cum[:-1]))
-    fail_pmf = prefix * (1.0 - traj.step_pass_probs)
-    total_fail = fail_pmf.sum()
-    measurements = 0
-    positions = [] if collect_trace else None
-    if n_fail and total_fail > 0:
-        pmf = fail_pmf / total_fail
-        remaining = n_fail
-        while remaining:
-            chunk = min(remaining, 65536)
-            draws = rng.choice(length, size=chunk, p=pmf)
-            cost = int(draws.sum()) + chunk  # failing measurement included
-            measurements += cost
-            if counter is not None:
-                counter.spend(cost)
-            if positions is not None:
-                positions.extend(int(d) for d in draws)
-            remaining -= chunk
-    if exhausted:
+    pmf = traj.failure_pmf
+    if n_fail and pmf is not None:
+        counts = rng.multinomial(n_fail, pmf)
+    else:
+        counts = np.zeros(length, dtype=np.int64)
+    # Python integers: n_fail * length can exceed int64.  The failing
+    # measurement at position j is the (j+1)-th of its attempt.
+    measurements = sum(c * (pos + 1) for pos, c in enumerate(counts.tolist()))
+    if counter is not None:
+        counter.spend(measurements)
+    if restarts >= max_restarts:
         raise RestartsExhausted(
             f"no successful preparation within {max_restarts} restarts"
         )
+    if trace_rng is None:
+        return restarts, measurements, None
+    # Only a successful preparation is traced, and its trace lists every
+    # failure anyway, so the positions cost no more memory than the trace.
+    positions = trace_rng.permutation(np.repeat(np.arange(length), counts))
     return restarts, measurements, positions
 
 
@@ -359,6 +370,9 @@ class Preparer:
         self.rng = rng
         self.counter = counter
         self.trace = trace
+        # Orders the failures of a traced preparation; a stream of its own
+        # keeps a traced run's draws identical to an untraced one's.
+        self._trace_rng = rng.spawn(1)[0] if trace is not None else None
         self._trajectories: dict[tuple[Formula, int, str], Trajectory] = {}
         self._mu: dict[Formula, tuple[float, str]] = {}
 
@@ -405,8 +419,7 @@ class Preparer:
                 mu_source=source,
             )
         restarts, spent, positions = _sample_restart_costs(
-            traj, self.rng, self.cfg.max_restarts, self.counter,
-            collect_trace=self.trace is not None,
+            traj, self.rng, self.cfg.max_restarts, self.counter, self._trace_rng
         )
         if self.counter is not None:
             self.counter.spend(traj.length)
@@ -507,8 +520,9 @@ def readout_multiple(
 ) -> str:
     """Variable-by-variable readout for instances with any number of
     solutions.  Fixes each variable from a Z estimate on the current first
-    qubit, propagates, and re-encodes the shrunken formula; a propagation
-    that hits an empty clause is the readout's failure event."""
+    qubit, propagates, and re-encodes the shrunken formula.  A wrong fix is
+    the readout's failure event: the propagation hits an empty clause, or
+    the shrunken formula has no satisfying assignment left to prepare."""
     if preparer is None:
         preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng, counter)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
@@ -526,7 +540,14 @@ def readout_multiple(
             continue
         total = 0
         for _ in range(shots):
-            prep = preparer.prepare(cur, epsilon=eps)
+            try:
+                prep = preparer.prepare(cur, epsilon=eps)
+            except Unsatisfiable as exc:
+                if cur is f:
+                    raise
+                raise ReadoutFailed(
+                    f"variables 1..{len(bits)} as fixed leave no satisfying assignment"
+                ) from exc
             if counter is not None:
                 counter.spend(1)
             outcome = 1 if rng.random() < prob_one(prep.state, 1) else -1

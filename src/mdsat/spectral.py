@@ -156,7 +156,9 @@ def friedrichs_angle(subspace_bases, ambient_dim: int) -> float:
     ``subspace_bases``: one orthonormal-column matrix per subspace, spanning
     M_i intersect M-perp.  For ell subspaces the angle equals
     (lambda_max(G) - 1)/(ell - 1), clamped to [0, 1]; it is 0 when every
-    block is trivial.
+    block is trivial.  G = B^T B, with B the bases side by side, has the
+    nonzero spectrum of B B^T, whose order is ``ambient_dim`` rather than
+    the summed subspace dimension, so lambda_max is taken from B B^T.
     """
     ell = len(subspace_bases)
     if ell < 2:
@@ -166,8 +168,7 @@ def friedrichs_angle(subspace_bases, ambient_dim: int) -> float:
     if not nonempty:
         return 0.0
     b = np.column_stack(nonempty)
-    gram = b.T @ b
-    lam_max = float(np.linalg.eigvalsh(gram)[-1])
+    lam_max = float(np.linalg.eigvalsh(b @ b.T)[-1])
     return min(1.0, max(0.0, (lam_max - 1.0) / (ell - 1)))
 
 

@@ -118,10 +118,14 @@ class TestBruteForce:
             f = fm.generate("random_ksat", n, int(rng.integers(1, 3 * n)), min(3, n), int(rng.integers(2**32)))
             expected = {a for a in fm.all_assignments(n) if fm.evaluate(f, a)}
             assert fm.brute_force_solutions(f) == expected
+            assert fm.solution_indices(f).dtype == np.int64
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             fm.brute_force_solutions(_formula(30, [1]), cap=24)
+        # int32 enumeration: refused before anything is allocated
+        with pytest.raises(CapExceeded, match="cap is 31"):
+            fm.solution_indices(_formula(32, [1]), cap=40)
 
 
 class TestUnate:

@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import oracle
 import pytest
+from scipy.stats import chi2_contingency
 
 from mdsat import encoding as enc
 from mdsat import formula as fm
@@ -116,8 +118,9 @@ class TestPrepareState:
         assert (a.restarts, a.measurements) == (b.restarts, b.measurements)
 
     def test_monte_carlo_matches_naive_simulation(self):
-        """Empirical per-attempt success frequency from a naive check-by-check
-        simulation must match the deterministic cumulative probability."""
+        """The naive check-by-check simulation succeeds with the trajectory's
+        success probability, and its first-failure positions and restart
+        counts follow the law the multinomial sampler draws from."""
         rng = np.random.default_rng(2024)
         f = fm.random_satisfiable(rng, 4, 6, 3)
         theta, eps = 0.45 * np.pi, 0.25
@@ -125,26 +128,62 @@ class TestPrepareState:
         r_star = sv.cycles_required(theta, f.n, eps, mu)
         projs = enc.clause_projectors(f, theta)
         cfg = sv.PrepConfig(theta=theta, epsilon=eps, mode="deterministic")
-        p_exact = sv.Preparer(cfg, rng).prepare(f).success_probability
+        traj = sv.Preparer(cfg, rng).trajectory(f)[0]
+        assert traj.cycles == r_star
+        p_exact = traj.success_probability
+
+        # The exact first-failure law, walked check by check in the oracle.
+        psi, reach, law = svec.plus_state(f.n), 1.0, []
+        for pos in range(traj.length):
+            p_fail, p_pass = oracle.clause_check_probabilities(psi, projs[pos % f.m])
+            law.append(reach * p_fail)
+            reach *= p_pass
+            psi = oracle.apply_pass(psi, projs[pos % f.m])
+        assert abs(reach - p_exact) <= 1e-12
+        assert np.abs(traj.failure_pmf - np.array(law) / sum(law)).max() <= 1e-12
 
         attempts = 10_000
         successes = 0
+        naive_fails = np.zeros(traj.length, dtype=np.int64)
         sim_rng = np.random.default_rng(77)
         for _ in range(attempts):
             psi = svec.plus_state(f.n)
-            ok = True
-            for _ in range(r_star):
-                for proj in projs:
-                    outcome = oracle.check_clause(psi, proj, sim_rng)
-                    if not outcome.passed:
-                        ok = False
-                        break
-                    psi = outcome.post_state
-                if not ok:
+            for pos in range(traj.length):
+                outcome = oracle.check_clause(psi, projs[pos % f.m], sim_rng)
+                if not outcome.passed:
+                    naive_fails[pos] += 1
                     break
-            successes += ok
+                psi = outcome.post_state
+            else:
+                successes += 1
         sigma = math.sqrt(p_exact * (1 - p_exact) / attempts)
         assert abs(successes / attempts - p_exact) <= 4 * sigma
+
+        # The sampler's trace positions, over enough preparations for more
+        # than 10^4 failed attempts.
+        preparations = 20_000
+        sample_rng, trace_rng = np.random.default_rng(78), np.random.default_rng(79)
+        sampled_fails = np.zeros(traj.length, dtype=np.int64)
+        restarts = np.zeros(preparations)
+        for i in range(preparations):
+            r, cost, positions = sv._sample_restart_costs(
+                traj, sample_rng, 10**6, None, trace_rng
+            )
+            positions = np.asarray(positions, dtype=np.int64)
+            assert positions.size == r and cost == int(np.sum(positions + 1))
+            np.add.at(sampled_fails, positions, 1)
+            restarts[i] = r
+        assert sampled_fails.sum() > 10**4
+        mean = (1 - p_exact) / p_exact
+        assert abs(restarts.mean() - mean) <= 4 * math.sqrt(mean / p_exact / preparations)
+
+        # Two-sample chi-square on the first-failure histograms; positions
+        # with fewer than 20 failures in all are pooled into one bin.
+        table = np.vstack([naive_fails, sampled_fails])
+        dense = table.sum(axis=0) >= 20
+        table = np.column_stack([table[:, dense], table[:, ~dense].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert chi2_contingency(table).pvalue > 1e-3
 
     def test_layered_and_sequential_agree_in_layer_order(self, small_instances):
         from mdsat.phf import build_layers, layered_order
@@ -183,6 +222,11 @@ class TestPrepareState:
         final = [r for r in rows if int(r[1]) == res.restarts]
         assert len(final) == res.r_star * f.m
         assert all(r[4] == "pass" for r in final)
+        # ordering the traced failures draws nothing from the run's generator
+        untraced = sv.prepare_state(f, cfg, np.random.default_rng(6))
+        assert (untraced.restarts, untraced.measurements) == (
+            res.restarts, res.measurements
+        )
 
     def test_restarts_exhausted_on_unsat(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
@@ -192,6 +236,22 @@ class TestPrepareState:
         )
         with pytest.raises(sv.RestartsExhausted):
             sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+
+    def test_unobservable_success_fails_fast(self):
+        # p_s = 0: the allowance of 10^12 restarts is drawn and charged at once
+        f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
+        cfg = sv.PrepConfig(
+            theta=np.pi / 2, mode="monte_carlo", max_restarts=10**12,
+            mu_source="user", mu=0.0,
+        )
+        start = time.perf_counter()
+        with pytest.raises(sv.RestartsExhausted):
+            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+        assert time.perf_counter() - start < 1.0
+        counter = sv.MeasurementCounter(10**6)
+        with pytest.raises(sv.BudgetExhausted):
+            sv.Preparer(cfg, np.random.default_rng(0), counter).prepare(f)
+        assert counter.used == 10**6
 
 
 class TestReadoutUnique:
@@ -217,6 +277,19 @@ class TestReadoutUnique:
             assert a == planted
             hits += 1
         assert hits >= 18  # failure rate must stay near delta
+
+
+class _HighUniforms:
+    """A generator whose uniform draws all return 0.999999."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self, *args, **kwargs):
+        return 0.999999
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 class TestReadoutMultiple:
@@ -245,6 +318,24 @@ class TestReadoutMultiple:
             assert a in {"01", "10", "11"}
             seen.add(a)
         assert seen  # at least one solution produced
+
+    def test_fix_leaving_no_solution_is_a_failed_readout(self, monkeypatch):
+        # Every shot reads -1, so variable 1 is fixed FALSE.  The planted
+        # solution starts with 1, and fixing it wrong empties no clause but
+        # leaves no solution: preparing the reduced formula finds none.
+        f = fm.generate("planted_unique", 6, 26, 3, seed=0)
+        assert next(iter(fm.brute_force_solutions(f)))[0] == "1"
+        theta = 0.4 * np.pi
+        with pytest.raises(sv.ReadoutFailed, match="no satisfying assignment"):
+            sv.readout_multiple(f, theta, 0.1, _HighUniforms(np.random.default_rng(0)))
+        make_rng = np.random.default_rng
+        monkeypatch.setattr(
+            sv.np.random, "default_rng", lambda seed: _HighUniforms(make_rng(seed))
+        )
+        report = sv.solve(f, theta, seed=0, max_readout_attempts=2)
+        assert report.status == "UNSAT" and report.readout_attempts == 2
+        assert len(report.notes) == 2
+        assert all("no satisfying assignment" in note for note in report.notes)
 
     def test_zero_occurrence_variable_fixed_false(self):
         f = fm.formula_from_dimacs_codes(3, [[2, 3]])  # variable 1 unused

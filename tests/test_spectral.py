@@ -141,6 +141,18 @@ class TestFriedrichs:
         b3 = np.array([[0.0], [0.0], [1.0]])
         assert sp.friedrichs_angle([b1, b2, b3], 3) < 1e-12
 
+    def test_summed_dimension_above_ambient_matches_block_gram(self):
+        # three 3-dimensional subspaces of R^6 (summed dimension 9 > 6), one
+        # of them with an empty partner block
+        rng = np.random.default_rng(7)
+        bases = [np.linalg.qr(rng.standard_normal((6, 3)))[0] for _ in range(3)]
+        for blocks in (bases, bases + [np.zeros((6, 0))]):
+            b = np.column_stack(blocks)
+            lam_max = np.linalg.eigvalsh(b.T @ b)[-1]
+            expected = min(1.0, max(0.0, (lam_max - 1.0) / (len(blocks) - 1)))
+            assert 0.0 < expected < 1.0
+            assert abs(sp.friedrichs_angle(blocks, 6) - expected) <= 1e-12
+
     def test_trivial_blocks_give_zero(self):
         empty = np.zeros((4, 0))
         assert sp.friedrichs_angle([empty, empty], 4) == 0.0
