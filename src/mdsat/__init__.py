@@ -24,7 +24,6 @@ from .solver import (
     RunReport,
     Schedule,
     cycles_required,
-    prepare_state,
     readout_multiple,
     readout_unique,
     schedule_angle,
@@ -48,7 +47,6 @@ __all__ = [
     "generate",
     "is_unate",
     "parse_dimacs",
-    "prepare_state",
     "propagate",
     "readout_multiple",
     "readout_unique",

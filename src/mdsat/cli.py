@@ -106,7 +106,6 @@ def cmd_gen(args) -> int:
 def _schedule_from_args(args) -> float | sv.Schedule:
     if args.schedule == "cubic":
         return sv.Schedule(
-            kind="cubic",
             theta_init=args.theta_init if args.theta_init else 0.47 * math.pi / 2,
             c_q=args.cycles,
         )

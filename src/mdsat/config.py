@@ -3,8 +3,7 @@
 Everything here is a soft limit guarding against accidental exponential
 blow-ups on a desk machine, not a correctness constraint.  Defaults can be
 overridden through environment variables.  Each cap is checked where its
-2^n-sized array is allocated; the brute-force oracle of :mod:`mdsat.formula`
-also takes a per-call ``cap``.
+2^n-sized array is allocated.
 """
 
 import os

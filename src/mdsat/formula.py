@@ -255,13 +255,13 @@ def _clause_masks(f: Formula) -> tuple[np.ndarray, np.ndarray]:
     return masks, pats
 
 
-def solution_indices(f: Formula, cap: int = BRUTE_CAP) -> np.ndarray:
+def solution_indices(f: Formula) -> np.ndarray:
     """Sorted basis indices (int64) of all satisfying assignments (exhaustive).
 
     Enumerates on int32 indices, half the memory traffic of int64, so n is
-    limited to 31 whatever the cap.
+    limited to 31 whatever ``MDSAT_BRUTE_CAP`` says.
     """
-    check_cap(f.n, min(cap, 31), "brute-force enumeration")
+    check_cap(f.n, min(BRUTE_CAP, 31), "brute-force enumeration")
     idx = np.arange(1 << f.n, dtype=np.int32)
     ok = np.ones(idx.shape, dtype=bool)
     tmp = np.empty_like(idx)
@@ -272,13 +272,13 @@ def solution_indices(f: Formula, cap: int = BRUTE_CAP) -> np.ndarray:
     return np.flatnonzero(ok)  # idx[i] == i
 
 
-def brute_force_solutions(f: Formula, cap: int = BRUTE_CAP) -> set[str]:
+def brute_force_solutions(f: Formula) -> set[str]:
     """Exact solution set; its size is the ground-space dimension d_sol."""
-    return {assignment_from_index(int(i), f.n) for i in solution_indices(f, cap)}
+    return {assignment_from_index(int(i), f.n) for i in solution_indices(f)}
 
 
-def count_solutions(f: Formula, cap: int = BRUTE_CAP) -> int:
-    return int(solution_indices(f, cap).size)
+def count_solutions(f: Formula) -> int:
+    return int(solution_indices(f).size)
 
 
 def is_unate(f: Formula) -> bool:

@@ -15,6 +15,13 @@ one by one, taken from a generator spawned for the trace so that tracing
 leaves the run's own random stream untouched.  This is
 distribution-identical to sampling every check one by one and keeps
 measurement counting exact at desk scale.
+
+Both readouts, majority vote for a unique solution and variable-by-variable
+fixing for any number of solutions, prepare a state and measure it.  One
+:class:`Preparer` per run owns the accounting: it spends every preparation
+and readout measurement through one counter, counts the completed
+preparations and their restarts, and records the convergence-rate input and
+cycle count it resolved for each formula, which :func:`solve` reports.
 """
 
 from __future__ import annotations
@@ -67,27 +74,19 @@ class MeasurementCounter:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Rotation-angle schedule: constant, or cubic ramp up to pi/2.
+    """Cubic ramp of the rotation angle over cycles c = 0..c_q, starting
+    exactly at theta_init and ending exactly at pi/2."""
 
-    The cubic ramp runs cycles c = 0..c_q, starting exactly at theta_init and
-    ending exactly at pi/2.
-    """
-
-    kind: str = "fixed"
+    c_q: int
     theta_init: float = 0.47 * math.pi / 2
-    c_q: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "cubic"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         check_angle(self.theta_init)
-        if self.kind == "cubic" and self.c_q < 1:
+        if self.c_q < 1:
             raise ValueError("cubic schedule needs a target cycle count >= 1")
 
 
 def schedule_angle(s: Schedule, c: int | float) -> float:
-    if s.kind == "fixed":
-        return s.theta_init
     if not 0 <= c <= s.c_q:
         raise ValueError(f"cycle {c} outside schedule range 0..{s.c_q}")
     return s.theta_init + (math.pi / 2 - s.theta_init) * (c / s.c_q) ** 3
@@ -116,26 +115,17 @@ class PrepConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.plan not in ("sequential", "layered"):
             raise ValueError(f"unknown plan {self.plan!r}")
-        if isinstance(self.theta, Schedule):
-            if self.theta.kind == "fixed":
-                check_angle(self.theta.theta_init)
-        else:
+        if not self.is_scheduled:
             check_angle(self.theta)
 
     @property
     def is_scheduled(self) -> bool:
-        return isinstance(self.theta, Schedule) and self.theta.kind == "cubic"
+        return isinstance(self.theta, Schedule)
 
     def fixed_theta(self) -> float:
-        if isinstance(self.theta, Schedule):
-            if self.theta.kind != "fixed":
-                raise ValueError("config uses an evolving angle")
-            return self.theta.theta_init
+        if self.is_scheduled:
+            raise ValueError("config uses an evolving angle")
         return self.theta
-
-    def readout_theta(self) -> float:
-        """Angle at which the prepared state is read out."""
-        return math.pi / 2 if self.is_scheduled else self.fixed_theta()
 
 
 def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
@@ -152,31 +142,30 @@ def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
     return max(1, math.ceil(target / math.log(1.0 / mu)))
 
 
-def resolve_mu(f: Formula, cfg: PrepConfig) -> tuple[float, str]:
+def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
     """Convergence-rate input for the cycle bound, per the configured policy."""
     if cfg.mu_source == "user":
         if cfg.mu is None:
             raise ValueError("mu_source='user' requires an explicit mu")
         if not 0.0 <= cfg.mu < 1.0:
             raise ValueError("mu must lie in [0, 1)")
-        return cfg.mu, "user"
+        return cfg.mu
     theta = cfg.fixed_theta()
     if cfg.mu_source == "empirical":
         # Commuting checks make the product equal the ground-space projector,
         # so mu vanishes with no dense computation: unate supports commute at
         # every angle, and at theta = pi/2 the perpendicular states become
         # orthogonal basis states.
-        if noncommuting_degree(f) == 0 or abs(theta - math.pi / 2) < 1e-12:
+        if abs(theta - math.pi / 2) < 1e-12 or noncommuting_degree(f) == 0:
             if count_solutions(f) == 0:
                 raise Unsatisfiable("no ground space to converge to")
-            return 0.0, "empirical"
+            return 0.0
         order = layered_order(build_layers(f, theta)) if cfg.plan == "layered" else None
         mu = spectral.convergence_rate(f, theta, order=order)
-        return (0.0 if mu <= _MU_ZERO else min(mu, 1.0 - 1e-15)), "empirical"
+        return 0.0 if mu <= _MU_ZERO else min(mu, 1.0 - 1e-15)
     gap = spectral.spectral_gap(f, theta)
     g = noncommuting_degree(f)
-    mu = 0.0 if g == 0 else max(0.0, 1.0 - gap / (4.0 * g**2))
-    return mu, "dl_bound"
+    return 0.0 if g == 0 else max(0.0, 1.0 - gap / (4.0 * g**2))
 
 
 @dataclass
@@ -248,7 +237,7 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
             if p <= 0.0:
                 dead = True
                 continue
-            psi = out / math.sqrt(p)
+            psi = np.divide(out, math.sqrt(p), out=out)  # out is a fresh array
     return Trajectory(
         final_state=psi,
         step_pass_probs=np.array(probs),
@@ -264,8 +253,6 @@ class PrepResult:
     r_star: int
     restarts: int
     measurements: int
-    mu: float | None
-    mu_source: str
 
 
 class TraceWriter:
@@ -309,7 +296,7 @@ def _sample_restart_costs(
     traj: Trajectory,
     rng: np.random.Generator,
     max_restarts: int,
-    counter: MeasurementCounter | None,
+    counter: MeasurementCounter,
     trace_rng: np.random.Generator | None,
 ):
     """Sample the number of failed attempts and their measurement cost.
@@ -336,8 +323,7 @@ def _sample_restart_costs(
     # Python integers: n_fail * length can exceed int64.  The failing
     # measurement at position j is the (j+1)-th of its attempt.
     measurements = sum(c * (pos + 1) for pos, c in enumerate(counts.tolist()))
-    if counter is not None:
-        counter.spend(measurements)
+    counter.spend(measurements)
     if restarts >= max_restarts:
         raise RestartsExhausted(
             f"no successful preparation within {max_restarts} restarts"
@@ -351,12 +337,15 @@ def _sample_restart_costs(
 
 
 class Preparer:
-    """Prepares ground-space approximations, caching per-formula trajectories.
+    """Prepares ground-space approximations and keeps a run's accounting.
 
-    One instance serves many preparation calls within a solve run; the
-    trajectory (and the convergence-rate input) is computed once per distinct
-    formula and reused, while Monte Carlo restart counts are sampled fresh on
-    every call.
+    One instance serves every preparation of a solve run: the convergence-rate
+    input and the trajectory are computed once per distinct formula (and
+    cycle count) and reused, Monte Carlo restart counts are sampled fresh on
+    every call, and every measurement is spent through ``counter``, which the
+    readouts share for their shots.  ``preparations`` and ``restarts`` count
+    the completed preparations and their failed attempts; ``resolved`` maps
+    each formula to the (mu, cycles) of its latest fixed-angle preparation.
     """
 
     def __init__(
@@ -368,61 +357,42 @@ class Preparer:
     ):
         self.cfg = cfg
         self.rng = rng
-        self.counter = counter
+        self.counter = MeasurementCounter() if counter is None else counter
         self.trace = trace
+        self.preparations = 0
+        self.restarts = 0
+        self.resolved: dict[Formula, tuple[float, int]] = {}
         # Orders the failures of a traced preparation; a stream of its own
         # keeps a traced run's draws identical to an untraced one's.
         self._trace_rng = rng.spawn(1)[0] if trace is not None else None
         self._trajectories: dict[tuple[Formula, int, str], Trajectory] = {}
-        self._mu: dict[Formula, tuple[float, str]] = {}
 
-    def _resolve_mu(self, f: Formula) -> tuple[float | None, str]:
-        if self.cfg.is_scheduled:
-            return None, "schedule"
-        if f not in self._mu:
-            self._mu[f] = resolve_mu(f, self.cfg)
-        return self._mu[f]
-
-    def cached_mu(self, f: Formula) -> float | None:
-        """The convergence-rate input already resolved for ``f``, if any."""
-        cached = self._mu.get(f)
-        return cached[0] if cached is not None else None
-
-    def trajectory(self, f: Formula, epsilon: float | None = None) -> tuple[Trajectory, float | None, str, int]:
-        epsilon = self.cfg.epsilon if epsilon is None else epsilon
-        mu, source = self._resolve_mu(f)
+    def trajectory(self, f: Formula, epsilon: float | None = None) -> tuple[Trajectory, int]:
         if self.cfg.is_scheduled:
             cycles = self.cfg.theta.c_q + 1
         else:
-            cycles = cycles_required(self.cfg.fixed_theta(), f.n, epsilon, mu)
+            mu = self.resolved[f][0] if f in self.resolved else resolve_mu(f, self.cfg)
+            epsilon = self.cfg.epsilon if epsilon is None else epsilon
+            cycles = cycles_required(self.cfg.theta, f.n, epsilon, mu)
+            self.resolved[f] = (mu, cycles)
         key = (f, cycles, self.cfg.plan)
         if key not in self._trajectories:
             self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
-        return self._trajectories[key], mu, source, cycles
+        return self._trajectories[key], cycles
 
     def prepare(self, f: Formula, epsilon: float | None = None) -> PrepResult:
-        traj, mu, source, cycles = self.trajectory(f, epsilon)
+        traj, cycles = self.trajectory(f, epsilon)
         if self.trace is not None:
             self.trace.next_preparation()
         if self.cfg.mode == "deterministic":
-            if self.counter is not None:
-                self.counter.spend(traj.length)
-            if self.trace is not None:
-                self.trace.emit_attempt(traj, 0, None)
-            return PrepResult(
-                state=traj.final_state,
-                success_probability=traj.success_probability,
-                r_star=cycles,
-                restarts=0,
-                measurements=traj.length,
-                mu=mu,
-                mu_source=source,
+            restarts, spent, positions = 0, 0, []
+        else:
+            restarts, spent, positions = _sample_restart_costs(
+                traj, self.rng, self.cfg.max_restarts, self.counter, self._trace_rng
             )
-        restarts, spent, positions = _sample_restart_costs(
-            traj, self.rng, self.cfg.max_restarts, self.counter, self._trace_rng
-        )
-        if self.counter is not None:
-            self.counter.spend(traj.length)
+        self.counter.spend(traj.length)
+        self.preparations += 1
+        self.restarts += restarts
         if self.trace is not None:
             for attempt, pos in enumerate(positions):
                 self.trace.emit_attempt(traj, attempt, int(pos))
@@ -433,20 +403,7 @@ class Preparer:
             r_star=cycles,
             restarts=restarts,
             measurements=spent + traj.length,
-            mu=mu,
-            mu_source=source,
         )
-
-
-def prepare_state(
-    f: Formula,
-    cfg: PrepConfig,
-    rng: np.random.Generator,
-    counter: MeasurementCounter | None = None,
-    trace: TraceWriter | None = None,
-) -> PrepResult:
-    """One-shot state preparation under ``cfg`` (see :class:`Preparer`)."""
-    return Preparer(cfg, rng, counter, trace).prepare(f)
 
 
 def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, int]:
@@ -468,41 +425,25 @@ def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[flo
     return eps, max(1, shots)
 
 
-@dataclass
-class ReadoutStats:
-    preparations: int = 0
-    restarts: int = 0
-    shots: int = 0
-    measurements: int = 0
-
-
 def readout_unique(
     f: Formula,
     theta: float,
     delta: float,
     rng: np.random.Generator,
     preparer: Preparer | None = None,
-    counter: MeasurementCounter | None = None,
-    stats: ReadoutStats | None = None,
 ) -> str:
     """Majority-vote readout; requires the caller's promise of a unique
     solution.  The returned assignment is verified against the formula."""
     if preparer is None:
-        preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng, counter)
+        preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng)
     eps, copies = unique_readout_parameters(theta, f.n, delta)
     votes = np.zeros(f.n, dtype=np.int64)
     for _ in range(copies):
         prep = preparer.prepare(f, epsilon=eps)
-        if counter is not None:
-            counter.spend(f.n)
+        preparer.counter.spend(f.n)
         index = int(sample_basis(prep.state, rng, 1)[0])
         bits = np.array([(index >> (f.n - q)) & 1 for q in range(1, f.n + 1)])
         votes += 2 * bits - 1  # outcome +1 on |1>, -1 on |0>
-        if stats is not None:
-            stats.preparations += 1
-            stats.restarts += prep.restarts
-            stats.shots += f.n
-            stats.measurements += prep.measurements + f.n
     assignment = "".join("1" if v > 0 else "0" for v in votes)  # tie -> FALSE
     if not evaluate(f, assignment):
         raise ReadoutFailed("majority vote produced a non-satisfying assignment")
@@ -515,8 +456,6 @@ def readout_multiple(
     delta: float,
     rng: np.random.Generator,
     preparer: Preparer | None = None,
-    counter: MeasurementCounter | None = None,
-    stats: ReadoutStats | None = None,
 ) -> str:
     """Variable-by-variable readout for instances with any number of
     solutions.  Fixes each variable from a Z estimate on the current first
@@ -524,7 +463,7 @@ def readout_multiple(
     the readout's failure event: the propagation hits an empty clause, or
     the shrunken formula has no satisfying assignment left to prepare."""
     if preparer is None:
-        preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng, counter)
+        preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
     sin_t = math.sin(theta)
     bits: list[str] = []
@@ -548,15 +487,8 @@ def readout_multiple(
                 raise ReadoutFailed(
                     f"variables 1..{len(bits)} as fixed leave no satisfying assignment"
                 ) from exc
-            if counter is not None:
-                counter.spend(1)
-            outcome = 1 if rng.random() < prob_one(prep.state, 1) else -1
-            total += outcome
-            if stats is not None:
-                stats.preparations += 1
-                stats.restarts += prep.restarts
-                stats.shots += 1
-                stats.measurements += prep.measurements + 1
+            preparer.counter.spend(1)
+            total += 1 if rng.random() < prob_one(prep.state, 1) else -1
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
         nxt = propagate(cur, 1, value)
@@ -737,13 +669,10 @@ def solve(
         raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    theta_probe = theta.theta_init if isinstance(theta, Schedule) else theta
+    # a schedule ends at pi/2, where its states are read out
+    theta_ro = math.pi / 2 if isinstance(theta, Schedule) else theta
     if max_restarts is None:
-        floor = success_probability_floor(
-            math.pi / 2 if isinstance(theta, Schedule) and theta.kind == "cubic"
-            else theta_probe,
-            f.n,
-        )
+        floor = success_probability_floor(theta_ro, f.n)
         max_restarts = max(
             1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15))
         )
@@ -755,14 +684,12 @@ def solve(
         mode=mode,
         plan=plan,
     )
-    theta_ro = cfg.readout_theta()
     if budget is None:
         est = theory_bounds(
             theta_ro, f.n, max(f.m, 1), delta, mu=mu if mu is not None else 0.5,
             readout=readout,
         )
         budget = max(1000, math.ceil(10.0 * est.total_cost))
-    counter = MeasurementCounter(budget)
     notes: list[str] = []
 
     effective_cfg = cfg
@@ -774,22 +701,15 @@ def solve(
 
     trace_fh = open(trace_file, "w", encoding="utf-8", newline="") if trace_file else None
     tracer = TraceWriter(trace_fh) if trace_fh else None
-    preparer = Preparer(effective_cfg, rng, counter, tracer)
-    stats = ReadoutStats()
+    preparer = Preparer(effective_cfg, rng, MeasurementCounter(budget), tracer)
     readout_fn = readout_unique if readout == "unique" else readout_multiple
-    mu_used: float | None = None
-    mu_src = effective_cfg.mu_source
-    cycles: int | None = None
     assignment = None
     attempts = 0
     try:
         while attempts < max_readout_attempts:
             attempts += 1
             try:
-                assignment = readout_fn(
-                    f, theta_ro, delta, rng,
-                    preparer=preparer, counter=counter, stats=stats,
-                )
+                assignment = readout_fn(f, theta_ro, delta, rng, preparer=preparer)
                 break
             except ReadoutFailed as exc:
                 notes.append(f"readout attempt {attempts} failed: {exc}")
@@ -799,18 +719,9 @@ def solve(
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    if not effective_cfg.is_scheduled:
-        mu_used = preparer.cached_mu(f)
-        if mu_used is not None:
-            params = (
-                unique_readout_parameters
-                if readout == "unique"
-                else multiple_readout_parameters
-            )
-            eps_ro = params(theta_ro, f.n, delta)[0]
-            cycles = cycles_required(
-                effective_cfg.fixed_theta(), f.n, eps_ro, mu_used
-            )
+    # f is prepared at the readout's tolerance only, so its entry holds the
+    # cycle count of every attempt
+    mu_used, cycles = preparer.resolved.get(f, (None, None))
     verified = assignment is not None and evaluate(f, assignment)
     return RunReport(
         status="SAT" if verified else "UNSAT",
@@ -829,12 +740,12 @@ def solve(
         mode=mode,
         plan=plan,
         mu=mu_used,
-        mu_source=mu_src,
+        mu_source=effective_cfg.mu_source,
         cycles_per_attempt=cycles,
-        restarts=stats.restarts,
-        preparations=stats.preparations,
+        restarts=preparer.restarts,
+        preparations=preparer.preparations,
         readout_attempts=attempts,
-        measurements=counter.used,
+        measurements=preparer.counter.used,
         budget=budget,
         seed=seed,
         verified=verified,

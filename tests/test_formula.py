@@ -120,12 +120,13 @@ class TestBruteForce:
             assert fm.brute_force_solutions(f) == expected
             assert fm.solution_indices(f).dtype == np.int64
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(CapExceeded):
-            fm.brute_force_solutions(_formula(30, [1]), cap=24)
+            fm.brute_force_solutions(_formula(30, [1]))
         # int32 enumeration: refused before anything is allocated
+        monkeypatch.setattr(fm, "BRUTE_CAP", 40)
         with pytest.raises(CapExceeded, match="cap is 31"):
-            fm.solution_indices(_formula(32, [1]), cap=40)
+            fm.solution_indices(_formula(32, [1]))
 
 
 class TestUnate:

@@ -34,24 +34,32 @@ class TestCyclesRequired:
 
 class TestSchedule:
     def test_endpoints(self):
-        s = sv.Schedule(kind="cubic", theta_init=0.47 * np.pi / 2, c_q=10)
+        s = sv.Schedule(theta_init=0.47 * np.pi / 2, c_q=10)
         assert sv.schedule_angle(s, 0) == pytest.approx(0.47 * np.pi / 2, abs=1e-15)
         assert sv.schedule_angle(s, 10) == pytest.approx(np.pi / 2, abs=1e-15)
 
     def test_midpoint(self):
         t0 = 0.47 * np.pi / 2
-        s = sv.Schedule(kind="cubic", theta_init=t0, c_q=8)
+        s = sv.Schedule(theta_init=t0, c_q=8)
         expected = t0 + (np.pi / 2 - t0) / 8
         assert sv.schedule_angle(s, 4) == pytest.approx(expected, abs=1e-15)
 
-    def test_fixed_ignores_cycle(self):
-        s = sv.Schedule(kind="fixed", theta_init=0.4)
-        assert sv.schedule_angle(s, 3) == 0.4
-
     def test_range_checked(self):
-        s = sv.Schedule(kind="cubic", theta_init=0.4, c_q=5)
+        s = sv.Schedule(theta_init=0.4, c_q=5)
         with pytest.raises(ValueError):
             sv.schedule_angle(s, 6)
+
+
+class TestResolveMu:
+    def test_dl_bound_upper_bounds_convergence_rate(self):
+        # mu <= 1 - gap / (4 g^2) (detectability lemma); g = 0 gives 0
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            f = fm.random_satisfiable(rng, n, int(rng.integers(1, 4 * n)), min(3, n))
+            for theta in (0.2 * np.pi, 0.3 * np.pi, 0.4 * np.pi, 0.45 * np.pi):
+                cfg = sv.PrepConfig(theta=theta, mu_source="dl_bound")
+                assert sv.resolve_mu(f, cfg) >= sp.convergence_rate(f, theta) - 1e-12
 
 
 class TestPrepareState:
@@ -167,7 +175,7 @@ class TestPrepareState:
         restarts = np.zeros(preparations)
         for i in range(preparations):
             r, cost, positions = sv._sample_restart_costs(
-                traj, sample_rng, 10**6, None, trace_rng
+                traj, sample_rng, 10**6, sv.MeasurementCounter(), trace_rng
             )
             positions = np.asarray(positions, dtype=np.int64)
             assert positions.size == r and cost == int(np.sum(positions + 1))
@@ -212,7 +220,7 @@ class TestPrepareState:
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
             tracer = sv.TraceWriter(fh)
-            res = sv.prepare_state(f, cfg, np.random.default_rng(6), trace=tracer)
+            res = sv.Preparer(cfg, np.random.default_rng(6), trace=tracer).prepare(f)
         lines = path.read_text().splitlines()
         assert lines[0] == "preparation,attempt,cycle,check,outcome,probability"
         rows = [line.split(",") for line in lines[1:]]
@@ -223,7 +231,7 @@ class TestPrepareState:
         assert len(final) == res.r_star * f.m
         assert all(r[4] == "pass" for r in final)
         # ordering the traced failures draws nothing from the run's generator
-        untraced = sv.prepare_state(f, cfg, np.random.default_rng(6))
+        untraced = sv.Preparer(cfg, np.random.default_rng(6)).prepare(f)
         assert (untraced.restarts, untraced.measurements) == (
             res.restarts, res.measurements
         )
@@ -372,10 +380,37 @@ class TestSolve:
 
     def test_schedule_mode(self):
         f = fm.random_satisfiable(np.random.default_rng(40), 5, 10, 3)
-        schedule = sv.Schedule(kind="cubic", theta_init=0.47 * np.pi / 2, c_q=12)
+        schedule = sv.Schedule(theta_init=0.47 * np.pi / 2, c_q=12)
         report = sv.solve(f, schedule, seed=9)
         assert report.status == "SAT"
         assert report.schedule == {"kind": "cubic", "theta_init": 0.47 * np.pi / 2, "c_q": 12}
+
+    def test_dl_bound_mu_source(self):
+        f = fm.generate("planted_unique", 4, 10, 2, seed=0)
+        theta = 0.45 * np.pi
+        mu = sv.resolve_mu(f, sv.PrepConfig(theta=theta, mu_source="dl_bound"))
+        assert mu >= sp.convergence_rate(f, theta)
+        for readout, params in (
+            ("unique", sv.unique_readout_parameters),
+            ("multiple", sv.multiple_readout_parameters),
+        ):
+            report = sv.solve(f, theta, readout=readout, mu_source="dl_bound", seed=1)
+            assert report.status == "SAT" and fm.evaluate(f, report.assignment)
+            assert report.mu_source == "dl_bound" and report.mu == mu
+            eps = params(theta, f.n, 0.1)[0]
+            assert report.cycles_per_attempt == sv.cycles_required(theta, f.n, eps, mu)
+
+    def test_budget_spent_on_a_readout_shot_counts_its_preparation(self):
+        # At pi/2 a deterministic preparation is one cycle of f.m checks; the
+        # budget lets the first preparation complete, and its readout shot of
+        # f.n measurements exhausts it.
+        f = fm.generate("planted_unique", 6, 20, 3, seed=14)
+        report = sv.solve(
+            f, np.pi / 2, readout="unique", mode="deterministic", budget=f.m + 1, seed=0
+        )
+        assert report.status == "UNSAT" and report.measurements == f.m + 1
+        assert report.preparations == 1 and report.restarts == 0
+        assert report.cycles_per_attempt == 1
 
     def test_layered_plan(self):
         f = fm.random_satisfiable(np.random.default_rng(50), 6, 12, 3)
