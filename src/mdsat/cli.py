@@ -105,10 +105,9 @@ def cmd_gen(args) -> int:
 
 def _schedule_from_args(args) -> float | sv.Schedule:
     if args.schedule == "cubic":
-        return sv.Schedule(
-            theta_init=args.theta_init if args.theta_init else 0.47 * math.pi / 2,
-            c_q=args.cycles,
-        )
+        if args.theta_init is None:
+            return sv.Schedule(c_q=args.cycles)
+        return sv.Schedule(c_q=args.cycles, theta_init=args.theta_init)
     if args.theta is not None:
         return _snap_right_angle(args.theta)
     return (args.theta_fraction if args.theta_fraction is not None else 1.0) * math.pi / 2

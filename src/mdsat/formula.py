@@ -302,6 +302,10 @@ def unate_greedy_assignment(f: Formula) -> str:
     return "".join(bits)
 
 
+# Attempt cap of the rejection loops in planted_unique and random_satisfiable.
+_MAX_ATTEMPTS = 10_000
+
+
 class GenerationError(RuntimeError):
     """Instance generation failed within the attempt cap."""
 
@@ -319,7 +323,6 @@ def generate(
     m: int = 0,
     k: int = 3,
     seed: int = 0,
-    max_attempts: int = 10_000,
 ) -> Formula:
     """Generate a random instance; deterministic per (kind, n, m, k, seed).
 
@@ -354,13 +357,11 @@ def generate(
             clauses.append(Clause(lits))
         return Formula(n=n, clauses=tuple(clauses), k=k)
     if kind == "planted_unique":
-        return _generate_planted_unique(rng, n, m, k, max_attempts)
+        return _generate_planted_unique(rng, n, m, k)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _generate_planted_unique(
-    rng: np.random.Generator, n: int, m: int, k: int, max_attempts: int
-) -> Formula:
+def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -> Formula:
     check_cap(n, BRUTE_CAP, "planted_unique uniqueness check")
     plant = "".join(rng.choice(["0", "1"], size=n))
     clauses: list[Clause] = []
@@ -368,7 +369,7 @@ def _generate_planted_unique(
         c = _random_clause(rng, n, k)
         if c.satisfied_by(plant):
             clauses.append(c)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         f = Formula(n=n, clauses=tuple(clauses), k=k)
         sols = solution_indices(f)
         if sols.size == 1:
@@ -392,7 +393,7 @@ def _generate_planted_unique(
         )  # violated by `spurious`, satisfied by the plant on the diff variable
         clauses.append(Clause(lits))
     raise GenerationError(
-        f"planted_unique(n={n}, m={m}, k={k}) not unique after {max_attempts} attempts"
+        f"planted_unique(n={n}, m={m}, k={k}) not unique after {_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -402,11 +403,10 @@ def random_satisfiable(
     m: int,
     k: int = 3,
     min_solutions: int = 1,
-    max_attempts: int = 10_000,
 ) -> Formula:
     """Rejection-sample a random k-SAT instance with at least
     ``min_solutions`` satisfying assignments (oracle-checked)."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         clauses = tuple(_random_clause(rng, n, k) for _ in range(m))
         f = Formula(n=n, clauses=clauses, k=k)
         if count_solutions(f) >= min_solutions:

@@ -23,6 +23,10 @@ from .encoding import clause_compat_string
 from .formula import Formula
 
 
+# Largest C(n, k) the greedy construction enumerates.
+_SUBSET_BUDGET = 500_000
+
+
 class PhfBudgetExceeded(ValueError):
     pass
 
@@ -34,9 +38,7 @@ def density_row_bound(n: int, k: int) -> int:
     return math.floor(c_k * math.log(math.comb(n, k))) + 1
 
 
-def density_algorithm(
-    n: int, k: int, subset_budget: int = 500_000
-) -> np.ndarray:
+def density_algorithm(n: int, k: int) -> np.ndarray:
     """Greedy density construction of an (N, n, k)-perfect hash family.
 
     Returns an N x n integer array over {1..k}.  Argmax ties over candidate
@@ -45,9 +47,9 @@ def density_algorithm(
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if math.comb(n, k) > subset_budget:
+    if math.comb(n, k) > _SUBSET_BUDGET:
         raise PhfBudgetExceeded(
-            f"C({n},{k}) = {math.comb(n, k)} exceeds budget {subset_budget}"
+            f"C({n},{k}) = {math.comb(n, k)} exceeds budget {_SUBSET_BUDGET}"
         )
     subsets = list(itertools.combinations(range(n), k))
     unseparated = np.ones(len(subsets), dtype=bool)
@@ -87,15 +89,11 @@ def density_algorithm(
     return np.array(rows, dtype=np.int64)
 
 
-def verify_phf(rows: np.ndarray, n: int | None = None, k: int | None = None) -> bool:
+def verify_phf(rows: np.ndarray, n: int, k: int) -> bool:
     """Exhaustive check of the array characterization."""
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError("expected an N x n array")
-    if n is None:
-        n = rows.shape[1]
-    if k is None:
-        k = int(rows.max(initial=1))
     if rows.shape[1] != n:
         raise ValueError(f"array has {rows.shape[1]} columns, expected {n}")
     for subset in itertools.combinations(range(n), k):
@@ -135,14 +133,14 @@ class Layer:
     members: tuple[int, ...]  # clause indices
 
 
-def candidate_patterns(n: int, k: int, subset_budget: int = 500_000) -> list[str]:
+def candidate_patterns(n: int, k: int) -> list[str]:
     """The 2^k * N binary patterns induced by a perfect hash family: each hash
     function combined with each symbol-to-bit map, in construction order."""
     if k <= 1:
         # Single-literal checks on distinct variables always commute; the two
         # constant patterns cover both polarities.
         return ["0" * n, "1" * n]
-    rows = density_algorithm(n, k, subset_budget)
+    rows = density_algorithm(n, k)
     patterns = []
     for row in rows:
         for bits in itertools.product("01", repeat=k):
@@ -155,9 +153,7 @@ def layer_count_bound(n: int, k: int) -> float:
     return math.sqrt(k / (2 * math.pi)) * (2 * math.e) ** k * math.log(n)
 
 
-def build_layers(
-    f: Formula, theta: float | None = None, subset_budget: int = 500_000
-) -> list[Layer]:
+def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
     """Group the clause checks of ``f`` into commuting layers.
 
     Each clause joins the first compatible candidate pattern; empty layers
@@ -173,7 +169,7 @@ def build_layers(
     if width > k_eff:
         raise ValueError(f"clause width {width} exceeds effective k {k_eff}")
     compat_strings = [clause_compat_string(c, f.n) for c in f.clauses]
-    patterns = candidate_patterns(f.n, k_eff, subset_budget)
+    patterns = candidate_patterns(f.n, k_eff)
     members: dict[int, list[int]] = {}
     for ci, s in enumerate(compat_strings):
         for pi, pattern in enumerate(patterns):

@@ -21,7 +21,9 @@ fixing for any number of solutions, prepare a state and measure it.  One
 :class:`Preparer` per run owns the accounting: it spends every preparation
 and readout measurement through one counter, counts the completed
 preparations and their restarts, and records the convergence-rate input and
-cycle count it resolved for each formula, which :func:`solve` reports.
+cycle count it resolved for each formula, which :func:`solve` reports.  Each
+readout passes its own tolerance to every preparation and decides its own
+failure events.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ import numpy as np
 
 from . import spectral
 from .config import STATE_CAP, check_cap
-from .encoding import Unsatisfiable, check_angle, clause_projectors
+from .encoding import check_angle, clause_projectors
 from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import apply_check_unnormalized, plus_state, prob_one, sample_basis
 
 _MU_ZERO = 1e-12
 _MIN_GEOMETRIC_P = 1e-12
+_MAX_READOUT_ATTEMPTS = 64
 
 
 class RestartsExhausted(RuntimeError):
@@ -97,7 +100,6 @@ class PrepConfig:
     """How to run the state preparation routine."""
 
     theta: float | Schedule
-    epsilon: float = 0.01
     mu_source: str = "empirical"  # empirical | dl_bound | user
     mu: float | None = None
     max_restarts: int = 1_000_000
@@ -105,8 +107,6 @@ class PrepConfig:
     plan: str = "sequential"  # sequential | layered
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
         if self.mu_source not in ("empirical", "dl_bound", "user"):
@@ -157,8 +157,6 @@ def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
         # every angle, and at theta = pi/2 the perpendicular states become
         # orthogonal basis states.
         if abs(theta - math.pi / 2) < 1e-12 or noncommuting_degree(f) == 0:
-            if count_solutions(f) == 0:
-                raise Unsatisfiable("no ground space to converge to")
             return 0.0
         order = layered_order(build_layers(f, theta)) if cfg.plan == "layered" else None
         mu = spectral.convergence_rate(f, theta, order=order)
@@ -196,20 +194,22 @@ class Trajectory:
         return fail / total if total > 0 else None
 
 
-def _plan_steps(f: Formula, theta: float, plan: str) -> list[list[int]]:
+def _plan_steps(f: Formula, plan: str) -> list[list[int]]:
     if plan == "layered":
-        return [list(layer.members) for layer in build_layers(f, theta)]
+        return [list(layer.members) for layer in build_layers(f)]
     return [[i] for i in range(f.m)]
 
 
 def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     """Evolve |+>^n through ``cycles`` all-pass cycles, recording the pass
     probability of every measurement.  Once a pass probability hits exactly
-    zero the remaining entries are zero and the state stops evolving."""
+    zero the remaining entries are zero and the state stops evolving.  The
+    measurement steps are planned once: the layer grouping does not depend on
+    the angle."""
     check_cap(f.n, STATE_CAP, "state preparation")
     psi = plus_state(f.n)
     probs: list[float] = []
-    steps_per_cycle = None
+    steps = _plan_steps(f, cfg.plan)
     dead = False
     angles = (
         [schedule_angle(cfg.theta, c) for c in range(cycles)]
@@ -221,10 +221,7 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     for angle in angles:
         if projs is None or angle != last_angle:
             projs = clause_projectors(f, angle)
-            steps = _plan_steps(f, angle, cfg.plan)
             last_angle = angle
-        if steps_per_cycle is None:
-            steps_per_cycle = len(steps)
         for step in steps:
             if dead:
                 probs.append(0.0)
@@ -241,7 +238,7 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     return Trajectory(
         final_state=psi,
         step_pass_probs=np.array(probs),
-        steps_per_cycle=steps_per_cycle or 0,
+        steps_per_cycle=len(steps),
         cycles=cycles,
     )
 
@@ -365,22 +362,24 @@ class Preparer:
         # Orders the failures of a traced preparation; a stream of its own
         # keeps a traced run's draws identical to an untraced one's.
         self._trace_rng = rng.spawn(1)[0] if trace is not None else None
-        self._trajectories: dict[tuple[Formula, int, str], Trajectory] = {}
+        self._trajectories: dict[tuple[Formula, int], Trajectory] = {}
 
-    def trajectory(self, f: Formula, epsilon: float | None = None) -> tuple[Trajectory, int]:
+    def trajectory(self, f: Formula, epsilon: float) -> tuple[Trajectory, int]:
+        """The all-pass trajectory that prepares ``f`` to tolerance ``epsilon``
+        and its cycle count; a schedule fixes the cycle count and ignores
+        ``epsilon``."""
         if self.cfg.is_scheduled:
             cycles = self.cfg.theta.c_q + 1
         else:
             mu = self.resolved[f][0] if f in self.resolved else resolve_mu(f, self.cfg)
-            epsilon = self.cfg.epsilon if epsilon is None else epsilon
             cycles = cycles_required(self.cfg.theta, f.n, epsilon, mu)
             self.resolved[f] = (mu, cycles)
-        key = (f, cycles, self.cfg.plan)
+        key = (f, cycles)
         if key not in self._trajectories:
             self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
         return self._trajectories[key], cycles
 
-    def prepare(self, f: Formula, epsilon: float | None = None) -> PrepResult:
+    def prepare(self, f: Formula, epsilon: float) -> PrepResult:
         traj, cycles = self.trajectory(f, epsilon)
         if self.trace is not None:
             self.trace.next_preparation()
@@ -430,16 +429,14 @@ def readout_unique(
     theta: float,
     delta: float,
     rng: np.random.Generator,
-    preparer: Preparer | None = None,
+    preparer: Preparer,
 ) -> str:
     """Majority-vote readout; requires the caller's promise of a unique
     solution.  The returned assignment is verified against the formula."""
-    if preparer is None:
-        preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng)
     eps, copies = unique_readout_parameters(theta, f.n, delta)
     votes = np.zeros(f.n, dtype=np.int64)
     for _ in range(copies):
-        prep = preparer.prepare(f, epsilon=eps)
+        prep = preparer.prepare(f, eps)
         preparer.counter.spend(f.n)
         index = int(sample_basis(prep.state, rng, 1)[0])
         bits = np.array([(index >> (f.n - q)) & 1 for q in range(1, f.n + 1)])
@@ -455,15 +452,15 @@ def readout_multiple(
     theta: float,
     delta: float,
     rng: np.random.Generator,
-    preparer: Preparer | None = None,
+    preparer: Preparer,
 ) -> str:
     """Variable-by-variable readout for instances with any number of
     solutions.  Fixes each variable from a Z estimate on the current first
     qubit, propagates, and re-encodes the shrunken formula.  A wrong fix is
-    the readout's failure event: the propagation hits an empty clause, or
-    the shrunken formula has no satisfying assignment left to prepare."""
-    if preparer is None:
-        preparer = Preparer(PrepConfig(theta=theta, mode="deterministic"), rng)
+    the readout's failure event, which the readout detects itself whatever
+    the convergence-rate source: the propagation hits an empty clause, or the
+    shrunken formula has no satisfying assignment left to prepare (checked by
+    brute force before it is prepared)."""
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
     sin_t = math.sin(theta)
     bits: list[str] = []
@@ -479,14 +476,7 @@ def readout_multiple(
             continue
         total = 0
         for _ in range(shots):
-            try:
-                prep = preparer.prepare(cur, epsilon=eps)
-            except Unsatisfiable as exc:
-                if cur is f:
-                    raise
-                raise ReadoutFailed(
-                    f"variables 1..{len(bits)} as fixed leave no satisfying assignment"
-                ) from exc
+            prep = preparer.prepare(cur, eps)
             preparer.counter.spend(1)
             total += 1 if rng.random() < prob_one(prep.state, 1) else -1
         p_hat = total / shots
@@ -495,6 +485,10 @@ def readout_multiple(
         if nxt is UNSAT:
             raise ReadoutFailed(
                 f"fixing variable {len(bits) + 1} to {value} emptied a clause"
+            )
+        if count_solutions(nxt) == 0:
+            raise ReadoutFailed(
+                f"variables 1..{len(bits) + 1} as fixed leave no satisfying assignment"
             )
         bits.append("1" if value else "0")
         cur = nxt
@@ -522,9 +516,6 @@ class BoundReport:
     readout_cost: float
     total_cost: float
     unrotated_cost: float
-
-    def to_json(self) -> str:
-        return json.dumps({"schema": "mdsat-bounds/1", **asdict(self)}, indent=2)
 
 
 def theory_bounds(
@@ -653,17 +644,15 @@ def solve(
     mu_source: str = "empirical",
     mu: float | None = None,
     budget: int | None = None,
-    max_restarts: int | None = None,
-    max_readout_attempts: int = 64,
     trace_file: str | None = None,
 ) -> RunReport:
     """Run preparation plus readout until a verified assignment or exhaustion.
 
     The UNSAT verdict is emitted when the measurement budget (default: ten
     times the theory estimate with a generic convergence rate) or the restart
-    allowance (default: ten times the inverse success-probability floor) runs
-    out before any readout verifies.  ``trace_file`` streams a CSV log of
-    every preparation measurement.
+    allowance (ten times the inverse success-probability floor) runs out, or
+    when 64 readout attempts fail, before any readout verifies.
+    ``trace_file`` streams a CSV log of every preparation measurement.
     """
     if readout not in ("unique", "multiple"):
         raise ValueError(f"unknown readout {readout!r}")
@@ -671,11 +660,10 @@ def solve(
     rng = np.random.default_rng(seed)
     # a schedule ends at pi/2, where its states are read out
     theta_ro = math.pi / 2 if isinstance(theta, Schedule) else theta
-    if max_restarts is None:
-        floor = success_probability_floor(theta_ro, f.n)
-        max_restarts = max(
-            1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15))
-        )
+    floor = success_probability_floor(theta_ro, f.n)
+    max_restarts = max(
+        1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15))
+    )
     cfg = PrepConfig(
         theta=theta,
         mu_source=mu_source,
@@ -706,7 +694,7 @@ def solve(
     assignment = None
     attempts = 0
     try:
-        while attempts < max_readout_attempts:
+        while attempts < _MAX_READOUT_ATTEMPTS:
             attempts += 1
             try:
                 assignment = readout_fn(f, theta_ro, delta, rng, preparer=preparer)

@@ -33,6 +33,9 @@ from .statevec import product_operator
 
 _ZERO_TOL = 1e-9
 _GROUND_TOL = 1e-10
+_UNIFORM_EXACT_M = 12  # largest clause count whose 2^m - 1 subsets are all solved
+_UNIFORM_SAMPLES = 512
+_SPEED_R_MAX = 10
 
 
 def spectral_gap(f: Formula, theta: float) -> float:
@@ -78,18 +81,13 @@ class UniformGapEstimate:
     subsets_checked: int
 
 
-def uniform_gap(
-    f: Formula,
-    theta: float,
-    max_exact_m: int = 12,
-    samples: int = 512,
-    rng: np.random.Generator | None = None,
-) -> UniformGapEstimate:
+def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
     """Minimum gap over all nonempty clause subsets.
 
-    Exact up to ``max_exact_m`` clauses (2^m - 1 diagonalizations); beyond
-    that a random-subset lower-confidence estimate is returned and flagged
-    non-exact.
+    Exact up to 12 clauses (2^m - 1 diagonalizations); beyond that the
+    minimum over 512 random subsets, drawn from ``default_rng(0)`` so the
+    estimate is reproducible, is returned and flagged non-exact.  The sampled
+    minimum can only overestimate the true uniform gap.
     """
     check_angle(theta)
     if f.m == 0:
@@ -97,7 +95,7 @@ def uniform_gap(
     if count_solutions(f) == 0:
         raise Unsatisfiable("uniform gap requires a satisfiable formula")
     dense = [dense_projector(p) for p in clause_projectors(f, theta)]
-    if f.m <= max_exact_m:
+    if f.m <= _UNIFORM_EXACT_M:
         best = math.inf
         count = 0
         for r in range(1, f.m + 1):
@@ -105,13 +103,13 @@ def uniform_gap(
                 best = min(best, _subset_gap(dense, subset))
                 count += 1
         return UniformGapEstimate(value=best, exact=True, subsets_checked=count)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     best = math.inf
-    for _ in range(samples):
+    for _ in range(_UNIFORM_SAMPLES):
         size = int(rng.integers(1, f.m + 1))
         subset = rng.choice(f.m, size=size, replace=False)
         best = min(best, _subset_gap(dense, subset))
-    return UniformGapEstimate(value=best, exact=False, subsets_checked=samples)
+    return UniformGapEstimate(value=best, exact=False, subsets_checked=_UNIFORM_SAMPLES)
 
 
 def convergence_rate(f: Formula, theta: float, order=None) -> float:
@@ -134,11 +132,11 @@ class DlQubSlack:
     qub_slack: float
 
 
-def check_dl_qub(f: Formula, theta: float, order=None) -> DlQubSlack:
+def check_dl_qub(f: Formula, theta: float) -> DlQubSlack:
     """Slack of the detectability lemma (upper) and quantum union bound
     (lower) on the empirical convergence rate; both must be >= -1e-9."""
     gap = spectral_gap(f, theta)
-    mu = convergence_rate(f, theta, order)
+    mu = convergence_rate(f, theta)
     g = noncommuting_degree(f)
     dl_upper = 0.0 if g == 0 else 1.0 / math.sqrt(gap / g**2 + 1.0)
     return DlQubSlack(
@@ -177,11 +175,9 @@ def _projector_range_basis(p: np.ndarray) -> np.ndarray:
     return eigvecs[:, eigvals > 0.5]
 
 
-def layer_image_subspaces(f: Formula, theta: float, layers: list[Layer] | None = None):
+def layer_image_subspaces(f: Formula, theta: float, layers: list[Layer]):
     """Bases of M_i intersect M-perp for the layer images M_i = im(prod C)
     and M the ground space; returns (bases, layer_product_operators, P_GS)."""
-    if layers is None:
-        layers = build_layers(f, theta)
     p_gs = ground_space_projector(f, theta)
     bases = []
     ops = []
@@ -200,8 +196,8 @@ def speed_of_convergence_bound(c: float, ell: int, r: int) -> float:
     return base ** (r / 2.0)
 
 
-def friedrichs_speed_slack(f: Formula, theta: float, r_max: int = 10):
-    """Minimum slack of the speed-of-convergence bound over r = 1..r_max for
+def friedrichs_speed_slack(f: Formula, theta: float):
+    """Minimum slack of the speed-of-convergence bound over r = 1..10 for
     the layered cycle operator; returns (slack, c, ell)."""
     layers = build_layers(f, theta)
     if len(layers) < 2:
@@ -211,7 +207,7 @@ def friedrichs_speed_slack(f: Formula, theta: float, r_max: int = 10):
     t = product_operator(f, theta, order=layered_order(layers))
     slack = math.inf
     power = np.eye(1 << f.n)
-    for r in range(1, r_max + 1):
+    for r in range(1, _SPEED_R_MAX + 1):
         power = t @ power
         lhs = float(np.linalg.norm(power - p_gs, 2))
         slack = min(slack, speed_of_convergence_bound(c, len(layers), r) - lhs)
@@ -316,7 +312,6 @@ def spectral_report(
     theta: float,
     with_uniform: bool = True,
     with_friedrichs: bool = True,
-    max_exact_m: int = 12,
 ) -> SpectralReport:
     d_sol = count_solutions(f)
     if d_sol == 0:
@@ -328,7 +323,7 @@ def spectral_report(
     uni_exact = None
     notes = []
     if with_uniform:
-        est = uniform_gap(f, theta, max_exact_m=max_exact_m)
+        est = uniform_gap(f, theta)
         uni, uni_exact = est.value, est.exact
         if not est.exact:
             notes.append(f"uniform gap sampled over {est.subsets_checked} subsets")

@@ -73,7 +73,7 @@ def test_c03_unrotated_exactness():
             sv.PrepConfig(theta=np.pi / 2, mode="deterministic"),
             np.random.default_rng(0),
         )
-        res = prep.prepare(f)
+        res = prep.prepare(f, 0.01)
         assert res.r_star == 1
         assert abs(res.success_probability - fm.count_solutions(f) / 2**n) <= 1e-10
     assert time.perf_counter() - start < 60.0
@@ -128,8 +128,8 @@ def test_c06_cycle_bound_end_to_end():
             mu = sp.convergence_rate(f, theta)
             p_gs = enc.ground_space_projector(f, theta)
             for eps in (0.1, 0.01):
-                cfg = sv.PrepConfig(theta=theta, epsilon=eps, mode="deterministic")
-                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+                cfg = sv.PrepConfig(theta=theta, mode="deterministic")
+                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, eps)
                 assert res.r_star == sv.cycles_required(theta, f.n, eps, mu)
                 assert np.linalg.norm(p_gs @ res.state) >= 1 - eps
 
@@ -378,7 +378,7 @@ def test_c15_friedrichs_machinery():
     while checked < 20:
         n = 5 + int(rng.integers(0, 2))
         f = fm.random_satisfiable(rng, n, 2 * n, 3)
-        slack, c, ell = sp.friedrichs_speed_slack(f, 0.3 * np.pi, r_max=10)
+        slack, c, ell = sp.friedrichs_speed_slack(f, 0.3 * np.pi)
         if ell < 2:
             continue
         assert slack >= -1e-9

@@ -52,7 +52,7 @@ class TestDensityAlgorithm:
         with pytest.raises(ValueError):
             phf.density_algorithm(2, 3)
         with pytest.raises(phf.PhfBudgetExceeded):
-            phf.density_algorithm(40, 3, subset_budget=100)
+            phf.density_algorithm(200, 3)  # C(200, 3) = 1,313,400
 
 
 class TestVerifyPhf:

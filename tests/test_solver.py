@@ -69,7 +69,7 @@ class TestPrepareState:
                 sv.PrepConfig(theta=np.pi / 2, mode="deterministic"),
                 np.random.default_rng(0),
             )
-            res = prep.prepare(f)
+            res = prep.prepare(f, 0.01)
             assert res.r_star == 1
             expected = fm.count_solutions(f) / 2**f.n
             assert abs(res.success_probability - expected) < 1e-12
@@ -80,7 +80,7 @@ class TestPrepareState:
         prep = sv.Preparer(
             sv.PrepConfig(theta=theta, mode="deterministic"), np.random.default_rng(0)
         )
-        res = prep.prepare(f)
+        res = prep.prepare(f, 0.01)
         assert res.r_star == 1
         p_gs = enc.ground_space_projector(f, theta)
         assert np.linalg.norm(p_gs @ res.state) > 1 - 1e-10
@@ -91,7 +91,7 @@ class TestPrepareState:
             prep = sv.Preparer(
                 sv.PrepConfig(theta=theta, mode="deterministic"), np.random.default_rng(0)
             )
-            res = prep.prepare(f)
+            res = prep.prepare(f, 0.01)
             assert res.success_probability >= sv.success_probability_floor(theta, f.n)
 
     def test_cycle_bound_guarantee(self, small_instances):
@@ -99,8 +99,8 @@ class TestPrepareState:
             theta = 0.4 * np.pi
             mu = sp.convergence_rate(f, theta)
             for eps in (0.1, 0.01):
-                cfg = sv.PrepConfig(theta=theta, epsilon=eps, mode="deterministic")
-                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+                cfg = sv.PrepConfig(theta=theta, mode="deterministic")
+                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, eps)
                 p_gs = enc.ground_space_projector(f, theta)
                 assert np.linalg.norm(p_gs @ res.state) >= 1 - eps
                 assert res.r_star == sv.cycles_required(theta, f.n, eps, mu)
@@ -111,8 +111,8 @@ class TestPrepareState:
         theta = 0.4 * np.pi
         for f in small_instances[:4]:
             for eps in (0.1, 0.01):
-                cfg = sv.PrepConfig(theta=theta, epsilon=eps, mode="deterministic")
-                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+                cfg = sv.PrepConfig(theta=theta, mode="deterministic")
+                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, eps)
                 p_gs = enc.ground_space_projector(f, theta)
                 fid = np.linalg.norm(p_gs @ res.state)
                 trace_dist = math.sqrt(max(0.0, 1.0 - fid**2))
@@ -121,8 +121,8 @@ class TestPrepareState:
     def test_monte_carlo_counts_are_deterministic_per_seed(self):
         f = fm.random_satisfiable(np.random.default_rng(1), 5, 10, 3)
         cfg = sv.PrepConfig(theta=0.4 * np.pi, mode="monte_carlo")
-        a = sv.Preparer(cfg, np.random.default_rng(42)).prepare(f)
-        b = sv.Preparer(cfg, np.random.default_rng(42)).prepare(f)
+        a = sv.Preparer(cfg, np.random.default_rng(42)).prepare(f, 0.01)
+        b = sv.Preparer(cfg, np.random.default_rng(42)).prepare(f, 0.01)
         assert (a.restarts, a.measurements) == (b.restarts, b.measurements)
 
     def test_monte_carlo_matches_naive_simulation(self):
@@ -135,8 +135,8 @@ class TestPrepareState:
         mu = sp.convergence_rate(f, theta)
         r_star = sv.cycles_required(theta, f.n, eps, mu)
         projs = enc.clause_projectors(f, theta)
-        cfg = sv.PrepConfig(theta=theta, epsilon=eps, mode="deterministic")
-        traj = sv.Preparer(cfg, rng).trajectory(f)[0]
+        cfg = sv.PrepConfig(theta=theta, mode="deterministic")
+        traj = sv.Preparer(cfg, rng).trajectory(f, eps)[0]
         assert traj.cycles == r_star
         p_exact = traj.success_probability
 
@@ -220,7 +220,7 @@ class TestPrepareState:
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
             tracer = sv.TraceWriter(fh)
-            res = sv.Preparer(cfg, np.random.default_rng(6), trace=tracer).prepare(f)
+            res = sv.Preparer(cfg, np.random.default_rng(6), trace=tracer).prepare(f, 0.01)
         lines = path.read_text().splitlines()
         assert lines[0] == "preparation,attempt,cycle,check,outcome,probability"
         rows = [line.split(",") for line in lines[1:]]
@@ -231,7 +231,7 @@ class TestPrepareState:
         assert len(final) == res.r_star * f.m
         assert all(r[4] == "pass" for r in final)
         # ordering the traced failures draws nothing from the run's generator
-        untraced = sv.Preparer(cfg, np.random.default_rng(6)).prepare(f)
+        untraced = sv.Preparer(cfg, np.random.default_rng(6)).prepare(f, 0.01)
         assert (untraced.restarts, untraced.measurements) == (
             res.restarts, res.measurements
         )
@@ -243,7 +243,7 @@ class TestPrepareState:
             mu_source="user", mu=0.0,
         )
         with pytest.raises(sv.RestartsExhausted):
-            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, 0.01)
 
     def test_unobservable_success_fails_fast(self):
         # p_s = 0: the allowance of 10^12 restarts is drawn and charged at once
@@ -254,11 +254,11 @@ class TestPrepareState:
         )
         start = time.perf_counter()
         with pytest.raises(sv.RestartsExhausted):
-            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f)
+            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, 0.01)
         assert time.perf_counter() - start < 1.0
         counter = sv.MeasurementCounter(10**6)
         with pytest.raises(sv.BudgetExhausted):
-            sv.Preparer(cfg, np.random.default_rng(0), counter).prepare(f)
+            sv.Preparer(cfg, np.random.default_rng(0), counter).prepare(f, 0.01)
         assert counter.used == 10**6
 
 
@@ -300,6 +300,19 @@ class _HighUniforms:
         return getattr(self._rng, name)
 
 
+def _assert_every_readout_fails(monkeypatch, f, theta, **solve_args):
+    """solve() with every uniform draw at 0.999999 fails all 64 readouts on a
+    fix that leaves no solution."""
+    make_rng = np.random.default_rng
+    monkeypatch.setattr(
+        sv.np.random, "default_rng", lambda seed: _HighUniforms(make_rng(seed))
+    )
+    report = sv.solve(f, theta, seed=0, **solve_args)
+    assert report.status == "UNSAT" and report.readout_attempts == 64
+    assert len(report.notes) == 64
+    assert all("no satisfying assignment" in note for note in report.notes)
+
+
 class TestReadoutMultiple:
     def test_parameter_formulas(self):
         eps, shots = sv.multiple_readout_parameters(np.pi / 2, 4, 0.1)
@@ -330,20 +343,20 @@ class TestReadoutMultiple:
     def test_fix_leaving_no_solution_is_a_failed_readout(self, monkeypatch):
         # Every shot reads -1, so variable 1 is fixed FALSE.  The planted
         # solution starts with 1, and fixing it wrong empties no clause but
-        # leaves no solution: preparing the reduced formula finds none.
+        # leaves no solution, which the readout detects itself.
         f = fm.generate("planted_unique", 6, 26, 3, seed=0)
         assert next(iter(fm.brute_force_solutions(f)))[0] == "1"
         theta = 0.4 * np.pi
+        rng = _HighUniforms(np.random.default_rng(0))
+        prep = sv.Preparer(sv.PrepConfig(theta=theta, mode="deterministic"), rng)
         with pytest.raises(sv.ReadoutFailed, match="no satisfying assignment"):
-            sv.readout_multiple(f, theta, 0.1, _HighUniforms(np.random.default_rng(0)))
-        make_rng = np.random.default_rng
-        monkeypatch.setattr(
-            sv.np.random, "default_rng", lambda seed: _HighUniforms(make_rng(seed))
-        )
-        report = sv.solve(f, theta, seed=0, max_readout_attempts=2)
-        assert report.status == "UNSAT" and report.readout_attempts == 2
-        assert len(report.notes) == 2
-        assert all("no satisfying assignment" in note for note in report.notes)
+            sv.readout_multiple(f, theta, 0.1, rng, preparer=prep)
+        _assert_every_readout_fails(monkeypatch, f, theta)
+
+    def test_fix_leaving_no_solution_fails_under_user_mu(self, monkeypatch):
+        # a user mu enumerates no solutions, so only the readout can tell
+        f = fm.generate("planted_unique", 6, 26, 3, seed=0)
+        _assert_every_readout_fails(monkeypatch, f, 0.4 * np.pi, mu_source="user", mu=0.6)
 
     def test_zero_occurrence_variable_fixed_false(self):
         f = fm.formula_from_dimacs_codes(3, [[2, 3]])  # variable 1 unused
@@ -416,6 +429,22 @@ class TestSolve:
         f = fm.random_satisfiable(np.random.default_rng(50), 6, 12, 3)
         report = sv.solve(f, 0.4 * np.pi, plan="layered", seed=4)
         assert report.status == "SAT" and fm.evaluate(f, report.assignment)
+
+    def test_layers_built_once_per_trajectory(self, monkeypatch):
+        # the grouping is structural, so a schedule whose every cycle has
+        # its own angle still plans the layered steps once
+        calls = []
+        build_layers = sv.build_layers
+
+        def counting_build_layers(*args):
+            calls.append(args)
+            return build_layers(*args)
+
+        monkeypatch.setattr(sv, "build_layers", counting_build_layers)
+        f = fm.generate("planted_unique", 6, 20, 3, seed=14)
+        report = sv.solve(f, sv.Schedule(c_q=8), plan="layered", readout="unique", seed=0)
+        assert report.status == "SAT"
+        assert len(calls) == 1
 
 
 class TestTheoryBounds:

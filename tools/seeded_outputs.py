@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Write the seeded outputs of a fixed set of mdsat commands to a directory.
+
+    python3 tools/seeded_outputs.py OUTDIR
+
+Runs every command in process through ``mdsat.cli.main``, importing mdsat
+from the ``src/`` next to this script, so that two checkouts can be compared
+with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
+
+- four instances: planted_unique 9/39 seeds 1 and 2, random_ksat 8/30 seed 3
+  and random_ksat 6/40 seed 4 (unsatisfiable);
+- for each, ``solve --seed 7 --no-timing --report`` with both readouts, both
+  plans and each of the VARIANTS below (96 runs);
+- one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
+  with two trials, ``spectral`` at 0.25pi and 0.4pi, and ``phf 9 3``.
+
+Every output file, stdout, stderr and exit code is written under a name
+relative to OUTDIR; the commands run with OUTDIR as the working directory,
+so no absolute path reaches an output.  ``--mu-source dl_bound`` is left
+out: under the default budget one such run can take minutes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import mdsat.cli  # noqa: E402
+
+INSTANCES = {
+    "pu9-s1": ["planted_unique", "9", "-m", "39", "--seed", "1"],
+    "pu9-s2": ["planted_unique", "9", "-m", "39", "--seed", "2"],
+    "rk8-s3": ["random_ksat", "8", "-m", "30", "--seed", "3"],
+    "rk6-s4": ["random_ksat", "6", "-m", "40", "--seed", "4"],
+}
+VARIANTS = {
+    "frac0.8": ["--theta-fraction", "0.8"],
+    "frac1.0": ["--theta-fraction", "1.0"],
+    "cubic8": ["--schedule", "cubic", "--cycles", "8"],
+    "user-mu": ["--mu-source", "user", "--mu", "0.6"],
+    "deterministic": ["--mode", "deterministic"],
+    "budget3000": ["--budget", "3000"],
+}
+
+
+def run(name: str, argv: list[str], exit_codes: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = mdsat.cli.main(argv)
+    Path(f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
+    Path(f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+    exit_codes.append(f"{name} {code}")
+    print(f"{name}: exit {code}", file=sys.__stderr__, flush=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    codes: list[str] = []
+    for inst, gen_args in INSTANCES.items():
+        run(f"gen-{inst}", ["gen", *gen_args, "--out", f"{inst}.cnf"], codes)
+        for readout in ("unique", "multiple"):
+            for plan in ("sequential", "layered"):
+                for variant, flags in VARIANTS.items():
+                    name = f"solve-{inst}-{readout}-{plan}-{variant}"
+                    run(name, ["solve", f"{inst}.cnf", "--seed", "7", "--no-timing",
+                               "--report", f"{name}.json", "--readout", readout,
+                               "--plan", plan, *flags], codes)
+    run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
+                  "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
+    sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
+             "trials": "2", "seed": "3", "out": "sweep.csv"}
+    run("sweep", ["sweep"] + [a for k, v in sweep.items() for a in ("--set", f"{k}={v}")], codes)
+    run("gen-spectral", ["gen", "planted_unique", "6", "-m", "26", "--seed", "5",
+                         "--out", "spectral.cnf"], codes)
+    run("spectral", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi",
+                     "--out", "spectral.csv"], codes)
+    run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
+    Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
