@@ -14,7 +14,6 @@ from .formula import (
     count_solutions,
     evaluate,
     generate,
-    is_unate,
     parse_dimacs,
     propagate,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "cycles_required",
     "evaluate",
     "generate",
-    "is_unate",
     "parse_dimacs",
     "propagate",
     "readout_multiple",

@@ -61,9 +61,19 @@ def _parse_theta_token(token: str):
     token = token.strip().lower()
     if token == "sched":
         return "sched"
-    if token.endswith("pi"):
-        return _snap_right_angle(float(token[:-2]) * math.pi)
-    return _snap_right_angle(float(token))
+    try:
+        if token.endswith("pi"):
+            return _snap_right_angle(float(token[:-2]) * math.pi)
+        return _snap_right_angle(float(token))
+    except ValueError:
+        raise ValueError(f"bad angle {token!r}") from None
+
+
+def _parse_theta_grid(text: str) -> list:
+    tokens = [t for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("empty theta grid")
+    return [_parse_theta_token(t) for t in tokens]
 
 
 def _resolve_theta(token, n: int) -> float:
@@ -74,17 +84,21 @@ def _resolve_theta(token, n: int) -> float:
     return token
 
 
+def _split_key_value(text: str) -> tuple[str, str]:
+    if "=" not in text:
+        raise ValueError(f"not key=value: {text!r}")
+    key, value = text.split("=", 1)
+    return key.strip(), value.strip()
+
+
 def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line is not key=value: {line!r}")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+            if line and not line.startswith("#"):
+                key, value = _split_key_value(line)
+                config[key] = value
     return config
 
 
@@ -184,10 +198,7 @@ def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
         if key == "n":
             cfg.n_values = _parse_int_range(value)
         elif key == "thetas":
-            tokens = [t for t in value.split(",") if t.strip()]
-            if not tokens:
-                raise ValueError("empty theta grid")
-            cfg.thetas = [_parse_theta_token(t) for t in tokens]
+            cfg.thetas = _parse_theta_grid(value)
         elif key in ("m", "k", "trials", "seed", "workers"):
             setattr(cfg, key, int(value))
         elif key in ("delta", "m_per_n"):
@@ -196,8 +207,10 @@ def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
             setattr(cfg, key, value)
         else:
             raise ValueError(f"unknown sweep config key {key!r}")
-    if not cfg.thetas:
-        raise ValueError("empty theta grid")
+    if not cfg.n_values:
+        raise ValueError("empty n range")
+    if cfg.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
     return cfg
 
 
@@ -275,13 +288,11 @@ def _write_csv(path: str, schema: str, rows: list[dict]) -> None:
 
 
 def cmd_sweep(args) -> int:
-    mapping = _load_config(args.config) if args.config else {}
-    for override in args.set or []:
-        key, value = override.split("=", 1)
-        mapping[key] = value
     try:
+        mapping = _load_config(args.config) if args.config else {}
+        mapping.update(_split_key_value(override) for override in args.set or [])
         cfg = sweep_config_from_mapping(mapping)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = run_sweep(cfg)
@@ -297,9 +308,12 @@ def cmd_spectral(args) -> int:
     except (OSError, fm.DimacsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    thetas = [_parse_theta_token(t) for t in args.thetas.split(",") if t.strip()]
-    if not thetas:
-        print("error: empty theta grid", file=sys.stderr)
+    try:
+        thetas = _parse_theta_grid(args.thetas)
+        if "sched" in thetas:
+            raise ValueError("the 'sched' angle is for sweeps only")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = []
     for theta in thetas:
@@ -313,8 +327,9 @@ def cmd_spectral(args) -> int:
             )
             fields = {key: getattr(rep, key) for key in SPECTRAL_FIELDS}
             rows.append({**base, "status": "ok", **fields, "error": ""})
-        except (Unsatisfiable, ValueError) as exc:
-            fields = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": 0}
+        except ValueError as exc:  # Unsatisfiable included
+            d_sol = 0 if isinstance(exc, Unsatisfiable) else None
+            fields = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": d_sol}
             rows.append({**base, "status": "error", **fields, "error": str(exc)})
     if args.out:
         _write_csv(args.out, SPECTRAL_SCHEMA, rows)

@@ -59,18 +59,11 @@ def single_qubit_states(theta: float):
 
 @dataclass(frozen=True, eq=False)
 class ClauseProjector:
-    """Rank-1 projector |u><u| on ``support`` tensored with identity.
-
-    ``compat`` is the clause's length-n compatibility string over {0,1,I}:
-    the forbidden assignment bit at each support position ('0' for a positive
-    literal, '1' for a negative one) and 'I' elsewhere.  Two projectors
-    commute iff their compatibility strings are compatible.
-    """
+    """Rank-1 projector |u><u| on ``support`` tensored with identity."""
 
     n: int
     support: tuple[int, ...]  # 1-based qubit indices, strictly increasing
     factors: tuple[np.ndarray, ...]  # one unit 2-vector per support qubit
-    compat: str
 
     @property
     def width(self) -> int:
@@ -78,8 +71,10 @@ class ClauseProjector:
 
 
 def clause_compat_string(clause: Clause, n: int) -> str:
-    """Forbidden assignment bit on the support ('0' for a positive literal,
-    '1' for a negative one), 'I' elsewhere."""
+    """The clause's length-n compatibility string over {0,1,I}: the forbidden
+    assignment bit on the support ('0' for a positive literal, '1' for a
+    negative one), 'I' elsewhere.  Two clause projectors commute iff their
+    compatibility strings are compatible (:func:`mdsat.phf.compatible`)."""
     chars = ["I"] * n
     for lit in clause.literals:
         if lit.var > n:
@@ -94,7 +89,6 @@ def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:
         n=n,
         support=clause.variables(),
         factors=tuple(bar_perp if lit.negated else perp for lit in clause.literals),
-        compat=clause_compat_string(clause, n),
     )
 
 

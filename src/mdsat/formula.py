@@ -7,7 +7,6 @@ string equals the big-endian binary expansion of its basis-state index.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,22 +236,17 @@ def assignment_to_index(assignment: str) -> int:
     return int(assignment, 2) if assignment else 0
 
 
-def _clause_masks(f: Formula) -> tuple[np.ndarray, np.ndarray]:
-    """Per clause: (mask, pattern) such that index x violates the clause
-    iff x & mask == pattern.  Variable i occupies bit n-i (big-endian)."""
-    masks = np.zeros(f.m, dtype=np.int64)
-    pats = np.zeros(f.m, dtype=np.int64)
-    for j, c in enumerate(f.clauses):
-        mask = 0
-        pat = 0
-        for l in c.literals:
-            bit = 1 << (f.n - l.var)
-            mask |= bit
-            if l.negated:  # violated when the variable is TRUE
-                pat |= bit
-        masks[j] = mask
-        pats[j] = pat
-    return masks, pats
+def _clause_mask(c: Clause, n: int) -> tuple[int, int]:
+    """(mask, pattern) such that index x violates ``c`` iff
+    x & mask == pattern.  Variable i occupies bit n-i (big-endian)."""
+    mask = 0
+    pat = 0
+    for l in c.literals:
+        bit = 1 << (n - l.var)
+        mask |= bit
+        if l.negated:  # violated when the variable is TRUE
+            pat |= bit
+    return mask, pat
 
 
 def solution_indices(f: Formula) -> np.ndarray:
@@ -265,8 +259,8 @@ def solution_indices(f: Formula) -> np.ndarray:
     idx = np.arange(1 << f.n, dtype=np.int32)
     ok = np.ones(idx.shape, dtype=bool)
     tmp = np.empty_like(idx)
-    masks, pats = _clause_masks(f)
-    for mask, pat in zip(masks.tolist(), pats.tolist()):
+    for c in f.clauses:
+        mask, pat = _clause_mask(c, f.n)
         np.bitwise_and(idx, mask, out=tmp)
         ok &= tmp != pat
     return np.flatnonzero(ok)  # idx[i] == i
@@ -279,27 +273,6 @@ def brute_force_solutions(f: Formula) -> set[str]:
 
 def count_solutions(f: Formula) -> int:
     return int(solution_indices(f).size)
-
-
-def is_unate(f: Formula) -> bool:
-    """True iff no variable occurs in both polarities (all checks commute)."""
-    polarity: dict[int, bool] = {}
-    for c in f.clauses:
-        for l in c.literals:
-            if polarity.setdefault(l.var, l.negated) != l.negated:
-                return False
-    return True
-
-
-def unate_greedy_assignment(f: Formula) -> str:
-    """For a unate formula: TRUE where a variable occurs positively, FALSE
-    elsewhere (including variables with no occurrences)."""
-    bits = ["0"] * f.n
-    for c in f.clauses:
-        for l in c.literals:
-            if not l.negated:
-                bits[l.var - 1] = "1"
-    return "".join(bits)
 
 
 # Attempt cap of the rejection loops in planted_unique and random_satisfiable.
@@ -369,19 +342,15 @@ def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -
         c = _random_clause(rng, n, k)
         if c.satisfied_by(plant):
             clauses.append(c)
+    # An added clause only removes solutions: enumerate once, then filter.
+    sols = solution_indices(Formula(n=n, clauses=tuple(clauses), k=k))
+    plant_idx = assignment_to_index(plant)
     for _ in range(_MAX_ATTEMPTS):
-        f = Formula(n=n, clauses=tuple(clauses), k=k)
-        sols = solution_indices(f)
         if sols.size == 1:
-            assert assignment_from_index(int(sols[0]), n) == plant
-            return f
-        # Kill one spurious solution with a clause the plant satisfies.
-        spurious = None
-        plant_idx = assignment_to_index(plant)
-        for s in sols:
-            if int(s) != plant_idx:
-                spurious = assignment_from_index(int(s), n)
-                break
+            assert int(sols[0]) == plant_idx
+            return Formula(n=n, clauses=tuple(clauses), k=k)
+        # Kill the first spurious solution with a clause the plant satisfies.
+        spurious = assignment_from_index(int(sols[sols != plant_idx][0]), n)
         diff = [i + 1 for i in range(n) if spurious[i] != plant[i]]
         rest = [i + 1 for i in range(n) if spurious[i] == plant[i]]
         pick = [int(rng.choice(diff))]
@@ -392,6 +361,8 @@ def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -
             sorted(Literal(v, spurious[v - 1] == "1") for v in pick)
         )  # violated by `spurious`, satisfied by the plant on the diff variable
         clauses.append(Clause(lits))
+        mask, pat = _clause_mask(clauses[-1], n)
+        sols = sols[(sols & mask) != pat]
     raise GenerationError(
         f"planted_unique(n={n}, m={m}, k={k}) not unique after {_MAX_ATTEMPTS} attempts"
     )
@@ -412,15 +383,3 @@ def random_satisfiable(
         if count_solutions(f) >= min_solutions:
             return f
     raise GenerationError(f"no satisfiable instance found (n={n}, m={m}, k={k})")
-
-
-def hamming_distance(x: str, y: str) -> int:
-    if len(x) != len(y):
-        raise ValueError("length mismatch")
-    return sum(a != b for a, b in zip(x, y))
-
-
-def all_assignments(n: int):
-    """Iterate over all length-n assignment strings in index order."""
-    for bits in itertools.product("01", repeat=n):
-        yield "".join(bits)

@@ -107,17 +107,6 @@ def save_phf(rows: np.ndarray) -> str:
     return "\n".join(" ".join(str(int(x)) for x in row) for row in rows) + "\n"
 
 
-def load_phf(text: str) -> np.ndarray:
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("malformed perfect-hash-family text")
-    return np.array(rows, dtype=np.int64)
-
-
 def compatible(s1: str, s2: str) -> bool:
     """True iff the strings agree wherever neither has an 'I'."""
     if len(s1) != len(s2):
@@ -146,11 +135,6 @@ def candidate_patterns(n: int, k: int) -> list[str]:
         for bits in itertools.product("01", repeat=k):
             patterns.append("".join(bits[sym - 1] for sym in row))
     return patterns
-
-
-def layer_count_bound(n: int, k: int) -> float:
-    """sqrt(k/(2 pi)) * (2e)^k * ln(n), the parallelization guarantee."""
-    return math.sqrt(k / (2 * math.pi)) * (2 * math.e) ** k * math.log(n)
 
 
 def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
@@ -189,12 +173,6 @@ def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
 def layered_order(layers) -> list[int]:
     """Clause order obtained by flattening the layers."""
     return [ci for layer in layers for ci in layer.members]
-
-
-def structural_commute(p1, p2) -> bool:
-    """Projectors commute iff supports are disjoint or every shared qubit
-    carries the same factor (equal compatibility symbols)."""
-    return compatible(p1.compat, p2.compat)
 
 
 def noncommuting_degree(f: Formula) -> int:

@@ -1,11 +1,12 @@
 """Exact spectral analysis at small n.
 
-Computes the Hamiltonian gap, the uniform gap over clause subsets, the
-empirical convergence rate of the check product, the structural
-non-commutation degree g, Friedrichs angles of layer images, and the slack of
-every inequality tying these quantities together (detectability lemma,
-quantum union bound, the closed-form gap lower bound, and the
-alternating-projections speed bound).
+Computes, each one way, the Hamiltonian gap, the uniform gap over clause
+subsets, the empirical convergence rate mu of the check product, the
+structural non-commutation degree g and the generalized Friedrichs angle c of
+the layer images; :func:`spectral_report` gathers them with the slack of every
+inequality that ties them together: the detectability lemma (upper) and the
+quantum union bound (lower) on mu, the closed-form gap lower bound, and the
+alternating-projections speed bound.
 """
 
 from __future__ import annotations
@@ -17,17 +18,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import DENSE_CAP, check_cap
 from .encoding import (
     Unsatisfiable,
     check_angle,
-    clause_projector,
     clause_projectors,
     dense_projector,
     ground_space_projector,
     hamiltonian_matrix,
 )
-from .formula import Clause, Formula, count_solutions
+from .formula import Formula, count_solutions
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
 from .statevec import product_operator
 
@@ -123,53 +122,6 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     return float(np.linalg.norm(t - p_gs, 2))
 
 
-@dataclass(frozen=True)
-class DlQubSlack:
-    g: int
-    gap: float
-    mu: float
-    dl_slack: float
-    qub_slack: float
-
-
-def check_dl_qub(f: Formula, theta: float) -> DlQubSlack:
-    """Slack of the detectability lemma (upper) and quantum union bound
-    (lower) on the empirical convergence rate; both must be >= -1e-9."""
-    gap = spectral_gap(f, theta)
-    mu = convergence_rate(f, theta)
-    g = noncommuting_degree(f)
-    dl_upper = 0.0 if g == 0 else 1.0 / math.sqrt(gap / g**2 + 1.0)
-    return DlQubSlack(
-        g=g,
-        gap=gap,
-        mu=mu,
-        dl_slack=dl_upper - mu,
-        qub_slack=mu - (1.0 - 4.0 * gap),
-    )
-
-
-def friedrichs_angle(subspace_bases, ambient_dim: int) -> float:
-    """Generalized Friedrichs angle from the block Gram matrix.
-
-    ``subspace_bases``: one orthonormal-column matrix per subspace, spanning
-    M_i intersect M-perp.  For ell subspaces the angle equals
-    (lambda_max(G) - 1)/(ell - 1), clamped to [0, 1]; it is 0 when every
-    block is trivial.  G = B^T B, with B the bases side by side, has the
-    nonzero spectrum of B B^T, whose order is ``ambient_dim`` rather than
-    the summed subspace dimension, so lambda_max is taken from B B^T.
-    """
-    ell = len(subspace_bases)
-    if ell < 2:
-        raise ValueError("need at least two subspaces")
-    blocks = [np.asarray(b).reshape(ambient_dim, -1) for b in subspace_bases]
-    nonempty = [b for b in blocks if b.shape[1] > 0]
-    if not nonempty:
-        return 0.0
-    b = np.column_stack(nonempty)
-    lam_max = float(np.linalg.eigvalsh(b @ b.T)[-1])
-    return min(1.0, max(0.0, (lam_max - 1.0) / (ell - 1)))
-
-
 def _projector_range_basis(p: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(p)
     return eigvecs[:, eigvals > 0.5]
@@ -177,7 +129,12 @@ def _projector_range_basis(p: np.ndarray) -> np.ndarray:
 
 def layer_image_subspaces(f: Formula, theta: float, layers: list[Layer]):
     """Bases of M_i intersect M-perp for the layer images M_i = im(prod C)
-    and M the ground space; returns (bases, layer_product_operators, P_GS)."""
+    and M the ground space; returns (bases, layer_product_operators, P_GS).
+
+    :func:`friedrichs_speed_slack` reads c off the layer projectors without
+    these bases; the only caller is ``perfbench/record_reference.py``, which
+    sizes the block Gram matrix from them.
+    """
     p_gs = ground_space_projector(f, theta)
     bases = []
     ops = []
@@ -198,86 +155,33 @@ def speed_of_convergence_bound(c: float, ell: int, r: int) -> float:
 
 def friedrichs_speed_slack(f: Formula, theta: float):
     """Minimum slack of the speed-of-convergence bound over r = 1..10 for
-    the layered cycle operator; returns (slack, c, ell)."""
+    the layered cycle operator; returns (slack, c, ell).
+
+    c is the generalized Friedrichs angle of the layer images M_i relative to
+    the ground space M: with B the orthonormal bases of M_i intersect M-perp
+    side by side, c = (lambda_max(B^T B) - 1)/(ell - 1), clamped to [0, 1].
+    Each layer product Q_i is the projector onto M_i and P_GS <= Q_i, so
+    B B^T = sum_i (Q_i - P_GS); it has the nonzero spectrum of B^T B, and one
+    eigensolve of sum_i Q_i - ell P_GS gives lambda_max.
+    """
     layers = build_layers(f, theta)
-    if len(layers) < 2:
-        return math.inf, 0.0, len(layers)
-    bases, _, p_gs = layer_image_subspaces(f, theta, layers)
-    c = friedrichs_angle(bases, 1 << f.n)
+    ell = len(layers)
+    if ell < 2:
+        return math.inf, 0.0, ell
+    p_gs = ground_space_projector(f, theta)
+    images = -ell * p_gs
+    for layer in layers:
+        images += product_operator(f, theta, order=layer.members)
+    lam_max = float(np.linalg.eigvalsh(images)[-1])
+    c = min(1.0, max(0.0, (lam_max - 1.0) / (ell - 1)))
     t = product_operator(f, theta, order=layered_order(layers))
     slack = math.inf
     power = np.eye(1 << f.n)
     for r in range(1, _SPEED_R_MAX + 1):
         power = t @ power
         lhs = float(np.linalg.norm(power - p_gs, 2))
-        slack = min(slack, speed_of_convergence_bound(c, len(layers), r) - lhs)
-    return slack, c, len(layers)
-
-
-def _embedded_propagated_projectors(f: Formula, theta: float, var: int, value: bool):
-    """Pairs (P_before, P_after) on the full n qubits for every clause that
-    survives fixing var=value; the after-projector drops the killed literal
-    (identity on the fixed qubit)."""
-    pairs = []
-    for c in f.clauses:
-        lits = list(c.literals)
-        on_var = [l for l in lits if l.var == var]
-        if on_var and on_var[0].negated != value:
-            continue  # clause satisfied, discarded on both sides
-        before = dense_projector(clause_projector(c, theta, f.n))
-        rest = tuple(l for l in lits if l.var != var)
-        if rest:
-            after = dense_projector(clause_projector(Clause(rest), theta, f.n))
-        else:
-            after = np.eye(1 << f.n)  # empty clause forbids everything
-        pairs.append((before, after))
-    return pairs
-
-
-def monotone_update_check(f: Formula, theta: float, var: int, value: bool) -> bool:
-    """PSD check of the per-step Hamiltonian replacement: over the surviving
-    clauses, the propagated projector sum dominates the original one."""
-    check_cap(f.n, DENSE_CAP, "monotone update check")
-    pairs = _embedded_propagated_projectors(f, theta, var, value)
-    dim = 1 << f.n
-    h_before = sum((b for b, _ in pairs), np.zeros((dim, dim)))
-    h_after = sum((a for _, a in pairs), np.zeros((dim, dim)))
-    min_eig = float(np.linalg.eigvalsh(h_after - h_before)[0])
-    return min_eig >= -_GROUND_TOL
-
-
-@dataclass(frozen=True)
-class OverlapIdentity:
-    analytic: float
-    binomial_sum: float
-    monte_carlo: float
-    monte_carlo_stderr: float
-
-
-def avg_overlap_identity(
-    n: int, theta: float, samples: int = 4096, rng: np.random.Generator | None = None
-) -> OverlapIdentity:
-    """Average rotated-state overlap over random assignment pairs.
-
-    The exact binomial sum over Hamming distances equals ((1+cos theta)/2)^n;
-    the Monte Carlo column estimates E[cos^D(theta)] from sampled pairs.
-    """
-    if n > 30:
-        raise ValueError("binomial sum capped at n <= 30")
-    check_angle(theta)
-    c = math.cos(theta)
-    analytic = ((1.0 + c) / 2.0) ** n
-    binomial_sum = sum(
-        math.comb(n, d) * 0.5**n * c**d for d in range(n + 1)
-    )
-    rng = rng or np.random.default_rng(0)
-    x_bits = rng.integers(0, 2, size=(samples, n))
-    y_bits = rng.integers(0, 2, size=(samples, n))
-    dists = (x_bits != y_bits).sum(axis=1)
-    values = np.power(c, dists)
-    mc = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return OverlapIdentity(analytic, binomial_sum, mc, stderr)
+        slack = min(slack, speed_of_convergence_bound(c, ell, r) - lhs)
+    return slack, c, ell
 
 
 @dataclass
@@ -313,11 +217,20 @@ def spectral_report(
     with_uniform: bool = True,
     with_friedrichs: bool = True,
 ) -> SpectralReport:
+    """Every quantity and slack for one (instance, theta); the uniform gap
+    and the Friedrichs speed bound are the costly parts and can be skipped.
+
+    dl_slack = 1/sqrt(gap/g^2 + 1) - mu (the detectability-lemma bound is 0
+    when g = 0) and qub_slack = mu - (1 - 4 gap); both must be >= -1e-9.
+    """
     d_sol = count_solutions(f)
     if d_sol == 0:
         raise Unsatisfiable("spectral report requires a satisfiable formula")
     k_eff = f.max_width()
-    sandwich = check_dl_qub(f, theta)
+    gap = spectral_gap(f, theta)
+    mu = convergence_rate(f, theta)
+    g = noncommuting_degree(f)
+    dl_upper = 0.0 if g == 0 else 1.0 / math.sqrt(gap / g**2 + 1.0)
     bound = gap_lower_bound(theta, f.n, k_eff)
     uni = None
     uni_exact = None
@@ -341,15 +254,15 @@ def spectral_report(
         m=f.m,
         k=f.k,
         d_sol=d_sol,
-        gap=sandwich.gap,
+        gap=gap,
         gap_lower_bound=bound,
-        gap_bound_slack=sandwich.gap - bound,
+        gap_bound_slack=gap - bound,
         uniform_gap=uni,
         uniform_gap_exact=uni_exact,
-        mu=sandwich.mu,
-        g=sandwich.g,
-        dl_slack=sandwich.dl_slack,
-        qub_slack=sandwich.qub_slack,
+        mu=mu,
+        g=g,
+        dl_slack=dl_upper - mu,
+        qub_slack=mu - (1.0 - 4.0 * gap),
         friedrichs_c=c_val,
         layer_count=layer_count,
         speed_bound_slack=speed_slack,

@@ -65,15 +65,6 @@ def prob_one(psi: np.ndarray, qubit: int) -> float:
     return float(np.sum(slab * slab))
 
 
-def z_expectation(psi: np.ndarray, qubit: int) -> float:
-    """Readout expectation with outcome +1 on |1> and -1 on |0>.
-
-    On a rotated product state this is +sin(theta) where the encoded bit is
-    TRUE and -sin(theta) where it is FALSE.
-    """
-    return 2.0 * prob_one(psi, qubit) - 1.0
-
-
 def sample_basis(psi: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sample ``size`` full computational-basis measurement outcomes (indices)."""
     p = psi * psi

@@ -1,7 +1,10 @@
 """Slow reference implementations that the tests compare mdsat against.
 
 ``kron_projector`` builds a clause projector as an explicit Kronecker chain,
-independently of the factorized check kernel.  The rest is the naive
+independently of the factorized check kernel.  ``friedrichs_angle`` takes the
+generalized Friedrichs angle from orthonormal subspace bases (the block-Gram
+route), independently of the projector-sum route of
+``mdsat.spectral.friedrichs_speed_slack``.  The rest is the naive
 per-measurement simulator: one projective clause (or layer) check at a time,
 with explicit branch probabilities and renormalized post-measurement states.
 """
@@ -32,6 +35,28 @@ def kron_projector(proj: ClauseProjector) -> np.ndarray:
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ b - b @ a, 2))
+
+
+def friedrichs_angle(subspace_bases, ambient_dim: int) -> float:
+    """Generalized Friedrichs angle from the block Gram matrix.
+
+    ``subspace_bases``: one orthonormal-column matrix per subspace, spanning
+    M_i intersect M-perp.  For ell subspaces the angle equals
+    (lambda_max(G) - 1)/(ell - 1), clamped to [0, 1]; it is 0 when every
+    block is trivial.  G = B^T B, with B the bases side by side, has the
+    nonzero spectrum of B B^T, whose order is ``ambient_dim`` rather than
+    the summed subspace dimension, so lambda_max is taken from B B^T.
+    """
+    ell = len(subspace_bases)
+    if ell < 2:
+        raise ValueError("need at least two subspaces")
+    blocks = [np.asarray(b).reshape(ambient_dim, -1) for b in subspace_bases]
+    nonempty = [b for b in blocks if b.shape[1] > 0]
+    if not nonempty:
+        return 0.0
+    b = np.column_stack(nonempty)
+    lam_max = float(np.linalg.eigvalsh(b @ b.T)[-1])
+    return min(1.0, max(0.0, (lam_max - 1.0) / (ell - 1)))
 
 
 def apply_projector(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:

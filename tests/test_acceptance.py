@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import oracle
+import paper_checks as pc
 import pytest
 from scipy import stats
 
@@ -54,7 +55,7 @@ def test_c02_gram_identity():
                 x, y = _random_bits(rng, n), _random_bits(rng, n)
                 sx = enc.theta_string_state(x, theta)
                 sy = enc.theta_string_state(y, theta)
-                d = fm.hamming_distance(x, y)
+                d = pc.hamming_distance(x, y)
                 assert abs(sx @ sy - np.cos(theta) ** d) <= 1e-12
 
 
@@ -85,7 +86,7 @@ def test_c03_unrotated_exactness():
 @pytest.fixture(scope="session")
 def dl_sweep():
     """100 random satisfiable instances (n <= 8, k = 3) swept over 4 angles:
-    (instance, theta) -> (gap, mu, g, n, k_eff)."""
+    (instance, theta, report) with the report's gap, mu, g and DL/QUB slacks."""
     rng = np.random.default_rng(404)
     results = []
     start = time.perf_counter()
@@ -93,7 +94,7 @@ def dl_sweep():
         n = 4 + i % 5  # 4..8
         f = fm.random_satisfiable(rng, n, round(2.5 * n), 3)
         for theta in DL_THETAS:
-            res = sp.check_dl_qub(f, theta)
+            res = sp.spectral_report(f, theta, with_uniform=False, with_friedrichs=False)
             results.append((f, theta, res))
     return results, time.perf_counter() - start
 
@@ -178,7 +179,7 @@ def test_c08_phf_correctness_and_size():
                 f = fm.generate("random_ksat", n, 3 * n, k, int(rng.integers(2**32)))
                 layers = phf.build_layers(f)
                 assert len(layers) <= 2**k * rows.shape[0], (n, k)
-                assert len(layers) <= phf.layer_count_bound(n, k), (n, k)
+                assert len(layers) <= pc.layer_count_bound(n, k), (n, k)
     assert phf.density_algorithm(10, 3).shape[0] <= 19
 
 
@@ -355,9 +356,9 @@ def test_c14_average_case_identity():
     pair sampling lands within 3 sigma."""
     for n in (1, 2, 5, 10, 17, 24, 30):
         for theta in DL_THETAS:
-            res = sp.avg_overlap_identity(n, theta, samples=10)
+            res = pc.avg_overlap_identity(n, theta, samples=10)
             assert abs(res.binomial_sum - res.analytic) <= 1e-12
-    res = sp.avg_overlap_identity(
+    res = pc.avg_overlap_identity(
         10, 0.3 * np.pi, samples=40_000, rng=np.random.default_rng(14)
     )
     assert abs(res.monte_carlo - res.analytic) <= 3 * res.monte_carlo_stderr
@@ -372,7 +373,7 @@ def test_c15_friedrichs_machinery():
     for alpha in np.linspace(0.05, np.pi / 2, 12):
         b1 = np.array([[1.0], [0.0]])
         b2 = np.array([[np.cos(alpha)], [np.sin(alpha)]])
-        assert abs(sp.friedrichs_angle([b1, b2], 2) - abs(np.cos(alpha))) <= 1e-12
+        assert abs(oracle.friedrichs_angle([b1, b2], 2) - abs(np.cos(alpha))) <= 1e-12
     rng = np.random.default_rng(1515)
     checked = 0
     while checked < 20:

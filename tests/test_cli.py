@@ -1,5 +1,6 @@
 import json
 
+import paper_checks as pc
 import pytest
 
 from mdsat import cli
@@ -72,6 +73,16 @@ class TestSolve:
         assert run(["gen", "random_ksat", "2", "-m", "4", "-k", "3"]) == 2
         assert run(["phf", "2", "3"]) == 2
         capsys.readouterr()
+        out = f"out={tmp_path / 'sweep.csv'}"
+        for argv in (
+            ["sweep", "--set", out, "--set", "n=5..3"],
+            ["sweep", "--set", out, "--set", "trials=0"],
+            ["sweep", "--set", out, "--set", "foo"],
+            ["sweep", "--config", str(tmp_path / "missing.cfg")],
+        ):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_theta_flag_equivalence(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
@@ -155,6 +166,11 @@ class TestSweep:
         cfg = self._config(tmp_path, thetas="")
         assert run(["sweep", "--config", str(cfg)]) == 2
         assert "theta" in capsys.readouterr().err
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1 2 0\n")
+        for thetas in ("", "abc", "sched"):
+            assert run(["spectral", str(cnf), "--thetas", thetas]) == 2, thetas
+            assert capsys.readouterr().err.startswith("error: "), thetas
 
     def test_flag_override(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -223,6 +239,12 @@ class TestSpectralCmd:
         assert ok["status"] == "ok" and err["status"] == "error"
         assert list(err) == list(ok)
         assert err["d_sol"] == 0 and err["error"]
+        # a bad angle says nothing about the solution count
+        assert run(["spectral", str(sat), "--thetas", "0.7pi,0.3pi", "--no-friedrichs"]) == 0
+        bad, good = json.loads(capsys.readouterr().out)["rows"]
+        assert bad["status"] == "error" and "angle" in bad["error"]
+        assert list(bad) == list(ok) and bad["d_sol"] is None
+        assert good == ok
 
     def test_unate_mu_zero_column(self, tmp_path, capsys):
         cnf = tmp_path / "un.cnf"
@@ -239,7 +261,5 @@ class TestPhfCmd:
         assert run(["phf", "10", "3", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "verified=true" in printed
-        from mdsat import phf
-
-        rows = phf.load_phf(out.read_text())
+        rows = pc.load_phf(out.read_text())
         assert rows.shape[0] <= 19 and rows.shape[1] == 10

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import oracle
+import paper_checks as pc
 import pytest
 
 from mdsat import encoding as enc
@@ -52,7 +53,7 @@ class TestClauseProjector:
         assert np.allclose(proj.factors[0], perp)
         assert np.allclose(proj.factors[1], perp)
         assert np.allclose(proj.factors[2], bar_perp)
-        assert proj.compat == "0II0I1"
+        assert enc.clause_compat_string(clause, 6) == "0II0I1"
 
     def test_pi_half_projects_forbidden_pattern(self):
         clause = Clause((Literal(1, False), Literal(4, False), Literal(6, True)))
@@ -63,7 +64,7 @@ class TestClauseProjector:
         indicator = np.array(
             [
                 1.0 if (a[0] == "0" and a[3] == "0" and a[5] == "1") else 0.0
-                for a in fm.all_assignments(6)
+                for a in pc.all_assignments(6)
             ]
         )
         assert np.abs(dense - np.diag(indicator)).max() < 1e-12
@@ -72,7 +73,7 @@ class TestClauseProjector:
     def test_violating_expectation_is_sin_2k(self, theta):
         clause = Clause((Literal(1, False), Literal(2, False), Literal(3, True)))
         proj = enc.clause_projector(clause, theta, 3)
-        for a in fm.all_assignments(3):
+        for a in pc.all_assignments(3):
             state = enc.theta_string_state(a, theta)
             w = oracle.fail_weight(state, proj)
             if clause.satisfied_by(a):
@@ -101,7 +102,7 @@ class TestThetaStringState:
             y = "".join(rng.choice(["0", "1"], size=n))
             sx = enc.theta_string_state(x, theta)
             sy = enc.theta_string_state(y, theta)
-            d = fm.hamming_distance(x, y)
+            d = pc.hamming_distance(x, y)
             assert abs(sx @ sy - np.cos(theta) ** d) < 1e-12
 
     def test_pi_half_is_basis_state(self):
@@ -114,7 +115,7 @@ class TestThetaStringState:
         # |+>^n = (2(1+cos))^(-n/2) * sum_x |Theta_x>
         theta, n = 0.3 * np.pi, 4
         total = sum(
-            enc.theta_string_state(a, theta) for a in fm.all_assignments(n)
+            enc.theta_string_state(a, theta) for a in pc.all_assignments(n)
         )
         total *= (2 * (1 + np.cos(theta))) ** (-n / 2)
         assert np.allclose(total, np.full(16, 0.25), atol=1e-12)
@@ -147,7 +148,7 @@ class TestHamiltonian:
         f = fm.random_satisfiable(np.random.default_rng(3), 5, 10, 3)
         theta = 0.35 * np.pi
         h = enc.hamiltonian_matrix(f, theta)
-        for a in fm.all_assignments(5):
+        for a in pc.all_assignments(5):
             state = enc.theta_string_state(a, theta)
             energy = state @ h @ state
             if fm.evaluate(f, a):

@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import paper_checks as pc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +68,7 @@ class TestEvaluate:
     def test_two_clause_enumeration(self):
         f = _formula(2, [1, 2], [-1, 2])
         # brute enumeration of all four assignments
-        truth = {a: fm.evaluate(f, a) for a in fm.all_assignments(2)}
+        truth = {a: fm.evaluate(f, a) for a in pc.all_assignments(2)}
         assert truth == {"00": False, "01": True, "10": False, "11": True}
 
     def test_length_mismatch(self):
@@ -96,7 +99,7 @@ class TestPropagate:
         for var in (1, 3, 5):
             for value in (False, True):
                 g = fm.propagate(f, var, value)
-                for a in fm.all_assignments(5):
+                for a in pc.all_assignments(5):
                     if (a[var - 1] == "1") != value:
                         continue
                     reduced = a[: var - 1] + a[var:]
@@ -116,7 +119,7 @@ class TestBruteForce:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             f = fm.generate("random_ksat", n, int(rng.integers(1, 3 * n)), min(3, n), int(rng.integers(2**32)))
-            expected = {a for a in fm.all_assignments(n) if fm.evaluate(f, a)}
+            expected = {a for a in pc.all_assignments(n) if fm.evaluate(f, a)}
             assert fm.brute_force_solutions(f) == expected
             assert fm.solution_indices(f).dtype == np.int64
 
@@ -131,15 +134,15 @@ class TestBruteForce:
 
 class TestUnate:
     def test_polarity_detection(self):
-        assert fm.is_unate(_formula(3, [1, 2], [2, -3]))
-        assert not fm.is_unate(_formula(2, [1], [-1, 2]))
-        assert fm.is_unate(Formula(n=2, clauses=(), k=3))  # vacuous
+        assert pc.is_unate(_formula(3, [1, 2], [2, -3]))
+        assert not pc.is_unate(_formula(2, [1], [-1, 2]))
+        assert pc.is_unate(Formula(n=2, clauses=(), k=3))  # vacuous
 
     def test_greedy_assignment_satisfies(self):
         for seed in range(8):
             f = fm.generate("unate", 7, 12, 3, seed)
-            assert fm.is_unate(f)
-            assert fm.evaluate(f, fm.unate_greedy_assignment(f))
+            assert pc.is_unate(f)
+            assert fm.evaluate(f, pc.unate_greedy_assignment(f))
 
 
 class TestGenerate:
@@ -162,6 +165,16 @@ class TestGenerate:
     def test_planted_unique(self):
         f = fm.generate("planted_unique", 6, 18, 3, seed=2)
         assert fm.count_solutions(f) == 1
+
+    def test_planted_unique_pinned(self):
+        # each of these adds clauses that kill spurious solutions
+        for n, m, seed, digest in (
+            (7, 30, 0, "357dda1d033de8a5"),
+            (12, 52, 3, "6896a2ce46eaea32"),
+            (17, 73, 100, "9ca909c1e0a3b79f"),
+        ):
+            text = fm.generate("planted_unique", n, m, 3, seed).to_dimacs()
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (n, m, seed)
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
@@ -190,7 +203,7 @@ def test_propagate_evaluate_property(f, data):
     var = data.draw(st.integers(1, f.n))
     value = data.draw(st.booleans())
     g = fm.propagate(f, var, value)
-    for a in fm.all_assignments(f.n):
+    for a in pc.all_assignments(f.n):
         if (a[var - 1] == "1") != value:
             continue
         reduced = a[: var - 1] + a[var:]
@@ -203,5 +216,5 @@ def test_propagate_evaluate_property(f, data):
 @given(formulas())
 def test_brute_force_property(f):
     assert fm.brute_force_solutions(f) == {
-        a for a in fm.all_assignments(f.n) if fm.evaluate(f, a)
+        a for a in pc.all_assignments(f.n) if fm.evaluate(f, a)
     }

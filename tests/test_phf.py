@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import oracle
+import paper_checks as pc
 import pytest
 
 from mdsat import encoding as enc
@@ -70,12 +71,12 @@ class TestVerifyPhf:
 class TestTextRoundtrip:
     def test_save_load(self):
         rows = phf.density_algorithm(7, 3)
-        again = phf.load_phf(phf.save_phf(rows))
+        again = pc.load_phf(phf.save_phf(rows))
         assert (rows == again).all()
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            phf.load_phf("1 2\n1\n")
+            pc.load_phf("1 2\n1\n")
 
 
 class TestCompatible:
@@ -107,9 +108,10 @@ class TestCompatible:
         f = fm.generate("random_ksat", 5, 10, 3, seed=77)
         projs = enc.clause_projectors(f, theta)
         dense = [oracle.kron_projector(p) for p in projs]
+        compat = [enc.clause_compat_string(c, f.n) for c in f.clauses]
         for i in range(f.m):
             for j in range(i + 1, f.m):
-                structurally = phf.structural_commute(projs[i], projs[j])
+                structurally = phf.compatible(compat[i], compat[j])
                 numerically = oracle.commutator_norm(dense[i], dense[j]) < 1e-12
                 # structural commutation is sufficient; at generic angles it
                 # is also necessary
@@ -155,7 +157,7 @@ class TestBuildLayers:
             layers = phf.build_layers(f, self.theta)
             rows = phf.density_algorithm(9, 3)
             assert len(layers) <= 2**3 * rows.shape[0]
-            assert len(layers) <= phf.layer_count_bound(9, 3)
+            assert len(layers) <= pc.layer_count_bound(9, 3)
 
     def test_mixed_width_clauses(self):
         f = fm.formula_from_dimacs_codes(6, [[1], [2, -3], [4, 5, -6]], k=3)

@@ -1,10 +1,13 @@
 import math
 
 import numpy as np
+import oracle
+import paper_checks as pc
 import pytest
 
 from mdsat import encoding as enc
 from mdsat import formula as fm
+from mdsat import phf
 from mdsat import spectral as sp
 from mdsat import statevec as svec
 from mdsat.formula import UNSAT
@@ -102,24 +105,29 @@ class TestConvergenceRate:
                 assert np.linalg.norm(power - p_gs, 2) <= mu**r + 1e-9
 
 
+def _dl_qub(f, theta):
+    """The report fields the detectability-lemma/union-bound tests read."""
+    return sp.spectral_report(f, theta, with_uniform=False, with_friedrichs=False)
+
+
 class TestDlQub:
     def test_slacks_nonnegative(self, small_instances):
         for f in small_instances[:6]:
             for theta in (0.1 * np.pi, 0.25 * np.pi, 0.4 * np.pi, 0.5 * np.pi):
-                res = sp.check_dl_qub(f, theta)
+                res = _dl_qub(f, theta)
                 assert res.dl_slack >= -1e-9
                 assert res.qub_slack >= -1e-9
 
     def test_pi_half_vacuous_qub(self, small_instances):
         f = small_instances[0]
-        res = sp.check_dl_qub(f, np.pi / 2)
+        res = _dl_qub(f, np.pi / 2)
         assert res.mu < 1e-12
         assert res.qub_slack >= -1e-9
 
     def test_dl_chain_inequality(self, small_instances):
         # 1/sqrt(x+1) <= 1 - x/4 on the detectability lemma's domain x <= 1
         for f in small_instances[:6]:
-            res = sp.check_dl_qub(f, 0.3 * np.pi)
+            res = _dl_qub(f, 0.3 * np.pi)
             if res.g == 0:
                 continue
             x = res.gap / res.g**2
@@ -132,14 +140,14 @@ class TestFriedrichs:
         for alpha in (0.2, 0.7, 1.2, np.pi / 2):
             b1 = np.array([[1.0], [0.0]])
             b2 = np.array([[np.cos(alpha)], [np.sin(alpha)]])
-            c = sp.friedrichs_angle([b1, b2], 2)
+            c = oracle.friedrichs_angle([b1, b2], 2)
             assert abs(c - abs(np.cos(alpha))) < 1e-12
 
     def test_orthogonal_subspaces(self):
         b1 = np.array([[1.0], [0.0], [0.0]])
         b2 = np.array([[0.0], [1.0], [0.0]])
         b3 = np.array([[0.0], [0.0], [1.0]])
-        assert sp.friedrichs_angle([b1, b2, b3], 3) < 1e-12
+        assert oracle.friedrichs_angle([b1, b2, b3], 3) < 1e-12
 
     def test_summed_dimension_above_ambient_matches_block_gram(self):
         # three 3-dimensional subspaces of R^6 (summed dimension 9 > 6), one
@@ -151,15 +159,29 @@ class TestFriedrichs:
             lam_max = np.linalg.eigvalsh(b.T @ b)[-1]
             expected = min(1.0, max(0.0, (lam_max - 1.0) / (len(blocks) - 1)))
             assert 0.0 < expected < 1.0
-            assert abs(sp.friedrichs_angle(blocks, 6) - expected) <= 1e-12
+            assert abs(oracle.friedrichs_angle(blocks, 6) - expected) <= 1e-12
 
     def test_trivial_blocks_give_zero(self):
         empty = np.zeros((4, 0))
-        assert sp.friedrichs_angle([empty, empty], 4) == 0.0
+        assert oracle.friedrichs_angle([empty, empty], 4) == 0.0
 
     def test_needs_two_subspaces(self):
         with pytest.raises(ValueError):
-            sp.friedrichs_angle([np.eye(2)], 2)
+            oracle.friedrichs_angle([np.eye(2)], 2)
+
+    def test_projector_sum_matches_block_gram(self, small_instances):
+        checked = 0
+        for f in small_instances:
+            for theta in (0.1 * np.pi, 0.25 * np.pi, 0.4 * np.pi):
+                layers = phf.build_layers(f, theta)
+                if len(layers) < 2:
+                    continue
+                bases, _, _ = sp.layer_image_subspaces(f, theta, layers)
+                expected = oracle.friedrichs_angle(bases, 1 << f.n)
+                _, c, _ = sp.friedrichs_speed_slack(f, theta)
+                assert abs(c - expected) <= 1e-12
+                checked += 1
+        assert checked > 0
 
     def test_speed_bound_on_layer_images(self):
         rng = np.random.default_rng(44)
@@ -181,32 +203,32 @@ class TestMonotoneUpdate:
         for f in small_instances[:5]:
             var = int(rng.integers(1, f.n + 1))
             value = bool(rng.integers(0, 2))
-            assert sp.monotone_update_check(f, theta, var, value)
+            assert pc.monotone_update_check(f, theta, var, value)
 
     def test_single_literal_deletion_psd(self):
         f = fm.formula_from_dimacs_codes(2, [[1, 2]])
-        assert sp.monotone_update_check(f, 0.3 * np.pi, 1, False)
+        assert pc.monotone_update_check(f, 0.3 * np.pi, 1, False)
 
     def test_absent_variable_keeps_hamiltonian(self):
         f = fm.formula_from_dimacs_codes(3, [[2, 3]])
-        assert sp.monotone_update_check(f, 0.3 * np.pi, 1, True)
+        assert pc.monotone_update_check(f, 0.3 * np.pi, 1, True)
 
 
 class TestAvgOverlapIdentity:
     def test_n1_two_terms(self):
-        res = sp.avg_overlap_identity(1, 0.3 * np.pi, samples=10)
+        res = pc.avg_overlap_identity(1, 0.3 * np.pi, samples=10)
         assert abs(res.binomial_sum - (1 + np.cos(0.3 * np.pi)) / 2) < 1e-14
 
     def test_pi_half_only_zero_distance(self):
-        res = sp.avg_overlap_identity(12, np.pi / 2, samples=10)
+        res = pc.avg_overlap_identity(12, np.pi / 2, samples=10)
         assert abs(res.binomial_sum - 2.0**-12) < 1e-14
 
     def test_closed_form_n10(self):
-        res = sp.avg_overlap_identity(10, np.pi / 3, samples=10)
+        res = pc.avg_overlap_identity(10, np.pi / 3, samples=10)
         assert abs(res.binomial_sum - 0.75**10) < 1e-12
 
     def test_monte_carlo_within_3_sigma(self):
-        res = sp.avg_overlap_identity(
+        res = pc.avg_overlap_identity(
             8, 0.3 * np.pi, samples=20_000, rng=np.random.default_rng(2)
         )
         assert abs(res.monte_carlo - res.analytic) <= 3 * res.monte_carlo_stderr
