@@ -22,7 +22,8 @@ def _env_int(name: str, default: int) -> int:
 # Dense 2^n x 2^n operators (Hamiltonians, products of clause checks).
 DENSE_CAP = _env_int("MDSAT_DENSE_CAP", 14)
 
-# Dense state vectors of length 2^n (Monte Carlo solver path).
+# Dense state vectors of length 2^n (Monte Carlo solver path, the Lanczos
+# basis of the convergence rate).
 STATE_CAP = _env_int("MDSAT_STATE_CAP", 24)
 
 # Exhaustive enumeration of all 2^n assignments.

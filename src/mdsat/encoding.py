@@ -129,12 +129,12 @@ def hamiltonian_matrix(f: Formula, theta: float) -> np.ndarray:
     return h
 
 
-def ground_space_projector(f: Formula, theta: float) -> np.ndarray:
-    """Orthogonal projector onto span of the rotated solution states.
+def ground_space_basis(f: Formula, theta: float) -> np.ndarray:
+    """Orthonormal basis Q (2^n x d_sol) of the span of the rotated solution
+    states: the QR factor of the states side by side.
 
-    Rank equals the number of satisfying assignments (the rotation preserves
-    the ground-space dimension for theta in (0, pi/2])."""
-    check_cap(f.n, DENSE_CAP, "ground-space projector")
+    Its width equals the number of satisfying assignments (the rotation
+    preserves the ground-space dimension for theta in (0, pi/2])."""
     check_angle(theta)
     sols = solution_indices(f)
     if sols.size == 0:
@@ -143,4 +143,12 @@ def ground_space_projector(f: Formula, theta: float) -> np.ndarray:
         [theta_string_state(format(int(s), f"0{f.n}b"), theta) for s in sols]
     )
     q, _ = np.linalg.qr(cols)
+    return q
+
+
+def ground_space_projector(f: Formula, theta: float) -> np.ndarray:
+    """Dense orthogonal projector Q Q^T onto the span of the rotated solution
+    states (:func:`ground_space_basis`)."""
+    check_cap(f.n, DENSE_CAP, "ground-space projector")
+    q = ground_space_basis(f, theta)
     return q @ q.T

@@ -119,6 +119,12 @@ class Formula:
                 raise ValueError(f"clause wider than declared k={self.k}: {c}")
             if any(l.var > self.n for l in c.literals):
                 raise ValueError(f"literal variable beyond n={self.n}: {c}")
+        # Hashed once: every Preparer cache lookup hashes the formula.  The
+        # fields are ints and bools, so the value survives pickling.
+        object.__setattr__(self, "_hash", hash((self.n, self.clauses, self.k)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def m(self) -> int:

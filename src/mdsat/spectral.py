@@ -1,4 +1,4 @@
-"""Exact spectral analysis at small n.
+"""Exact spectral analysis of the clause checks.
 
 Computes, each one way, the Hamiltonian gap, the uniform gap over clause
 subsets, the empirical convergence rate mu of the check product, the
@@ -7,6 +7,12 @@ the layer images; :func:`spectral_report` gathers them with the slack of every
 inequality that ties them together: the detectability lemma (upper) and the
 quantum union bound (lower) on mu, the closed-form gap lower bound, and the
 alternating-projections speed bound.
+
+The gaps and c diagonalize dense 2^n x 2^n matrices, so they stop at
+DENSE_CAP.  mu is the top singular value of the check product off the ground
+space, from a thick-restart Lanczos eigensolver that only needs products with
+vectors: above n = _ASSEMBLE_MAX_N it applies the check kernel to one vector
+at a time and never forms the product, so it is bounded by STATE_CAP.
 """
 
 from __future__ import annotations
@@ -18,23 +24,34 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import DENSE_CAP, STATE_CAP, check_cap
 from .encoding import (
     Unsatisfiable,
     check_angle,
     clause_projectors,
     dense_projector,
+    ground_space_basis,
     ground_space_projector,
     hamiltonian_matrix,
 )
 from .formula import Formula, count_solutions
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
-from .statevec import product_operator
+from .statevec import apply_check_inplace, product_operator
 
 _ZERO_TOL = 1e-9
 _GROUND_TOL = 1e-10
 _UNIFORM_EXACT_M = 12  # largest clause count whose 2^m - 1 subsets are all solved
 _UNIFORM_SAMPLES = 512
 _SPEED_R_MAX = 10
+# Largest n whose mu operator is assembled densely.  Below it the per-vector
+# kernel is bound by Python overhead; on a 2-vCPU host one mu at
+# theta = 0.4 pi (planted_unique, m = 4.3n) took 0.10 s assembled against
+# 0.11 s per vector at n = 10, and 0.50 s against 0.13 s at n = 11.
+_ASSEMBLE_MAX_N = 10
+_LANCZOS_BASIS = 30  # Krylov vectors per restart
+_LANCZOS_KEEP = 10  # Ritz vectors kept across a restart
+_LANCZOS_TOL = 1e-13  # residual of the top Ritz pair; the operator has norm <= 1
+_LANCZOS_MAX_RESTARTS = 200
 
 
 def spectral_gap(f: Formula, theta: float) -> float:
@@ -111,15 +128,88 @@ def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
     return UniformGapEstimate(value=best, exact=False, subsets_checked=_UNIFORM_SAMPLES)
 
 
+def _lanczos_max(matvec, dim: int) -> float:
+    """Largest eigenvalue of the symmetric PSD operator ``matvec`` on R^dim,
+    of norm at most 1, by thick-restart Lanczos with full reorthogonalization.
+
+    Each restart keeps the _LANCZOS_KEEP largest Ritz vectors of a
+    _LANCZOS_BASIS-vector Krylov basis (Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 2000), so a near-degenerate top of the spectrum converges as a
+    cluster.  The start vector is drawn from PCG64(0).  Returns once the top
+    Ritz pair's residual is at most _LANCZOS_TOL; a breakdown (an invariant
+    subspace) returns the exact Ritz value, so the zero operator gives 0.0.
+    Raises LinAlgError after _LANCZOS_MAX_RESTARTS restarts.
+    """
+    size = min(_LANCZOS_BASIS, dim)
+    basis = np.empty((size + 1, dim))
+    start = np.random.Generator(np.random.PCG64(0)).standard_normal(dim)
+    basis[0] = start / np.linalg.norm(start)
+    t = np.zeros((size, size))
+    kept = 0
+    for _ in range(_LANCZOS_MAX_RESTARTS):
+        for j in range(kept, size):
+            w = matvec(basis[j])
+            for _pass in range(2):  # twice is enough (Kahan-Parlett)
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                t[j, j] += h[j]
+            beta = float(np.linalg.norm(w))
+            if beta <= _LANCZOS_TOL:
+                return float(np.linalg.eigvalsh(t[: j + 1, : j + 1])[-1])
+            basis[j + 1] = w / beta
+            if j + 1 < size:
+                t[j, j + 1] = t[j + 1, j] = beta
+        ritz, s = np.linalg.eigh(t)
+        if abs(beta * s[-1, -1]) <= _LANCZOS_TOL:
+            return float(ritz[-1])
+        kept = min(_LANCZOS_KEEP, size - 1)
+        basis[:kept] = s[:, -kept:].T @ basis[:size]
+        basis[kept] = basis[size]
+        t[:] = 0.0
+        t[:kept, :kept] = np.diag(ritz[-kept:])
+        t[kept, :kept] = t[:kept, kept] = beta * s[-1, -kept:]
+    raise np.linalg.LinAlgError(
+        f"Lanczos did not converge in {_LANCZOS_MAX_RESTARTS} restarts"
+    )
+
+
 def convergence_rate(f: Formula, theta: float, order=None) -> float:
     """mu = ||prod C_i - P_GS||_2, the contraction rate off the ground space.
 
     Satisfies ||(prod C)^r - P_GS|| <= mu^r for every r, since the product
-    commutes with P_GS and fixes it.
+    commutes with P_GS and fixes it.  With Q an orthonormal basis of the
+    ground space, prod C - P_GS = A = prod C (I - Q Q^T), and mu is the square
+    root of lambda_max(A^T A) from :func:`_lanczos_max`.  Up to n =
+    _ASSEMBLE_MAX_N (and DENSE_CAP), A is assembled densely (the check kernel
+    applied to the identity); above it, A applies the checks to one vector at
+    a time (A^T: the checks in reverse order, then I - Q Q^T) and is never
+    formed.
+
+    lambda_max is resolved to _LANCZOS_TOL (||A|| <= 1), so a mu below about
+    sqrt(_LANCZOS_TOL) ~ 3e-7 is only known to lie below it.
     """
-    t = product_operator(f, theta, order)
-    p_gs = ground_space_projector(f, theta)
-    return float(np.linalg.norm(t - p_gs, 2))
+    if f.n <= min(_ASSEMBLE_MAX_N, DENSE_CAP):
+        a = product_operator(f, theta, order) - ground_space_projector(f, theta)
+
+        def normal_matvec(v: np.ndarray) -> np.ndarray:
+            return a.T @ (a @ v)
+
+    else:
+        check_cap(f.n, STATE_CAP, "Lanczos basis")
+        q = ground_space_basis(f, theta)
+        projs = clause_projectors(f, theta)
+        checks = [projs[i] for i in (range(f.m) if order is None else order)]
+
+        def normal_matvec(v: np.ndarray) -> np.ndarray:
+            u = v - q @ (q.T @ v)
+            for proj in checks:
+                apply_check_inplace(u, proj)
+            for proj in reversed(checks):
+                apply_check_inplace(u, proj)
+            return u - q @ (q.T @ u)
+
+    # A rounding-level Rayleigh quotient of the PSD operator can come out < 0.
+    return math.sqrt(max(0.0, _lanczos_max(normal_matvec, 1 << f.n)))
 
 
 def _projector_range_basis(p: np.ndarray) -> np.ndarray:

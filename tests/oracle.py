@@ -4,7 +4,10 @@
 independently of the factorized check kernel.  ``friedrichs_angle`` takes the
 generalized Friedrichs angle from orthonormal subspace bases (the block-Gram
 route), independently of the projector-sum route of
-``mdsat.spectral.friedrichs_speed_slack``.  The rest is the naive
+``mdsat.spectral.friedrichs_speed_slack``.  ``dense_convergence_rate`` takes
+mu from a dense SVD of the assembled check product minus the ground-space
+projector, independently of the Lanczos eigensolver of
+``mdsat.spectral.convergence_rate``.  The rest is the naive
 per-measurement simulator: one projective clause (or layer) check at a time,
 with explicit branch probabilities and renormalized post-measurement states.
 """
@@ -16,9 +19,9 @@ from functools import reduce
 
 import numpy as np
 
-from mdsat.encoding import ClauseProjector
+from mdsat.encoding import ClauseProjector, ground_space_projector
 from mdsat.phf import Layer
-from mdsat.statevec import apply_check_unnormalized
+from mdsat.statevec import apply_check_unnormalized, product_operator
 
 _RENORM_DRIFT = 1e-9
 
@@ -57,6 +60,12 @@ def friedrichs_angle(subspace_bases, ambient_dim: int) -> float:
     b = np.column_stack(nonempty)
     lam_max = float(np.linalg.eigvalsh(b @ b.T)[-1])
     return min(1.0, max(0.0, (lam_max - 1.0) / (ell - 1)))
+
+
+def dense_convergence_rate(f, theta: float, order=None) -> float:
+    """mu = ||prod C_i - P_GS||_2 by a dense SVD."""
+    t = product_operator(f, theta, order)
+    return float(np.linalg.norm(t - ground_space_projector(f, theta), 2))
 
 
 def apply_projector(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:

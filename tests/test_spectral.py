@@ -1,16 +1,24 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import oracle
 import paper_checks as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdsat import encoding as enc
 from mdsat import formula as fm
 from mdsat import phf
 from mdsat import spectral as sp
 from mdsat import statevec as svec
+from mdsat.config import CapExceeded
 from mdsat.formula import UNSAT
+
+# The values the spectral-report benchmark checks mdsat against.
+SPECTRAL_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/spectral.json"
 
 
 class TestSpectralGap:
@@ -103,6 +111,89 @@ class TestConvergenceRate:
             for r in range(1, 11):
                 power = t @ power
                 assert np.linalg.norm(power - p_gs, 2) <= mu**r + 1e-9
+
+
+# Below this both sides read mu as zero: Lanczos resolves mu^2 to 1e-13, and
+# the oracle's P_GS, a QR of non-orthogonal solution states, carries rounding
+# of up to ~1e-10 near 0.1 pi with hundreds of solutions, which the oracle
+# reports as mu.
+_MU_VANISHES = 1e-6
+
+
+@st.composite
+def _mu_case(draw):
+    """(formula, theta): a random satisfiable 3-SAT formula on 3..9 qubits
+    with 1..4.3n clauses, and an angle in (0.1 pi, 0.45 pi)."""
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(1, round(4.3 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = draw(
+        st.floats(0.1 * np.pi, 0.45 * np.pi, exclude_min=True, exclude_max=True)
+    )
+    return fm.random_satisfiable(rng, n, m, 3), theta
+
+
+def _clustered_case():
+    """Spectral reference pool seed 37 at 0.1 pi, where sigma_1 - sigma_2 of
+    prod C - P_GS is 1.1e-5, with its recorded mu."""
+    ref = json.loads(SPECTRAL_REFERENCE.read_text(encoding="utf-8"))
+    entry = next(e for e in ref["instances"] if e["seed"] == 37)
+    row = next(r for r in entry["rows"] if abs(r["theta"] - 0.1 * np.pi) < 1e-12)
+    return fm.generate("planted_unique", ref["n"], ref["m"], 3, 37), row["theta"], row["mu"]
+
+
+class TestConvergenceRateMatchesDenseOracle:
+    @pytest.mark.parametrize(
+        "assemble_max_n", [sp._ASSEMBLE_MAX_N, 0], ids=["assembled", "per_vector"]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(case=_mu_case())
+    def test_random_formulas_both_orders(self, assemble_max_n, case):
+        f, theta = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sp, "_ASSEMBLE_MAX_N", assemble_max_n)
+            for order in (None, phf.layered_order(phf.build_layers(f))):
+                mu = sp.convergence_rate(f, theta, order)
+                expected = oracle.dense_convergence_rate(f, theta, order)
+                if expected < _MU_VANISHES:
+                    assert mu < _MU_VANISHES
+                else:
+                    assert abs(mu - expected) <= 1e-12
+
+    def test_n11_per_vector(self):
+        f = fm.generate("planted_unique", 11, 47, 3, 1)
+        assert f.n > sp._ASSEMBLE_MAX_N
+        theta = 0.4 * np.pi
+        mu = sp.convergence_rate(f, theta)
+        assert abs(mu - oracle.dense_convergence_rate(f, theta)) <= 1e-12
+
+    @pytest.mark.parametrize("assemble_max_n", [sp._ASSEMBLE_MAX_N, 0])
+    def test_clustered_top_matches_reference(self, monkeypatch, assemble_max_n):
+        monkeypatch.setattr(sp, "_ASSEMBLE_MAX_N", assemble_max_n)
+        f, theta, mu = _clustered_case()
+        assert abs(sp.convergence_rate(f, theta) - mu) <= 1e-10
+
+    def test_unconverged_raises(self, monkeypatch):
+        monkeypatch.setattr(sp, "_LANCZOS_MAX_RESTARTS", 1)
+        f, theta, _ = _clustered_case()
+        with pytest.raises(np.linalg.LinAlgError):
+            sp.convergence_rate(f, theta)
+
+    def test_zero_operator_gives_zero(self):
+        assert sp._lanczos_max(np.zeros_like, 64) == 0.0
+
+    def test_dense_cap_below_cutoff_takes_per_vector_route(self, monkeypatch):
+        monkeypatch.setattr(sp, "DENSE_CAP", 5)
+        f = fm.generate("planted_unique", 7, 30, 3, 1)
+        theta = 0.4 * np.pi
+        mu = sp.convergence_rate(f, theta)
+        assert abs(mu - oracle.dense_convergence_rate(f, theta)) <= 1e-12
+
+    def test_per_vector_route_checks_state_cap(self, monkeypatch):
+        monkeypatch.setattr(sp, "STATE_CAP", 10)
+        f = fm.generate("planted_unique", 11, 47, 3, 1)
+        with pytest.raises(CapExceeded):
+            sp.convergence_rate(f, 0.4 * np.pi)
 
 
 def _dl_qub(f, theta):

@@ -11,6 +11,9 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   and random_ksat 6/40 seed 4 (unsatisfiable);
 - for each, ``solve --seed 7 --no-timing --report`` with both readouts, both
   plans and each of the VARIANTS below (96 runs);
+- ``solve --theta-fraction 0.8`` with both readouts and otherwise default
+  flags on planted_unique 11/47 seed 1, whose n lies above the size up to
+  which mu is taken from an assembled operator;
 - one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
   with two trials, ``spectral`` at 0.25pi and 0.4pi, and ``phf 9 3``.
 
@@ -75,6 +78,12 @@ def main(argv: list[str]) -> int:
                     run(name, ["solve", f"{inst}.cnf", "--seed", "7", "--no-timing",
                                "--report", f"{name}.json", "--readout", readout,
                                "--plan", plan, *flags], codes)
+    run("gen-pu11-s1", ["gen", "planted_unique", "11", "-m", "47", "--seed", "1",
+                        "--out", "pu11-s1.cnf"], codes)
+    for readout in ("unique", "multiple"):
+        name = f"solve-pu11-s1-{readout}"
+        run(name, ["solve", "pu11-s1.cnf", "--seed", "7", "--no-timing", "--report",
+                   f"{name}.json", "--readout", readout, "--theta-fraction", "0.8"], codes)
     run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
                   "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
     sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
