@@ -7,10 +7,12 @@ product of perpendicular states at its support: a positive literal contributes
 |theta_perp>, a negative literal |theta_bar_perp>.  This rule reproduces, at
 theta = pi/2, the projector onto the clause's unique forbidden basis pattern.
 
-All amplitudes are real; states are stored exactly as produced by the R_Y
-formula with no re-phasing (|theta_perp> equals -|0> at theta = pi/2, which is
-irrelevant to the projectors).  Dense projectors and Hamiltonians are built by
-applying the factorized check kernel of :mod:`mdsat.statevec` to the identity.
+All amplitudes are real; states carry the sign the R_Y formula gives, with no
+re-phasing (|theta_perp> is -|0> at theta = pi/2, which is irrelevant to the
+projectors).  At theta = pi/2 the states are the exact basis vectors (the
+formula leaves ~1e-16 where 0 belongs), so the check kernel sees exact zero
+amplitudes there.  Dense projectors and Hamiltonians are built by applying
+the factorized check kernel of :mod:`mdsat.statevec` to the identity.
 """
 
 from __future__ import annotations
@@ -47,8 +49,11 @@ def single_qubit_states(theta: float):
     Pairwise overlaps: <theta|theta_perp> = <theta_bar|theta_bar_perp> = 0,
     <theta|theta_bar> = <theta_perp|theta_bar_perp> = cos(theta),
     <theta|theta_bar_perp> = <theta_bar|theta_perp> = sin(theta).
+    Exact basis vectors at theta = pi/2: (|1>, |0>, -|0>, |1>).
     """
     check_angle(theta)
+    if theta == np.pi / 2:
+        return tuple(np.array(v) for v in ([0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]))
     return (
         ry(theta) @ _PLUS,
         ry(-theta) @ _PLUS,
@@ -98,9 +103,8 @@ def clause_projectors(f: Formula, theta: float) -> tuple[ClauseProjector, ...]:
 
 def theta_string_state(assignment: str, theta: float) -> np.ndarray:
     """Rotated product state encoding ``assignment``; length 2^n, unit norm."""
-    check_angle(theta)
+    up, down, _, _ = single_qubit_states(theta)
     check_cap(len(assignment), STATE_CAP, "rotated product state")
-    up, down = ry(theta) @ _PLUS, ry(-theta) @ _PLUS
     state = np.array([1.0])
     for bit in assignment:
         state = np.kron(state, up if bit == "1" else down)

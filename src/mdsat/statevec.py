@@ -4,9 +4,11 @@ States are plain float64 arrays of length 2^n with variable 1 on the most
 significant bit, matching the assignment-string convention of
 :mod:`mdsat.formula`.  A clause check C = I - |u><u| is applied through the
 factorized rank-1 structure of its projector, in place, on any array of
-shape (2^n, *batch).  Dense operators (check products, clause projectors,
-Hamiltonians) are this same kernel applied to the identity; no Kronecker
-product or 2^n x 2^n matrix product is formed.
+shape (2^n, *batch), visiting only the support patterns on which the
+projector's amplitude is nonzero (one of 2^k at theta = pi/2).  Dense
+operators (check products, clause projectors, Hamiltonians) are this same
+kernel applied to the identity; no Kronecker product or 2^n x 2^n matrix
+product is formed.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
 
     Each support qubit gets its own length-2 axis, which splits ``psi`` into
     2^k support slices psi_b (views).  With u_b the amplitude of |u> on the
-    support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.
+    support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.  Patterns
+    with u_b exactly 0.0 are skipped, since they add nothing to w and are left
+    unchanged: at theta = pi/2 only the forbidden pattern remains, with
+    u_b = +-1, and its slice is set to exactly zero.  Below pi/2 no amplitude
+    is zero and every pattern is visited.
     """
     shape, prev = [], 0
     for q in proj.support:
@@ -40,8 +46,10 @@ def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
     t = psi.reshape(shape + [1 << (proj.n - prev), *psi.shape[1:]])
     slices, amps = [], []
     for bits in itertools.product((0, 1), repeat=proj.width):
-        slices.append(t[tuple(x for b in bits for x in (slice(None), b))])
-        amps.append(math.prod(u[b] for u, b in zip(proj.factors, bits)))
+        a = math.prod(u[b] for u, b in zip(proj.factors, bits))
+        if a != 0.0:
+            slices.append(t[tuple(x for b in bits for x in (slice(None), b))])
+            amps.append(a)
     w = amps[0] * slices[0]
     tmp = np.empty_like(w)
     for a, s in zip(amps[1:], slices[1:]):
@@ -58,11 +66,16 @@ def apply_check_unnormalized(psi: np.ndarray, proj: ClauseProjector) -> np.ndarr
 
 
 def prob_one(psi: np.ndarray, qubit: int) -> float:
-    """Probability that a computational-basis readout of ``qubit`` gives 1."""
-    n = psi.shape[0].bit_length() - 1
-    w = psi.reshape((2,) * n)
-    slab = np.take(w, 1, axis=qubit - 1)
-    return float(np.sum(slab * slab))
+    """Probability that a computational-basis readout of ``qubit`` gives 1.
+
+    The amplitudes with the qubit set form a strided view of ``psi``; for
+    qubit 1 it is the contiguous second half, reduced by one dot product.
+    """
+    half = psi.reshape(1 << (qubit - 1), 2, -1)[:, 1]
+    if half.flags.c_contiguous:
+        half = half.ravel()
+        return float(np.dot(half, half))
+    return float(np.einsum("ij,ij->", half, half))
 
 
 def sample_basis(psi: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -27,10 +27,10 @@ class TestSingleQubitStates:
 
     def test_orthogonal_limit(self):
         t, tb, tp, tbp = enc.single_qubit_states(np.pi / 2)
-        assert np.allclose(t, [0, 1], atol=1e-15)
-        assert np.allclose(tb, [1, 0], atol=1e-15)
-        assert np.allclose(tp, [-1, 0], atol=1e-15)
-        assert np.allclose(tbp, [0, 1], atol=1e-15)
+        assert np.array_equal(t, [0, 1])
+        assert np.array_equal(tb, [1, 0])
+        assert np.array_equal(tp, [-1, 0])
+        assert np.array_equal(tbp, [0, 1])
 
     @pytest.mark.parametrize("theta", THETAS)
     def test_normalized(self, theta):
@@ -109,7 +109,7 @@ class TestThetaStringState:
         state = enc.theta_string_state("011", np.pi / 2)
         expected = np.zeros(8)
         expected[int("011", 2)] = 1.0
-        assert np.allclose(state, expected, atol=1e-15)
+        assert np.array_equal(state, expected)
 
     def test_plus_state_decomposition(self):
         # |+>^n = (2(1+cos))^(-n/2) * sum_x |Theta_x>

@@ -155,6 +155,42 @@ class TestDeterministicPassSequence:
                 assert cumulative >= floor - 1e-12
 
 
+class TestProbOne:
+    def test_matches_reshape_sum_on_every_qubit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 11):
+            psi = rng.standard_normal(1 << n)
+            psi /= np.linalg.norm(psi)
+            for q in range(1, n + 1):
+                slab = psi.reshape((2,) * n)[(slice(None),) * (q - 1) + (1,)]
+                assert abs(svec.prob_one(psi, q) - np.sum(slab * slab)) <= 1e-14
+
+
+class TestKernelZeroPatterns:
+    @pytest.mark.parametrize(
+        "codes, n", [([1], 1), ([-2], 4), ([1, -3, 5], 6), ([-1, 4, -7], 7), ([2, 3], 5)]
+    )
+    def test_pi_half_zeroes_exactly_the_forbidden_slice(self, codes, n):
+        clause = Clause.from_dimacs(codes)
+        proj = enc.clause_projector(clause, np.pi / 2, n)
+        psi = np.random.default_rng(len(codes) + n).standard_normal(1 << n)
+        out = psi.copy()
+        svec.apply_check_inplace(out, proj)
+        forbidden = np.ones(1 << n, dtype=bool)
+        for lit in clause.literals:
+            bit = (np.arange(1 << n) >> (n - lit.var)) & 1
+            forbidden &= bit == (1 if lit.negated else 0)
+        assert np.all(out[forbidden] == 0.0)
+        assert np.array_equal(out[~forbidden], psi[~forbidden])
+
+    def test_no_zero_factor_entry_below_pi_half(self):
+        # Every support pattern is visited below pi/2, so the arithmetic there
+        # is the full-pattern kernel's.
+        for theta in np.linspace(0.0, np.pi / 2, 1001)[1:-1]:
+            proj = _proj([1, -2, 3], theta, 3)
+            assert all(np.all(u != 0.0) for u in proj.factors)
+
+
 class TestSampling:
     def test_branch_frequencies_match_probabilities(self):
         theta = 0.45 * np.pi
@@ -179,7 +215,8 @@ class TestSampling:
 @st.composite
 def _formula_case(draw):
     """(formula, theta, order, seed): 1-3 clauses of width 1-3 on n <= 10
-    qubits, each clause on qubit 1 or qubit n, checks in a random order."""
+    qubits, each clause on qubit 1 or qubit n, checks in a random order; theta
+    is often exactly pi/2, where the kernel skips zero-amplitude patterns."""
     n = draw(st.integers(1, 10))
     clauses = []
     for _ in range(draw(st.integers(1, 3))):
@@ -189,7 +226,8 @@ def _formula_case(draw):
         clauses.append([v if draw(st.booleans()) else -v for v in sorted(support)])
     f = fm.formula_from_dimacs_codes(n, clauses)
     order = draw(st.permutations(range(f.m)))
-    return f, draw(st.floats(0.05, np.pi / 2)), order, draw(st.integers(0, 2**32 - 1))
+    theta = draw(st.one_of(st.just(np.pi / 2), st.floats(0.05, np.pi / 2)))
+    return f, theta, order, draw(st.integers(0, 2**32 - 1))
 
 
 class TestKernelMatchesKronOracle:

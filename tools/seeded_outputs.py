@@ -15,7 +15,8 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   flags on planted_unique 11/47 seed 1, whose n lies above the size up to
   which mu is taken from an assembled operator;
 - one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
-  with two trials, ``spectral`` at 0.25pi and 0.4pi, and ``phf 9 3``.
+  with two trials, ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact
+  basis encoding), and ``phf 9 3``.
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
@@ -91,7 +92,7 @@ def main(argv: list[str]) -> int:
     run("sweep", ["sweep"] + [a for k, v in sweep.items() for a in ("--set", f"{k}={v}")], codes)
     run("gen-spectral", ["gen", "planted_unique", "6", "-m", "26", "--seed", "5",
                          "--out", "spectral.cnf"], codes)
-    run("spectral", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi",
+    run("spectral", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
                      "--out", "spectral.csv"], codes)
     run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
