@@ -474,11 +474,14 @@ def readout_multiple(
             bits.append("0")
             cur = nxt
             continue
+        # Every shot prepares the same cached trajectory, so its final state
+        # and readout probability are the same for all of them.
+        p1 = prob_one(preparer.trajectory(cur, eps)[0].final_state, 1)
         total = 0
         for _ in range(shots):
-            prep = preparer.prepare(cur, eps)
+            preparer.prepare(cur, eps)
             preparer.counter.spend(1)
-            total += 1 if rng.random() < prob_one(prep.state, 1) else -1
+            total += 1 if rng.random() < p1 else -1
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
         nxt = propagate(cur, 1, value)

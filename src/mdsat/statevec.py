@@ -68,14 +68,11 @@ def apply_check_unnormalized(psi: np.ndarray, proj: ClauseProjector) -> np.ndarr
 def prob_one(psi: np.ndarray, qubit: int) -> float:
     """Probability that a computational-basis readout of ``qubit`` gives 1.
 
-    The amplitudes with the qubit set form a strided view of ``psi``; for
-    qubit 1 it is the contiguous second half, reduced by one dot product.
+    The amplitudes with the qubit set are every other block of ``psi``; for
+    qubit 1 they are its contiguous second half, which ``ravel`` keeps a view.
     """
-    half = psi.reshape(1 << (qubit - 1), 2, -1)[:, 1]
-    if half.flags.c_contiguous:
-        half = half.ravel()
-        return float(np.dot(half, half))
-    return float(np.einsum("ij,ij->", half, half))
+    half = psi.reshape(1 << (qubit - 1), 2, -1)[:, 1].ravel()
+    return float(half @ half)
 
 
 def sample_basis(psi: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -213,10 +213,9 @@ class TestSampling:
 
 
 @st.composite
-def _formula_case(draw):
+def _formula_case(draw, thetas=st.floats(0.05, np.pi / 2)):
     """(formula, theta, order, seed): 1-3 clauses of width 1-3 on n <= 10
-    qubits, each clause on qubit 1 or qubit n, checks in a random order; theta
-    is often exactly pi/2, where the kernel skips zero-amplitude patterns."""
+    qubits, each clause on qubit 1 or qubit n, checks in a random order."""
     n = draw(st.integers(1, 10))
     clauses = []
     for _ in range(draw(st.integers(1, 3))):
@@ -226,31 +225,41 @@ def _formula_case(draw):
         clauses.append([v if draw(st.booleans()) else -v for v in sorted(support)])
     f = fm.formula_from_dimacs_codes(n, clauses)
     order = draw(st.permutations(range(f.m)))
-    theta = draw(st.one_of(st.just(np.pi / 2), st.floats(0.05, np.pi / 2)))
+    theta = draw(thetas)
     return f, theta, order, draw(st.integers(0, 2**32 - 1))
+
+
+def _check_against_kron_oracle(case):
+    f, theta, order, seed = case
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(1 << f.n)
+    batch = rng.standard_normal((1 << f.n, int(rng.integers(1, 5))))
+    projs = enc.clause_projectors(f, theta)
+    expected = np.eye(1 << f.n)
+    for i in order:
+        dense = oracle.kron_projector(projs[i])
+        check = np.eye(1 << f.n) - dense
+        before = psi.copy()
+        out = svec.apply_check_unnormalized(psi, projs[i])
+        assert np.array_equal(psi, before)
+        assert np.abs(out - check @ psi).max() <= 1e-13
+        out = batch.copy()
+        svec.apply_check_inplace(out, projs[i])
+        assert np.abs(out - check @ batch).max() <= 1e-13
+        assert np.abs(enc.dense_projector(projs[i]) - dense).max() <= 1e-13
+        expected = check @ expected
+    t = svec.product_operator(f, theta, order=order)
+    assert np.abs(t - expected).max() <= 1e-12
 
 
 class TestKernelMatchesKronOracle:
     @settings(max_examples=60, deadline=None)
     @given(_formula_case())
     def test_vectors_batches_and_products(self, case):
-        f, theta, order, seed = case
-        rng = np.random.default_rng(seed)
-        psi = rng.standard_normal(1 << f.n)
-        batch = rng.standard_normal((1 << f.n, int(rng.integers(1, 5))))
-        projs = enc.clause_projectors(f, theta)
-        expected = np.eye(1 << f.n)
-        for i in order:
-            dense = oracle.kron_projector(projs[i])
-            check = np.eye(1 << f.n) - dense
-            before = psi.copy()
-            out = svec.apply_check_unnormalized(psi, projs[i])
-            assert np.array_equal(psi, before)
-            assert np.abs(out - check @ psi).max() <= 1e-13
-            out = batch.copy()
-            svec.apply_check_inplace(out, projs[i])
-            assert np.abs(out - check @ batch).max() <= 1e-13
-            assert np.abs(enc.dense_projector(projs[i]) - dense).max() <= 1e-13
-            expected = check @ expected
-        t = svec.product_operator(f, theta, order=order)
-        assert np.abs(t - expected).max() <= 1e-12
+        _check_against_kron_oracle(case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_formula_case(thetas=st.just(np.pi / 2)))
+    def test_exact_right_angle(self, case):
+        """At exactly pi/2 the kernel skips the zero-amplitude patterns."""
+        _check_against_kron_oracle(case)
