@@ -11,8 +11,12 @@ All amplitudes are real; states carry the sign the R_Y formula gives, with no
 re-phasing (|theta_perp> is -|0> at theta = pi/2, which is irrelevant to the
 projectors).  At theta = pi/2 the states are the exact basis vectors (the
 formula leaves ~1e-16 where 0 belongs), so the check kernel sees exact zero
-amplitudes there.  Dense projectors and Hamiltonians are built by applying
-the factorized check kernel of :mod:`mdsat.statevec` to the identity.
+amplitudes there.  Below pi/2 :func:`sparse_frame` gives each qubit an
+orthogonal 2x2 frame that maps the perpendicular state of its majority
+literal sign to exactly |0>, so the factors of those literals are exact basis
+vectors too; the solver's trajectory runs in that frame.  Dense projectors
+and Hamiltonians are built by applying the factorized check kernel of
+:mod:`mdsat.statevec` to the identity.
 """
 
 from __future__ import annotations
@@ -99,6 +103,48 @@ def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:
 
 def clause_projectors(f: Formula, theta: float) -> tuple[ClauseProjector, ...]:
     return tuple(clause_projector(c, theta, f.n) for c in f.clauses)
+
+
+def sparse_frame(f: Formula, theta: float):
+    """(bases, projectors): a per-qubit orthogonal frame and ``f``'s clause
+    projectors written in it.
+
+    ``bases[q - 1]`` is the 2x2 matrix B_q with rows (<a_perp|, <a|), where a
+    is |theta> or |theta_bar> for the literal sign that occurs most often on
+    variable q (a tie picks positive), or None for the identity: for a
+    variable that occurs nowhere, and for every variable at theta = pi/2,
+    where the projectors are those of :func:`clause_projectors`.  A state psi
+    reads (x)_q B_q psi in the frame, and a check C reads B C B^T, so every
+    pass probability is the same in both.  A majority-sign literal's factor
+    is exactly (1, 0), set here rather than computed, so the check kernel
+    skips every support pattern with a 1 on its qubit; a minority literal's
+    is B_q |s_perp> = (cos theta, +-sin theta).
+    """
+    check_angle(theta)
+    if theta == np.pi / 2:
+        return (None,) * f.n, clause_projectors(f, theta)
+    up, down, perp, bar_perp = single_qubit_states(theta)
+    counts = np.zeros((f.n, 2), dtype=np.int64)  # (positive, negative) occurrences
+    for clause in f.clauses:
+        for lit in clause.literals:
+            counts[lit.var - 1, int(lit.negated)] += 1
+    negated = counts[:, 1] > counts[:, 0]
+    bases = tuple(
+        None if not c.any() else np.array([bar_perp, down] if neg else [perp, up])
+        for c, neg in zip(counts, negated)
+    )
+    majority = np.array([1.0, 0.0])
+
+    def factor(lit):
+        if lit.negated == negated[lit.var - 1]:
+            return majority
+        return bases[lit.var - 1] @ (bar_perp if lit.negated else perp)
+
+    projs = tuple(
+        ClauseProjector(f.n, c.variables(), tuple(factor(lit) for lit in c.literals))
+        for c in f.clauses
+    )
+    return bases, projs
 
 
 def theta_string_state(assignment: str, theta: float) -> np.ndarray:

@@ -5,8 +5,11 @@ restarting from scratch whenever a check fails.  Conditioned on passing, the
 state after j checks is a fixed vector, so the whole preparation is simulated
 exactly from the all-pass trajectory: per-step pass probabilities are
 precomputed once, and the restart count follows a geometric law in the
-cumulative pass probability.  The failed attempts end at i.i.d. positions
-drawn from the first-failure distribution of the trajectory, so one
+cumulative pass probability.  The trajectory runs in the per-qubit sparse
+frame of :func:`mdsat.encoding.sparse_frame`, where the check kernel skips
+most support patterns, and is rotated back to the computational basis
+before anything reads its final state.  The failed attempts end at i.i.d.
+positions drawn from the first-failure distribution of the trajectory, so one
 multinomial draw gives how many attempts failed at each position, and with
 it their exact measurement cost, in time independent of the restart count.
 A CSV trace needs the failures in order: it gets a uniformly random
@@ -39,14 +42,23 @@ import numpy as np
 
 from . import spectral
 from .config import STATE_CAP, check_cap
-from .encoding import check_angle, clause_projectors
+from .encoding import check_angle, sparse_frame
 from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
-from .statevec import apply_check_unnormalized, plus_state, prob_one, sample_basis
+from .statevec import (
+    apply_check_unnormalized,
+    plus_state,
+    prob_one,
+    product_state,
+    rotate_qubits_inplace,
+    sample_basis,
+)
 
 _MU_ZERO = 1e-12
 _MIN_GEOMETRIC_P = 1e-12
 _MAX_READOUT_ATTEMPTS = 64
+_TINY = np.finfo(float).tiny  # smallest pass probability renormalized
+_NORM_DRIFT = 1e-10  # tolerated distance of a trajectory's final norm from 1
 
 
 class RestartsExhausted(RuntimeError):
@@ -200,14 +212,38 @@ def _plan_steps(f: Formula, plan: str) -> list[list[int]]:
     return [[i] for i in range(f.m)]
 
 
+def _frame_change(old, new) -> dict[int, np.ndarray]:
+    """Per-qubit rotations B_q(new) B_q(old)^T between two frames of
+    :func:`sparse_frame`, leaving out the qubits that are the identity in both."""
+    eye = np.eye(2)
+    return {
+        q: (eye if b_new is None else b_new) @ (eye if b_old is None else b_old).T
+        for q, (b_old, b_new) in enumerate(zip(old, new), start=1)
+        if b_old is not None or b_new is not None
+    }
+
+
 def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     """Evolve |+>^n through ``cycles`` all-pass cycles, recording the pass
     probability of every measurement.  Once a pass probability hits exactly
     zero the remaining entries are zero and the state stops evolving.  The
     measurement steps are planned once: the layer grouping does not depend on
-    the angle."""
+    the angle.
+
+    The state evolves in the sparse frame of :func:`sparse_frame`, built once
+    per angle, where most clause-projector factors are exact basis vectors
+    and the check kernel skips their zero patterns.  It starts as the product
+    of B_q|+>, turns by B_q(new) B_q(old)^T on each qubit when the angle
+    changes, and is rotated back to the computational basis at the end; pass
+    probabilities do not depend on the frame.  At theta = pi/2 every frame is
+    the identity and nothing is rotated.
+
+    A pass probability that is not finite, or positive but below the
+    smallest normal float, raises FloatingPointError instead of being
+    renormalized, as does a final state whose norm is off 1 by more than
+    1e-10.
+    """
     check_cap(f.n, STATE_CAP, "state preparation")
-    psi = plus_state(f.n)
     probs: list[float] = []
     steps = _plan_steps(f, cfg.plan)
     dead = False
@@ -216,12 +252,18 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
         if cfg.is_scheduled
         else [cfg.fixed_theta()] * cycles
     )
-    projs = None
-    last_angle = None
+    last_angle = angles[0] if angles else math.pi / 2
+    bases, projs = sparse_frame(f, last_angle)
+    if all(b is None for b in bases):
+        psi = plus_state(f.n)
+    else:
+        plus = plus_state(1)
+        psi = product_state([plus if b is None else b @ plus for b in bases])
     for angle in angles:
-        if projs is None or angle != last_angle:
-            projs = clause_projectors(f, angle)
-            last_angle = angle
+        if angle != last_angle:
+            new_bases, projs = sparse_frame(f, angle)
+            rotate_qubits_inplace(psi, _frame_change(bases, new_bases))
+            bases, last_angle = new_bases, angle
         for step in steps:
             if dead:
                 probs.append(0.0)
@@ -230,11 +272,19 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
             for ci in step:
                 out = apply_check_unnormalized(out, projs[ci])
             p = float(np.dot(out, out))
+            if not math.isfinite(p) or 0.0 < p < _TINY:
+                raise FloatingPointError(
+                    f"pass probability {p!r} at measurement {len(probs)} cannot be renormalized"
+                )
             probs.append(min(p, 1.0))
-            if p <= 0.0:
+            if p == 0.0:
                 dead = True
                 continue
             psi = np.divide(out, math.sqrt(p), out=out)  # out is a fresh array
+    rotate_qubits_inplace(psi, _frame_change(bases, (None,) * f.n))
+    norm = math.sqrt(float(np.dot(psi, psi)))
+    if not abs(norm - 1.0) <= _NORM_DRIFT:
+        raise FloatingPointError(f"final state has norm {norm!r}, not 1")
     return Trajectory(
         final_state=psi,
         step_pass_probs=np.array(probs),

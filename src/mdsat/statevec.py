@@ -28,6 +28,41 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2))
 
 
+def product_state(factors) -> np.ndarray:
+    """The product of the single-qubit states ``factors`` (qubit 1 first),
+    built in place in the one array it returns."""
+    n = len(factors)
+    check_cap(n, STATE_CAP, "product state")
+    psi = np.empty(1 << n)
+    psi[0] = 1.0
+    size = 1
+    for v in reversed(factors):  # each qubit lands on the next higher bit
+        np.multiply(psi[:size], v[1], out=psi[size : 2 * size])
+        psi[:size] *= v[0]
+        size *= 2
+    return psi
+
+
+def rotate_qubits_inplace(psi: np.ndarray, gates: dict[int, np.ndarray]) -> None:
+    """psi <- (x)_q G_q psi for a state vector ``psi``, with the real 2x2
+    ``gates[q]`` on qubit q (1-based) and the identity elsewhere.  The
+    temporaries live in two half-state buffers, allocated once per call and
+    reused for every qubit."""
+    if not gates:
+        return
+    x, y = np.empty(psi.size // 2), np.empty(psi.size // 2)
+    for q, g in gates.items():
+        t = psi.reshape(1 << (q - 1), 2, -1)
+        a, b = t[:, 0], t[:, 1]
+        xa, ya = x.reshape(a.shape), y.reshape(a.shape)
+        np.multiply(a, g[0, 0], out=xa)
+        xa += np.multiply(b, g[0, 1], out=ya)
+        np.multiply(a, g[1, 0], out=ya)
+        b *= g[1, 1]
+        b += ya
+        a[...] = xa
+
+
 def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
     """psi <- (I - |u><u|) psi for a C-contiguous ``psi`` of shape (2^n, *batch).
 
@@ -37,7 +72,8 @@ def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
     with u_b exactly 0.0 are skipped, since they add nothing to w and are left
     unchanged: at theta = pi/2 only the forbidden pattern remains, with
     u_b = +-1, and its slice is set to exactly zero.  Below pi/2 no amplitude
-    is zero and every pattern is visited.
+    of a computational-basis projector is zero and every pattern is visited;
+    in the sparse frame every majority-sign literal halves the patterns.
     """
     shape, prev = [], 0
     for q in proj.support:

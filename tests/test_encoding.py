@@ -82,6 +82,51 @@ class TestClauseProjector:
                 assert abs(w - np.sin(theta) ** 6) < 1e-12
 
 
+class TestSparseFrame:
+    # variable 1: two positive, one negative; 2: one each (tie); 3: negative
+    # only; 4: nowhere
+    f = fm.formula_from_dimacs_codes(4, [[1, 2, -3], [1, -2], [-1, -3]])
+
+    @pytest.mark.parametrize("theta", THETAS[:-1])
+    def test_bases_and_factors(self, theta):
+        t, tb, tp, tbp = enc.single_qubit_states(theta)
+        bases, projs = enc.sparse_frame(self.f, theta)
+        assert np.array_equal(bases[0], [tp, t])
+        assert np.array_equal(bases[1], [tp, t])  # a tie picks positive
+        assert np.array_equal(bases[2], [tbp, tb])
+        assert bases[3] is None
+        for b in bases[:3]:
+            assert np.abs(b @ b.T - np.eye(2)).max() < 1e-15
+        computational = enc.clause_projectors(self.f, theta)
+        for proj, comp, clause in zip(projs, computational, self.f.clauses):
+            assert proj.support == comp.support
+            for lit, u, v in zip(clause.literals, proj.factors, comp.factors):
+                b = bases[lit.var - 1]
+                if lit.negated == (lit.var == 3):  # majority sign
+                    assert np.array_equal(u, [1.0, 0.0])
+                    assert np.abs(b @ v - u).max() < 1e-15
+                else:
+                    assert np.array_equal(u, b @ v)
+                    assert abs(u[0] - np.cos(theta)) < 1e-15
+                    assert abs(abs(u[1]) - np.sin(theta)) < 1e-15
+
+    @pytest.mark.parametrize("theta", THETAS[:-1])
+    def test_projectors_are_the_rotated_projectors(self, theta):
+        bases, projs = enc.sparse_frame(self.f, theta)
+        frame = np.array([[1.0]])
+        for b in bases:
+            frame = np.kron(frame, np.eye(2) if b is None else b)
+        for proj, comp in zip(projs, enc.clause_projectors(self.f, theta)):
+            rotated = frame @ oracle.kron_projector(comp) @ frame.T
+            assert np.abs(oracle.kron_projector(proj) - rotated).max() < 1e-14
+
+    def test_identity_at_pi_half(self):
+        bases, projs = enc.sparse_frame(self.f, np.pi / 2)
+        assert bases == (None,) * 4
+        for proj, comp in zip(projs, enc.clause_projectors(self.f, np.pi / 2)):
+            assert all(np.array_equal(u, v) for u, v in zip(proj.factors, comp.factors))
+
+
 class TestThetaStringState:
     @pytest.mark.parametrize("theta", THETAS)
     def test_overlap_with_plus(self, theta):

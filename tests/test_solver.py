@@ -4,6 +4,8 @@ import time
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from mdsat import encoding as enc
@@ -11,6 +13,7 @@ from mdsat import formula as fm
 from mdsat import solver as sv
 from mdsat import spectral as sp
 from mdsat import statevec as svec
+from mdsat.phf import build_layers
 
 
 class TestCyclesRequired:
@@ -260,6 +263,112 @@ class TestPrepareState:
         with pytest.raises(sv.BudgetExhausted):
             sv.Preparer(cfg, np.random.default_rng(0), counter).prepare(f, 0.01)
         assert counter.used == 10**6
+
+
+def _angles(cfg, cycles):
+    if cfg.is_scheduled:
+        return [sv.schedule_angle(cfg.theta, c) for c in range(cycles)]
+    return [cfg.theta] * cycles
+
+
+def _steps(f, plan):
+    if plan == "layered":
+        return [list(layer.members) for layer in build_layers(f)]
+    return [[i] for i in range(f.m)]
+
+
+def _kron_trajectory(f, cfg, cycles):
+    """(pass probabilities, final state) of the all-pass evolution from dense
+    checks I - P, with P the Kronecker-chain projectors of the oracle."""
+    psi, probs = svec.plus_state(f.n), []
+    for angle in _angles(cfg, cycles):
+        eye = np.eye(1 << f.n)
+        checks = [eye - oracle.kron_projector(p) for p in enc.clause_projectors(f, angle)]
+        for step in _steps(f, cfg.plan):
+            out = psi
+            for ci in step:
+                out = checks[ci] @ out
+            probs.append(out @ out)
+            psi = out / np.sqrt(probs[-1])
+    return np.array(probs), psi
+
+
+def _computational_trajectory(f, cfg, cycles):
+    """The same evolution through the check kernel on computational-basis
+    projectors, with the trajectory's own arithmetic."""
+    psi, probs = svec.plus_state(f.n), []
+    for angle in _angles(cfg, cycles):
+        projs = enc.clause_projectors(f, angle)
+        for step in _steps(f, cfg.plan):
+            out = psi
+            for ci in step:
+                out = svec.apply_check_unnormalized(out, projs[ci])
+            p = float(np.dot(out, out))
+            probs.append(min(p, 1.0))
+            psi = np.divide(out, math.sqrt(p), out=out)
+    return np.array(probs), psi
+
+
+@st.composite
+def _trajectory_case(draw):
+    """(formula, config, cycles): a random satisfiable formula on n <= 9, an
+    angle in (0.05 pi, 0.5 pi) or exactly pi/2, either plan, and either that
+    fixed angle or a cubic schedule starting from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 9))
+    f = fm.random_satisfiable(rng, n, draw(st.integers(1, 3 * n)), min(3, n))
+    theta = draw(
+        st.one_of(
+            st.just(np.pi / 2),
+            st.floats(0.05 * np.pi, 0.5 * np.pi, exclude_min=True, exclude_max=True),
+        )
+    )
+    plan = draw(st.sampled_from(["sequential", "layered"]))
+    cycles = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return f, sv.PrepConfig(theta=sv.Schedule(c_q=cycles, theta_init=theta), plan=plan), cycles + 1
+    return f, sv.PrepConfig(theta=theta, plan=plan), cycles
+
+
+class TestTrajectoryMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_trajectory_case())
+    def test_sparse_frame_trajectory(self, case):
+        f, cfg, cycles = case
+        traj = sv.allpass_trajectory(f, cfg, cycles)
+        probs, final = _kron_trajectory(f, cfg, cycles)
+        assert np.abs(traj.step_pass_probs - probs).max() <= 1e-12
+        assert np.abs(traj.final_state - final).max() <= 1e-12
+        if all(angle == np.pi / 2 for angle in _angles(cfg, cycles)):
+            probs, final = _computational_trajectory(f, cfg, cycles)
+            assert np.array_equal(traj.step_pass_probs, probs)
+            assert np.array_equal(traj.final_state, final)
+
+
+class TestTrajectoryNumerics:
+    f = fm.formula_from_dimacs_codes(3, [[1, 2], [-2, 3], [1, -3]])
+    cfg = sv.PrepConfig(theta=0.4 * np.pi)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    @pytest.mark.parametrize("scale", [1e-160, 1e300, np.nan])
+    def test_unusable_pass_probability_raises(self, monkeypatch, scale):
+        # 1e-160 leaves a pass probability near 1e-320: positive but
+        # subnormal, too small to renormalize by; 1e300 overflows it
+        check = sv.apply_check_unnormalized
+        monkeypatch.setattr(sv, "apply_check_unnormalized", lambda psi, p: check(psi, p) * scale)
+        with pytest.raises(FloatingPointError, match="pass probability"):
+            sv.allpass_trajectory(self.f, self.cfg, 2)
+
+    def test_final_norm_drift_raises(self, monkeypatch):
+        rotate = sv.rotate_qubits_inplace
+
+        def drifting_rotate(psi, gates):
+            rotate(psi, gates)
+            psi *= 1.0 + 1e-9
+
+        monkeypatch.setattr(sv, "rotate_qubits_inplace", drifting_rotate)
+        with pytest.raises(FloatingPointError, match="norm"):
+            sv.allpass_trajectory(self.f, self.cfg, 2)
 
 
 class TestReadoutUnique:

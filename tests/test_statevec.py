@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import oracle
 import paper_checks as pc
@@ -263,3 +265,64 @@ class TestKernelMatchesKronOracle:
     def test_exact_right_angle(self, case):
         """At exactly pi/2 the kernel skips the zero-amplitude patterns."""
         _check_against_kron_oracle(case)
+
+
+_BASIS_FACTORS = ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0])
+
+
+@st.composite
+def _mixed_sparsity_case(draw):
+    """(projector, seed): a rank-1 projector on 1-4 qubits of n <= 10 whose
+    factors mix exact basis vectors with generic unit 2-vectors; with two or
+    more factors, the first is a basis vector and the last is generic."""
+    n = draw(st.integers(1, 10))
+    support = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=min(n, 4))))
+    sparse = draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support)))
+    if len(support) > 1:
+        sparse[0], sparse[-1] = True, False
+    factors = []
+    for is_basis in sparse:
+        if is_basis:
+            factors.append(np.array(draw(st.sampled_from(_BASIS_FACTORS))))
+        else:
+            phi = draw(st.floats(0.0, 2 * np.pi))
+            factors.append(np.array([np.cos(phi), np.sin(phi)]))
+    proj = enc.ClauseProjector(n=n, support=tuple(support), factors=tuple(factors))
+    return proj, draw(st.integers(0, 2**32 - 1))
+
+
+class TestKernelMixedSparsity:
+    @settings(max_examples=60, deadline=None)
+    @given(_mixed_sparsity_case())
+    def test_matches_kron_oracle(self, case):
+        """Basis-vector factors make the kernel skip some support patterns
+        and visit the others (the sparse frame's partial skip)."""
+        proj, seed = case
+        rng = np.random.default_rng(seed)
+        check = np.eye(1 << proj.n) - oracle.kron_projector(proj)
+        psi = rng.standard_normal(1 << proj.n)
+        batch = rng.standard_normal((1 << proj.n, int(rng.integers(1, 5))))
+        for x in (psi, batch):
+            out = x.copy()
+            svec.apply_check_inplace(out, proj)
+            assert np.abs(out - check @ x).max() <= 1e-13
+
+
+class TestFrameHelpers:
+    def test_product_state_matches_kron(self):
+        rng = np.random.default_rng(5)
+        for n in range(0, 9):
+            factors = [rng.standard_normal(2) for _ in range(n)]
+            expected = reduce(np.kron, factors, np.array([1.0]))
+            assert np.abs(svec.product_state(factors) - expected).max() <= 1e-15
+
+    def test_rotate_qubits_matches_kron(self):
+        rng = np.random.default_rng(6)
+        for n in range(1, 9):
+            qubits = rng.choice(np.arange(1, n + 1), size=int(rng.integers(0, n + 1)), replace=False)
+            gates = {int(q): rng.standard_normal((2, 2)) for q in qubits}
+            dense = reduce(np.kron, [gates.get(q, np.eye(2)) for q in range(1, n + 1)], np.eye(1))
+            psi = rng.standard_normal(1 << n)
+            out = psi.copy()
+            svec.rotate_qubits_inplace(out, gates)
+            assert np.abs(out - dense @ psi).max() <= 1e-13

@@ -14,6 +14,9 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - ``solve --theta-fraction 0.8`` with both readouts and otherwise default
   flags on planted_unique 11/47 seed 1, whose n lies above the size up to
   which mu is taken from an assembled operator;
+- ``solve --mu-source user --mu 0.6 --theta-fraction 0.8 --readout unique``
+  with both plans on planted_unique 13/56 seed 1, a sparse-frame trajectory
+  above n = 11;
 - one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
   with two trials, ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact
   basis encoding), and ``phf 9 3``.
@@ -85,6 +88,13 @@ def main(argv: list[str]) -> int:
         name = f"solve-pu11-s1-{readout}"
         run(name, ["solve", "pu11-s1.cnf", "--seed", "7", "--no-timing", "--report",
                    f"{name}.json", "--readout", readout, "--theta-fraction", "0.8"], codes)
+    run("gen-pu13-s1", ["gen", "planted_unique", "13", "-m", "56", "--seed", "1",
+                        "--out", "pu13-s1.cnf"], codes)
+    for plan in ("sequential", "layered"):
+        name = f"solve-pu13-s1-{plan}"
+        run(name, ["solve", "pu13-s1.cnf", "--seed", "7", "--no-timing", "--report",
+                   f"{name}.json", "--mu-source", "user", "--mu", "0.6", "--theta-fraction",
+                   "0.8", "--readout", "unique", "--plan", plan], codes)
     run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
                   "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
     sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
