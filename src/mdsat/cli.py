@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
             budget=args.budget,
             trace_file=args.trace,
         )
-    except (CapExceeded, ValueError) as exc:
+    except (CapExceeded, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report.status == "SAT":
@@ -231,6 +231,7 @@ def _sweep_row(task) -> dict:
         "assignment": "",
         "error": "",
     }
+    theta = None
     try:
         instance_seed = cfg.seed * 1_000_003 + n
         f = fm.generate(cfg.kind, n, m, cfg.k, instance_seed)
@@ -244,10 +245,11 @@ def _sweep_row(task) -> dict:
             mode=cfg.mode,
             plan=cfg.plan,
         )
-    except (CapExceeded, ValueError) as exc:
-        # cap violations and bad per-row parameters are reported, not fatal
-        base["error"] = str(exc)
-        return base
+    except (CapExceeded, ValueError, FloatingPointError) as exc:
+        # cap violations, bad per-row parameters and numerics failures are
+        # reported, not fatal; the row keeps its angle once it is known, so
+        # that it sorts among the rows of the same angle
+        return {**base, "theta": theta, "error": str(exc)}
     return {
         **base,
         "m": f.m,

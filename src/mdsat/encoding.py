@@ -5,7 +5,10 @@ for a rotation angle theta in (0, pi/2]; at theta = pi/2 this is the standard
 computational-basis encoding.  Each clause becomes a rank-1 projector onto the
 product of perpendicular states at its support: a positive literal contributes
 |theta_perp>, a negative literal |theta_bar_perp>.  This rule reproduces, at
-theta = pi/2, the projector onto the clause's unique forbidden basis pattern.
+theta = pi/2, the projector onto the clause's unique forbidden basis pattern,
+the assignment that :func:`mdsat.formula.clause_mask` writes as bits.  Which
+projectors commute depends on those assignments alone and is decided in
+:mod:`mdsat.phf`, not here.
 
 All amplitudes are real; states carry the sign the R_Y formula gives, with no
 re-phasing (|theta_perp> is -|0> at theta = pi/2, which is irrelevant to the
@@ -77,19 +80,6 @@ class ClauseProjector:
     @property
     def width(self) -> int:
         return len(self.support)
-
-
-def clause_compat_string(clause: Clause, n: int) -> str:
-    """The clause's length-n compatibility string over {0,1,I}: the forbidden
-    assignment bit on the support ('0' for a positive literal, '1' for a
-    negative one), 'I' elsewhere.  Two clause projectors commute iff their
-    compatibility strings are compatible (:func:`mdsat.phf.compatible`)."""
-    chars = ["I"] * n
-    for lit in clause.literals:
-        if lit.var > n:
-            raise ValueError(f"literal variable {lit.var} beyond n={n}")
-        chars[lit.var - 1] = "1" if lit.negated else "0"
-    return "".join(chars)
 
 
 def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:

@@ -242,17 +242,18 @@ def assignment_to_index(assignment: str) -> int:
     return int(assignment, 2) if assignment else 0
 
 
-def _clause_mask(c: Clause, n: int) -> tuple[int, int]:
-    """(mask, pattern) such that index x violates ``c`` iff
-    x & mask == pattern.  Variable i occupies bit n-i (big-endian)."""
+def clause_mask(c: Clause, n: int) -> tuple[int, int]:
+    """(mask, forbidden): the clause's support and its one forbidden
+    assignment as n-bit integers, so that index x violates ``c`` iff
+    x & mask == forbidden.  Variable i occupies bit n-i (big-endian)."""
     mask = 0
-    pat = 0
+    forbidden = 0
     for l in c.literals:
         bit = 1 << (n - l.var)
         mask |= bit
         if l.negated:  # violated when the variable is TRUE
-            pat |= bit
-    return mask, pat
+            forbidden |= bit
+    return mask, forbidden
 
 
 def solution_indices(f: Formula) -> np.ndarray:
@@ -266,9 +267,9 @@ def solution_indices(f: Formula) -> np.ndarray:
     ok = np.ones(idx.shape, dtype=bool)
     tmp = np.empty_like(idx)
     for c in f.clauses:
-        mask, pat = _clause_mask(c, f.n)
+        mask, forbidden = clause_mask(c, f.n)
         np.bitwise_and(idx, mask, out=tmp)
-        ok &= tmp != pat
+        ok &= tmp != forbidden
     return np.flatnonzero(ok)  # idx[i] == i
 
 
@@ -367,8 +368,8 @@ def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -
             sorted(Literal(v, spurious[v - 1] == "1") for v in pick)
         )  # violated by `spurious`, satisfied by the plant on the diff variable
         clauses.append(Clause(lits))
-        mask, pat = _clause_mask(clauses[-1], n)
-        sols = sols[(sols & mask) != pat]
+        mask, forbidden = clause_mask(clauses[-1], n)
+        sols = sols[(sols & mask) != forbidden]
     raise GenerationError(
         f"planted_unique(n={n}, m={m}, k={k}) not unique after {_MAX_ATTEMPTS} attempts"
     )

@@ -5,10 +5,13 @@ that every size-k column subset has at least one row with pairwise distinct
 entries.  The deterministic greedy density construction fills each new row
 entry by entry, maximizing the expected number of newly separated subsets.
 
-Layers group clause checks whose compatibility strings agree with a common
-binary pattern; all checks in a layer act with identical factors on shared
-qubits and therefore commute, so the whole layer is one projective
-measurement.
+A clause's forbidden assignment is the (mask, forbidden) bit pair of
+:func:`mdsat.formula.clause_mask`.  Two clause checks commute iff their
+forbidden assignments agree on the variables they share, and at generic
+angles only then.  Layers group checks whose forbidden assignments agree with
+a common n-bit pattern on their supports; all checks in a layer act with
+identical factors on shared qubits and therefore commute, so the whole layer
+is one projective measurement.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import clause_compat_string
-from .formula import Formula
+from .formula import Formula, clause_mask
 
 
 # Largest C(n, k) the greedy construction enumerates.
@@ -107,44 +109,39 @@ def save_phf(rows: np.ndarray) -> str:
     return "\n".join(" ".join(str(int(x)) for x in row) for row in rows) + "\n"
 
 
-def compatible(s1: str, s2: str) -> bool:
-    """True iff the strings agree wherever neither has an 'I'."""
-    if len(s1) != len(s2):
-        raise ValueError("length mismatch")
-    return all(a == b or a == "I" or b == "I" for a, b in zip(s1, s2))
-
-
 @dataclass(frozen=True)
 class Layer:
     """A set of mutually commuting clause checks, one projective measurement."""
 
-    pattern: str  # length-n binary compatibility pattern
+    pattern: int  # n-bit pattern every member's forbidden assignment agrees with
     members: tuple[int, ...]  # clause indices
 
 
-def candidate_patterns(n: int, k: int) -> list[str]:
-    """The 2^k * N binary patterns induced by a perfect hash family: each hash
-    function combined with each symbol-to-bit map, in construction order."""
+def candidate_patterns(n: int, k: int) -> list[int]:
+    """The 2^k * N n-bit patterns induced by a perfect hash family: each hash
+    function combined with each symbol-to-bit map, in construction order.
+    Variable i sits on bit n-i, as in :func:`mdsat.formula.clause_mask`."""
     if k <= 1:
         # Single-literal checks on distinct variables always commute; the two
         # constant patterns cover both polarities.
-        return ["0" * n, "1" * n]
+        return [0, (1 << n) - 1]
     rows = density_algorithm(n, k)
     patterns = []
     for row in rows:
         for bits in itertools.product("01", repeat=k):
-            patterns.append("".join(bits[sym - 1] for sym in row))
+            patterns.append(int("".join(bits[sym - 1] for sym in row), 2))
     return patterns
 
 
 def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
     """Group the clause checks of ``f`` into commuting layers.
 
-    Each clause joins the first compatible candidate pattern; empty layers
-    are dropped.  A verified perfect hash family guarantees every clause a
-    slot, so no clause is ever left over.  ``theta`` does not influence the
-    grouping (compatibility is structural) and is accepted for symmetry with
-    the other per-angle constructors.
+    Each clause joins the first candidate pattern that its forbidden
+    assignment agrees with on its support; empty layers are dropped.  A
+    verified perfect hash family guarantees every clause a slot, so no clause
+    is ever left over.  ``theta`` does not influence the grouping (commutation
+    is structural) and is accepted for symmetry with the other per-angle
+    constructors.
     """
     if f.m == 0:
         return []
@@ -152,12 +149,12 @@ def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
     k_eff = max(1, min(f.n, max(f.k, width)))
     if width > k_eff:
         raise ValueError(f"clause width {width} exceeds effective k {k_eff}")
-    compat_strings = [clause_compat_string(c, f.n) for c in f.clauses]
     patterns = candidate_patterns(f.n, k_eff)
     members: dict[int, list[int]] = {}
-    for ci, s in enumerate(compat_strings):
+    for ci, c in enumerate(f.clauses):
+        mask, forbidden = clause_mask(c, f.n)
         for pi, pattern in enumerate(patterns):
-            if compatible(s, pattern):
+            if (pattern ^ forbidden) & mask == 0:
                 members.setdefault(pi, []).append(ci)
                 break
         else:
@@ -176,12 +173,12 @@ def layered_order(layers) -> list[int]:
 
 
 def noncommuting_degree(f: Formula) -> int:
-    """g: the maximum number of checks any single check fails to commute with."""
-    strings = [clause_compat_string(c, f.n) for c in f.clauses]
-    g = 0
-    for i in range(f.m):
-        count = sum(
-            1 for j in range(f.m) if j != i and not compatible(strings[i], strings[j])
-        )
-        g = max(g, count)
-    return g
+    """g: the maximum number of checks any single check fails to commute with.
+
+    Checks i and j fail to commute iff their forbidden assignments differ on a
+    shared variable; a check always commutes with itself."""
+    masks = [clause_mask(c, f.n) for c in f.clauses]
+    return max(
+        (sum(1 for mj, fj in masks if (fi ^ fj) & mi & mj) for mi, fi in masks),
+        default=0,
+    )

@@ -47,6 +47,7 @@ from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
     apply_check_unnormalized,
+    basis_cdf,
     plus_state,
     prob_one,
     product_state,
@@ -482,13 +483,18 @@ def readout_unique(
     preparer: Preparer,
 ) -> str:
     """Majority-vote readout; requires the caller's promise of a unique
-    solution.  The returned assignment is verified against the formula."""
+    solution.  Each copy is one preparation and one full basis readout, drawn
+    from a CDF built once per call.  The returned assignment is verified
+    against the formula."""
     eps, copies = unique_readout_parameters(theta, f.n, delta)
+    # Every copy prepares the same cached trajectory, so its final state and
+    # readout distribution are the same for all of them.
+    cdf = basis_cdf(preparer.trajectory(f, eps)[0].final_state)
     votes = np.zeros(f.n, dtype=np.int64)
     for _ in range(copies):
-        prep = preparer.prepare(f, eps)
+        preparer.prepare(f, eps)
         preparer.counter.spend(f.n)
-        index = int(sample_basis(prep.state, rng, 1)[0])
+        index = int(sample_basis(cdf, rng, 1)[0])
         bits = np.array([(index >> (f.n - q)) & 1 for q in range(1, f.n + 1)])
         votes += 2 * bits - 1  # outcome +1 on |1>, -1 on |0>
     assignment = "".join("1" if v > 0 else "0" for v in votes)  # tie -> FALSE

@@ -111,11 +111,25 @@ def prob_one(psi: np.ndarray, qubit: int) -> float:
     return float(half @ half)
 
 
-def sample_basis(psi: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Sample ``size`` full computational-basis measurement outcomes (indices)."""
+def basis_cdf(psi: np.ndarray) -> np.ndarray:
+    """Normalized cumulative distribution of a full computational-basis
+    readout of ``psi``, built as ``Generator.choice`` builds it from
+    p = psi^2 / |psi|^2.  A state whose squared norm is not finite and
+    positive raises FloatingPointError."""
     p = psi * psi
     total = p.sum()
-    return rng.choice(psi.shape[0], size=size, p=p / total)
+    if not (np.isfinite(total) and total > 0.0):
+        raise FloatingPointError(f"state has squared norm {total!r}")
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_basis(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sample ``size`` full computational-basis measurement outcomes (indices)
+    from a :func:`basis_cdf`.  Draws the same indices, and leaves ``rng`` in
+    the same state, as ``rng.choice(len(cdf), size, p=psi^2 / |psi|^2)``."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def product_operator(f: Formula, theta: float, order=None) -> np.ndarray:

@@ -5,6 +5,22 @@ import pytest
 
 from mdsat import cli
 from mdsat import formula as fm
+from mdsat import solver
+
+
+def _fail_first_trajectory(monkeypatch):
+    """Make the first all-pass trajectory raise the FloatingPointError of a
+    numerics failure; later ones run as usual."""
+    real = solver.allpass_trajectory
+    calls = []
+
+    def allpass_trajectory(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise FloatingPointError("pass probability nan is not finite")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "allpass_trajectory", allpass_trajectory)
 
 
 def run(argv):
@@ -68,6 +84,16 @@ class TestSolve:
         run(["gen", "random_ksat", "30", "-m", "20", "--seed", "1", "--out", str(cnf)])
         assert run(["solve", str(cnf), "--theta-fraction", "0.8"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_numerics_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a numerics failure is an error (exit 2), not an UNSAT verdict (exit 1)
+        cnf = tmp_path / "f.cnf"
+        run(["gen", "planted_unique", "4", "-m", "10", "--seed", "1", "--out", str(cnf)])
+        _fail_first_trajectory(monkeypatch)
+        assert run(["solve", str(cnf), "--theta-fraction", "0.8", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
 
     def test_bad_parameters_exit_two(self, tmp_path, capsys):
         assert run(["gen", "random_ksat", "2", "-m", "4", "-k", "3"]) == 2
@@ -192,6 +218,23 @@ class TestSweep:
         by_n = {int(r["n"]): r for r in rows}
         assert by_n[4]["status"] == "SAT"
         assert by_n[30]["status"] == "error" and "cap" in by_n[30]["error"]
+
+    def test_numerics_error_reported_per_row(self, tmp_path, capsys, monkeypatch):
+        # the first solve hits a numerics failure; its row reports the error
+        # under its angle, and the sweep still writes every row
+        import csv
+
+        _fail_first_trajectory(monkeypatch)
+        cfg = self._config(tmp_path, kind="planted_unique", n="4", m="10",
+                           thetas="0.4pi", trials="2")
+        assert run(["sweep", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert [r["trial"] for r in rows] == ["0", "1"]
+        assert rows[0]["status"] == "error" and "not finite" in rows[0]["error"]
+        assert rows[1]["status"] == "SAT" and rows[1]["error"] == ""
+        assert rows[0]["theta"] == rows[1]["theta"] != ""
 
     def test_worker_parallelism_deterministic(self, tmp_path, capsys):
         outs = []

@@ -53,7 +53,8 @@ class TestClauseProjector:
         assert np.allclose(proj.factors[0], perp)
         assert np.allclose(proj.factors[1], perp)
         assert np.allclose(proj.factors[2], bar_perp)
-        assert enc.clause_compat_string(clause, 6) == "0II0I1"
+        # the forbidden assignment 0@1, 0@4, 1@6 as (support, forbidden) bits
+        assert fm.clause_mask(clause, 6) == (0b100101, 0b000001)
 
     def test_pi_half_projects_forbidden_pattern(self):
         clause = Clause((Literal(1, False), Literal(4, False), Literal(6, True)))

@@ -5,6 +5,8 @@ import numpy as np
 import oracle
 import paper_checks as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdsat import encoding as enc
 from mdsat import formula as fm
@@ -79,43 +81,81 @@ class TestTextRoundtrip:
             pc.load_phf("1 2\n1\n")
 
 
+def _pair_degree(n, a, b):
+    """g of the two-clause formula (a, b): 0 iff the two checks commute."""
+    return phf.noncommuting_degree(fm.Formula(n=n, clauses=(a, b), k=3))
+
+
+@st.composite
+def _clause(draw, n, pattern=None):
+    """A clause of width 1-3 on n variables; with ``pattern`` (an n-bit int),
+    one whose forbidden assignment agrees with it on the support."""
+    width = draw(st.integers(1, min(3, n)))
+    variables = sorted(draw(st.permutations(range(1, n + 1)))[:width])
+    if pattern is None:
+        signs = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    else:
+        signs = [bool(pattern >> (n - v) & 1) for v in variables]
+    return fm.Clause(tuple(fm.Literal(v, s) for v, s in zip(variables, signs)))
+
+
+@st.composite
+def _formula(draw):
+    n = draw(st.integers(1, 5))
+    clauses = draw(st.lists(_clause(n), min_size=2, max_size=6))
+    return fm.Formula(n=n, clauses=tuple(clauses), k=3)
+
+
 class TestCompatible:
+    """Commutation read from the (mask, forbidden) pairs of clause_mask."""
+
     def test_wildcard_matching(self):
-        assert phf.compatible("11I0", "1I00")
-        assert not phf.compatible("11I0", "1I01")
+        # forbidden assignments 11I0, 1I00 and 1I01 over four variables
+        a, b, c = (
+            fm.Clause.from_dimacs(codes) for codes in ([-1, -2, 4], [-1, 3, 4], [-1, 3, -4])
+        )
+        assert fm.clause_mask(a, 4) == (0b1101, 0b1100)
+        assert fm.clause_mask(b, 4) == (0b1011, 0b1000)
+        assert fm.clause_mask(c, 4) == (0b1011, 0b1001)
+        # a and b agree on the shared variables 1 and 4; a and c differ on 4
+        assert _pair_degree(4, a, b) == 0
+        assert _pair_degree(4, a, c) == 1
 
     def test_reflexive(self):
-        for s in ("0I1", "III", "000"):
-            assert phf.compatible(s, s)
+        # a clause commutes with itself
+        for codes in ([1, -3], [2], [-1, -2, -3]):
+            c = fm.Clause.from_dimacs(codes)
+            assert _pair_degree(3, c, c) == 0
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            phf.compatible("0I", "0I1")
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_shared_binary_witness_implies_mutual(self, data):
+        # two clauses whose forbidden assignments agree with the same full
+        # pattern on their supports commute (the layer-grouping soundness fact)
+        n = data.draw(st.integers(1, 8))
+        pattern = data.draw(st.integers(0, (1 << n) - 1))
+        a = data.draw(_clause(n, pattern))
+        b = data.draw(_clause(n, pattern))
+        for c in (a, b):
+            mask, forbidden = fm.clause_mask(c, n)
+            assert (pattern ^ forbidden) & mask == 0
+        assert _pair_degree(n, a, b) == 0
 
-    def test_shared_binary_witness_implies_mutual(self):
-        # two strings compatible with the same fully binary string are
-        # compatible with each other (the layer-grouping soundness fact)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            b = "".join(rng.choice(["0", "1"], size=6))
-            x = "".join(c if rng.random() < 0.5 else "I" for c in b)
-            y = "".join(c if rng.random() < 0.5 else "I" for c in b)
-            assert phf.compatible(x, b) and phf.compatible(y, b)
-            assert phf.compatible(x, y)
-
-    def test_structural_commute_matches_dense(self):
-        theta = 0.3 * np.pi
-        f = fm.generate("random_ksat", 5, 10, 3, seed=77)
+    @settings(max_examples=60, deadline=None)
+    @given(_formula(), st.floats(0.05 * np.pi, 0.45 * np.pi))
+    def test_structural_commute_matches_dense(self, f, theta):
         projs = enc.clause_projectors(f, theta)
         dense = [oracle.kron_projector(p) for p in projs]
-        compat = [enc.clause_compat_string(c, f.n) for c in f.clauses]
-        for i in range(f.m):
-            for j in range(i + 1, f.m):
-                structurally = phf.compatible(compat[i], compat[j])
-                numerically = oracle.commutator_norm(dense[i], dense[j]) < 1e-12
-                # structural commutation is sufficient; at generic angles it
-                # is also necessary
-                assert structurally == numerically
+        degree = [0] * f.m
+        for i, j in itertools.combinations(range(f.m), 2):
+            numerically = oracle.commutator_norm(dense[i], dense[j]) < 1e-12
+            # structural commutation is sufficient; at generic angles it is
+            # also necessary
+            structurally = _pair_degree(f.n, f.clauses[i], f.clauses[j]) == 0
+            assert structurally == numerically
+            degree[i] += not numerically
+            degree[j] += not numerically
+        assert phf.noncommuting_degree(f) == max(degree)
 
 
 class TestBuildLayers:
@@ -134,9 +174,12 @@ class TestBuildLayers:
     def test_members_compatible_with_pattern(self):
         f = self._random_formula(11)
         for layer in phf.build_layers(f, self.theta):
+            assert 0 <= layer.pattern < 1 << f.n
             for ci in layer.members:
-                s = enc.clause_compat_string(f.clauses[ci], f.n)
-                assert phf.compatible(s, layer.pattern)
+                # the member's forbidden assignment agrees with the pattern on
+                # its support
+                mask, forbidden = fm.clause_mask(f.clauses[ci], f.n)
+                assert (layer.pattern ^ forbidden) & mask == 0
 
     def test_intra_layer_commutation_dense(self):
         f = self._random_formula(3, n=6, m=12)
@@ -170,6 +213,7 @@ class TestBuildLayers:
         layers = phf.build_layers(f, self.theta)
         assert sorted(ci for l in layers for ci in l.members) == list(range(6))
         assert len(layers) <= 2
+        assert phf.candidate_patterns(6, 1) == [0, (1 << 6) - 1]
 
     def test_empty_formula(self):
         assert phf.build_layers(fm.Formula(n=3, clauses=(), k=3), self.theta) == []
@@ -181,7 +225,7 @@ class TestLayerMeasurement:
     def test_singleton_layer_matches_clause_check(self):
         f = fm.formula_from_dimacs_codes(4, [[1, 2, -4]])
         projs = enc.clause_projectors(f, self.theta)
-        layer = phf.Layer(pattern="00I1", members=(0,))
+        layer = phf.Layer(pattern=0b0001, members=(0,))
         psi = svec.plus_state(4)
         p_pass, pass_state, fail_state = oracle.layer_check_probabilities(psi, layer, projs)
         p_fail_direct, p_pass_direct = oracle.clause_check_probabilities(psi, projs[0])

@@ -208,10 +208,33 @@ class TestSampling:
     def test_sample_basis_distribution(self):
         psi = enc.theta_string_state("01", 0.4 * np.pi)
         rng = np.random.default_rng(7)
-        draws = svec.sample_basis(psi, rng, 20_000)
+        draws = svec.sample_basis(svec.basis_cdf(psi), rng, 20_000)
         freq = np.bincount(draws, minlength=4) / 20_000
         expected = psi * psi
         assert np.abs(freq - expected).max() < 0.02
+
+    def test_sample_basis_matches_generator_choice(self):
+        # draws from one cached CDF equal rng.choice's, one call at a time
+        # and in bulk, and leave the generator in the same state
+        for seed, n in ((1, 3), (2, 7), (3, 10)):
+            psi = np.random.default_rng(seed).standard_normal(1 << n)
+            psi[::3] = 0.0  # zero-probability outcomes are never drawn
+            psi *= 1.7  # the readout normalizes the state itself
+            p = psi * psi
+            cdf = svec.basis_cdf(psi)
+            for size in (1, 500):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(50):
+                    got = svec.sample_basis(cdf, ours, size)
+                    want = theirs.choice(psi.shape[0], size=size, p=p / p.sum())
+                    assert np.array_equal(got, want)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert not np.any(psi[svec.sample_basis(cdf, ours, 2000)] == 0.0)
+
+    def test_basis_cdf_rejects_degenerate_state(self):
+        for bad in (np.zeros(4), np.array([np.nan, 1.0, 0.0, 0.0]), np.full(4, 1e300)):
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+                svec.basis_cdf(bad)
 
 
 @st.composite

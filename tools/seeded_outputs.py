@@ -17,9 +17,13 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - ``solve --mu-source user --mu 0.6 --theta-fraction 0.8 --readout unique``
   with both plans on planted_unique 13/56 seed 1, a sparse-frame trajectory
   above n = 11;
+- ``solve --plan layered --theta-fraction 0.8`` with both readouts on
+  unate_unique 8 seed 1 (one-literal clauses: the two constant k = 1
+  patterns) and on random_ksat 8/20 k = 2 seed 5 (k = 2 PHF patterns);
 - one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
   with two trials, ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact
-  basis encoding), and ``phf 9 3``.
+  basis encoding) on planted_unique 6/26 seed 5 and on unate 6/14 seed 2
+  (commuting checks, g = 0), and ``phf 9 3``.
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
@@ -95,6 +99,15 @@ def main(argv: list[str]) -> int:
         run(name, ["solve", "pu13-s1.cnf", "--seed", "7", "--no-timing", "--report",
                    f"{name}.json", "--mu-source", "user", "--mu", "0.6", "--theta-fraction",
                    "0.8", "--readout", "unique", "--plan", plan], codes)
+    small_k = {"uu8-s1": ["unate_unique", "8", "--seed", "1"],
+               "rk8k2-s5": ["random_ksat", "8", "-m", "20", "-k", "2", "--seed", "5"]}
+    for inst, gen_args in small_k.items():
+        run(f"gen-{inst}", ["gen", *gen_args, "--out", f"{inst}.cnf"], codes)
+        for readout in ("unique", "multiple"):
+            name = f"solve-{inst}-{readout}-layered"
+            run(name, ["solve", f"{inst}.cnf", "--seed", "7", "--no-timing", "--report",
+                       f"{name}.json", "--readout", readout, "--plan", "layered",
+                       "--theta-fraction", "0.8"], codes)
     run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
                   "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
     sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
@@ -104,6 +117,10 @@ def main(argv: list[str]) -> int:
                          "--out", "spectral.cnf"], codes)
     run("spectral", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
                      "--out", "spectral.csv"], codes)
+    run("gen-unate", ["gen", "unate", "6", "-m", "14", "--seed", "2", "--out", "unate.cnf"],
+        codes)
+    run("spectral-unate", ["spectral", "unate.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
+                           "--out", "spectral-unate.csv"], codes)
     run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
