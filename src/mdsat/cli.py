@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +22,6 @@ from . import formula as fm
 from . import phf as phfmod
 from . import solver as sv
 from . import spectral as sp
-from .config import CapExceeded
 from .encoding import Unsatisfiable
 
 SWEEP_SCHEMA = "mdsat-sweep/1"
@@ -149,7 +149,7 @@ def cmd_solve(args) -> int:
             budget=args.budget,
             trace_file=args.trace,
         )
-    except (CapExceeded, ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report.status == "SAT":
@@ -209,8 +209,8 @@ def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
             raise ValueError(f"unknown sweep config key {key!r}")
     if not cfg.n_values:
         raise ValueError("empty n range")
-    if cfg.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {cfg.trials}")
+    if min(cfg.trials, cfg.workers) < 1:
+        raise ValueError(f"trials and workers must be >= 1, got {cfg.trials}, {cfg.workers}")
     return cfg
 
 
@@ -245,8 +245,8 @@ def _sweep_row(task) -> dict:
             mode=cfg.mode,
             plan=cfg.plan,
         )
-    except (CapExceeded, ValueError, FloatingPointError) as exc:
-        # cap violations, bad per-row parameters and numerics failures are
+    except (ValueError, FloatingPointError) as exc:
+        # budget refusals, bad per-row parameters and numerics failures are
         # reported, not fatal; the row keeps its angle once it is known, so
         # that it sorts among the rows of the same angle
         return {**base, "theta": theta, "error": str(exc)}
@@ -269,8 +269,10 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         for theta_token in cfg.thetas
         for trial in range(cfg.trials)
     ]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        ctx = multiprocessing.get_context("spawn")  # fork starts every worker at once
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

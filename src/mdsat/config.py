@@ -1,39 +1,27 @@
-"""Size caps for the dense and state-vector code paths.
+"""One memory budget for the exponential code paths.
 
-Everything here is a soft limit guarding against accidental exponential
-blow-ups on a desk machine, not a correctness constraint.  Defaults can be
-overridden through environment variables.  Each cap is checked where its
-2^n-sized array is allocated.
+State vectors take 8 * 2^n bytes and dense operators 8 * 4^n, so how far the
+simulator reaches depends on memory, not on a qubit count.  Each function
+that allocates such arrays calls :func:`check_alloc` once, before it
+allocates anything large, with the bytes it holds at its peak.  The budget is
+``MDSAT_MEM_BYTES``, read at every check, and defaults to the physical
+memory.  It guards against the kernel killing the process, not correctness.
 """
 
 import os
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-# Dense 2^n x 2^n operators (Hamiltonians, products of clause checks).
-DENSE_CAP = _env_int("MDSAT_DENSE_CAP", 14)
-
-# Dense state vectors of length 2^n (Monte Carlo solver path, the Lanczos
-# basis of the convergence rate).
-STATE_CAP = _env_int("MDSAT_STATE_CAP", 24)
-
-# Exhaustive enumeration of all 2^n assignments.
-BRUTE_CAP = _env_int("MDSAT_BRUTE_CAP", 24)
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class CapExceeded(ValueError):
-    """A requested problem size exceeds the configured cap."""
+    """A requested allocation exceeds the memory budget or a fixed size limit."""
 
 
-def check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise CapExceeded(f"{what} requested for n={n}, cap is {cap}")
+def check_alloc(nbytes: int, what: str) -> None:
+    raw = os.environ.get("MDSAT_MEM_BYTES", str(_PHYSICAL_BYTES))
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"MDSAT_MEM_BYTES must be an integer, got {raw!r}") from exc
+    if nbytes > budget:
+        raise CapExceeded(f"{what} needs {nbytes} bytes; the MDSAT_MEM_BYTES budget is {budget}")

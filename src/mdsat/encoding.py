@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DENSE_CAP, STATE_CAP, check_cap
-from .formula import Clause, Formula, solution_indices
+from .config import check_alloc
+from .formula import Clause, Formula, count_solutions, solution_indices
 
 
 class Unsatisfiable(ValueError):
@@ -140,7 +140,7 @@ def sparse_frame(f: Formula, theta: float):
 def theta_string_state(assignment: str, theta: float) -> np.ndarray:
     """Rotated product state encoding ``assignment``; length 2^n, unit norm."""
     up, down, _, _ = single_qubit_states(theta)
-    check_cap(len(assignment), STATE_CAP, "rotated product state")
+    check_alloc(16 << len(assignment), "rotated product state")  # np.kron's temporaries
     state = np.array([1.0])
     for bit in assignment:
         state = np.kron(state, up if bit == "1" else down)
@@ -151,16 +151,16 @@ def dense_projector(proj: ClauseProjector) -> np.ndarray:
     """The 2^n x 2^n matrix of a clause projector, I - C(I)."""
     from .statevec import apply_check_inplace  # statevec imports this module
 
-    check_cap(proj.n, DENSE_CAP, "dense projector")
+    check_alloc(16 << 2 * proj.n, "dense projector")  # C(I) and I
     c = np.eye(1 << proj.n)
     apply_check_inplace(c, proj)
-    return np.eye(1 << proj.n) - c
+    return np.subtract(np.eye(1 << proj.n), c, out=c)
 
 
 def hamiltonian_matrix(f: Formula, theta: float) -> np.ndarray:
     """Dense H(theta) = sum of clause projectors; symmetric PSD; its kernel is
     spanned by the rotated solution states."""
-    check_cap(f.n, DENSE_CAP, "dense Hamiltonian")
+    check_alloc(24 << 2 * f.n, "dense Hamiltonian")  # the sum and one dense_projector
     check_angle(theta)
     dim = 1 << f.n
     h = np.zeros((dim, dim))
@@ -179,6 +179,7 @@ def ground_space_basis(f: Formula, theta: float) -> np.ndarray:
     sols = solution_indices(f)
     if sols.size == 0:
         raise Unsatisfiable("formula has no satisfying assignment")
+    check_alloc(sols.size * 40 << f.n, "ground-space basis")  # states, QR copies, Q
     cols = np.column_stack(
         [theta_string_state(format(int(s), f"0{f.n}b"), theta) for s in sols]
     )
@@ -188,7 +189,7 @@ def ground_space_basis(f: Formula, theta: float) -> np.ndarray:
 
 def ground_space_projector(f: Formula, theta: float) -> np.ndarray:
     """Dense orthogonal projector Q Q^T onto the span of the rotated solution
-    states (:func:`ground_space_basis`)."""
-    check_cap(f.n, DENSE_CAP, "ground-space projector")
+    states (:func:`ground_space_basis`), formed while Q is held."""
+    check_alloc((5 * count_solutions(f) + (1 << f.n)) * 8 << f.n, "ground-space projector")
     q = ground_space_basis(f, theta)
     return q @ q.T

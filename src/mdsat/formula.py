@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BRUTE_CAP, check_cap
+from .config import CapExceeded, check_alloc
 
 
 class DimacsError(ValueError):
@@ -260,9 +260,11 @@ def solution_indices(f: Formula) -> np.ndarray:
     """Sorted basis indices (int64) of all satisfying assignments (exhaustive).
 
     Enumerates on int32 indices, half the memory traffic of int64, so n is
-    limited to 31 whatever ``MDSAT_BRUTE_CAP`` says.
+    limited to 31 whatever the memory budget.
     """
-    check_cap(f.n, min(BRUTE_CAP, 31), "brute-force enumeration")
+    if f.n > 31:
+        raise CapExceeded(f"brute-force enumeration of n={f.n}: int32 indices stop at n=31")
+    check_alloc(10 << f.n, "brute-force enumeration")  # 2 int32 and 2 bool arrays
     idx = np.arange(1 << f.n, dtype=np.int32)
     ok = np.ones(idx.shape, dtype=bool)
     tmp = np.empty_like(idx)
@@ -270,7 +272,8 @@ def solution_indices(f: Formula) -> np.ndarray:
         mask, forbidden = clause_mask(c, f.n)
         np.bitwise_and(idx, mask, out=tmp)
         ok &= tmp != forbidden
-    return np.flatnonzero(ok)  # idx[i] == i
+    del idx, tmp
+    return np.flatnonzero(ok)  # position i holds index i
 
 
 def brute_force_solutions(f: Formula) -> set[str]:
@@ -342,7 +345,6 @@ def generate(
 
 
 def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -> Formula:
-    check_cap(n, BRUTE_CAP, "planted_unique uniqueness check")
     plant = "".join(rng.choice(["0", "1"], size=n))
     clauses: list[Clause] = []
     while len(clauses) < m:

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .config import STATE_CAP, check_cap
+from .config import check_alloc
 from .encoding import check_angle, sparse_frame
 from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
@@ -244,7 +244,7 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     renormalized, as does a final state whose norm is off 1 by more than
     1e-10.
     """
-    check_cap(f.n, STATE_CAP, "state preparation")
+    check_alloc(32 << f.n, "state preparation")  # the state, 2 copies, scratch
     probs: list[float] = []
     steps = _plan_steps(f, cfg.plan)
     dead = False

@@ -8,11 +8,11 @@ inequality that ties them together: the detectability lemma (upper) and the
 quantum union bound (lower) on mu, the closed-form gap lower bound, and the
 alternating-projections speed bound.
 
-The gaps and c diagonalize dense 2^n x 2^n matrices, so they stop at
-DENSE_CAP.  mu is the top singular value of the check product off the ground
-space, from a thick-restart Lanczos eigensolver that only needs products with
-vectors: above n = _ASSEMBLE_MAX_N it applies the check kernel to one vector
-at a time and never forms the product, so it is bounded by STATE_CAP.
+The gaps and c diagonalize dense 2^n x 2^n matrices, so they stop where the
+memory budget of :mod:`mdsat.config` does.  mu is the top singular value of
+the check product off the ground space, from a thick-restart Lanczos
+eigensolver that only needs products with vectors: above n = _ASSEMBLE_MAX_N
+it applies the check kernel to one vector at a time, holding vectors only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import DENSE_CAP, STATE_CAP, check_cap
+from .config import check_alloc
 from .encoding import (
     Unsatisfiable,
     check_angle,
@@ -64,6 +64,7 @@ def spectral_gap(f: Formula, theta: float) -> float:
     d_sol = count_solutions(f)
     if d_sol == 0:
         raise Unsatisfiable("no zero-energy state: formula is unsatisfiable")
+    check_alloc(24 << 2 * f.n, "spectral gap")  # as hamiltonian_matrix
     h = hamiltonian_matrix(f, theta)
     eigs = np.linalg.eigvalsh(h)
     if eigs[d_sol - 1] > _GROUND_TOL:
@@ -110,6 +111,7 @@ def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
         raise ValueError("uniform gap undefined for an empty clause list")
     if count_solutions(f) == 0:
         raise Unsatisfiable("uniform gap requires a satisfiable formula")
+    check_alloc((f.m + 2) * 8 << 2 * f.n, "uniform gap")  # m projectors, a sum, its copy
     dense = [dense_projector(p) for p in clause_projectors(f, theta)]
     if f.m <= _UNIFORM_EXACT_M:
         best = math.inf
@@ -180,22 +182,25 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     commutes with P_GS and fixes it.  With Q an orthonormal basis of the
     ground space, prod C - P_GS = A = prod C (I - Q Q^T), and mu is the square
     root of lambda_max(A^T A) from :func:`_lanczos_max`.  Up to n =
-    _ASSEMBLE_MAX_N (and DENSE_CAP), A is assembled densely (the check kernel
-    applied to the identity); above it, A applies the checks to one vector at
-    a time (A^T: the checks in reverse order, then I - Q Q^T) and is never
-    formed.
+    _ASSEMBLE_MAX_N, A is assembled densely (the check kernel applied to the
+    identity; three 2^n x 2^n matrices); above it, A applies the checks to one
+    vector at a time (A^T: the checks in reverse order, then I - Q Q^T), and
+    building Q (five vectors per solution), then the Lanczos basis and a
+    restart's Ritz vectors are the peak.
 
     lambda_max is resolved to _LANCZOS_TOL (||A|| <= 1), so a mu below about
     sqrt(_LANCZOS_TOL) ~ 3e-7 is only known to lie below it.
     """
-    if f.n <= min(_ASSEMBLE_MAX_N, DENSE_CAP):
+    if f.n <= _ASSEMBLE_MAX_N:
+        check_alloc(24 << 2 * f.n, "assembled mu operator")
         a = product_operator(f, theta, order) - ground_space_projector(f, theta)
 
         def normal_matvec(v: np.ndarray) -> np.ndarray:
             return a.T @ (a @ v)
 
     else:
-        check_cap(f.n, STATE_CAP, "Lanczos basis")
+        vectors = 5 * count_solutions(f) + _LANCZOS_BASIS + _LANCZOS_KEEP + 3
+        check_alloc(vectors * 8 << f.n, "Lanczos basis and ground-space basis")
         q = ground_space_basis(f, theta)
         projs = clause_projectors(f, theta)
         checks = [projs[i] for i in (range(f.m) if order is None else order)]
@@ -258,6 +263,7 @@ def friedrichs_speed_slack(f: Formula, theta: float):
     ell = len(layers)
     if ell < 2:
         return math.inf, 0.0, ell
+    check_alloc(48 << 2 * f.n, "Friedrichs angle and speed bound")  # six matrices
     p_gs = ground_space_projector(f, theta)
     images = -ell * p_gs
     for layer in layers:

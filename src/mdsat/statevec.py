@@ -18,13 +18,13 @@ import math
 
 import numpy as np
 
-from .config import DENSE_CAP, STATE_CAP, check_cap
+from .config import check_alloc
 from .encoding import ClauseProjector, clause_projectors
 from .formula import Formula
 
 
 def plus_state(n: int) -> np.ndarray:
-    check_cap(n, STATE_CAP, "plus state")
+    check_alloc(8 << n, "plus state")
     return np.full(1 << n, 2.0 ** (-n / 2))
 
 
@@ -32,7 +32,7 @@ def product_state(factors) -> np.ndarray:
     """The product of the single-qubit states ``factors`` (qubit 1 first),
     built in place in the one array it returns."""
     n = len(factors)
-    check_cap(n, STATE_CAP, "product state")
+    check_alloc(8 << n, "product state")
     psi = np.empty(1 << n)
     psi[0] = 1.0
     size = 1
@@ -138,7 +138,7 @@ def product_operator(f: Formula, theta: float, order=None) -> np.ndarray:
     At theta = pi/2 all checks commute and the product equals the
     ground-space projector.
     """
-    check_cap(f.n, DENSE_CAP, "dense check product")
+    check_alloc(16 << 2 * f.n, "dense check product")  # and the kernel's scratch
     projs = clause_projectors(f, theta)
     t = np.eye(1 << f.n)
     for i in range(f.m) if order is None else order:

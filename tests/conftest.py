@@ -6,6 +6,15 @@ from mdsat import formula as fm
 _ACCEPTANCE_LINES = []
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _pinned_memory_budget():
+    """Pin MDSAT_MEM_BYTES to 1 GiB, so that no test depends on the host's
+    RAM; a test that needs another budget sets its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MDSAT_MEM_BYTES", str(1 << 30))
+        yield
+
+
 def pytest_runtest_logreport(report):
     # One visible pass/fail line per acceptance criterion.
     if report.when == "call" and "test_acceptance" in report.nodeid:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdsat.config import DENSE_CAP, check_cap
+from mdsat.config import check_alloc
 from mdsat.encoding import check_angle, clause_projector, dense_projector
 from mdsat.formula import Clause, Formula
 from mdsat.statevec import prob_one
@@ -97,7 +97,7 @@ def _embedded_propagated_projectors(f: Formula, theta: float, var: int, value: b
 def monotone_update_check(f: Formula, theta: float, var: int, value: bool) -> bool:
     """PSD check of the per-step Hamiltonian replacement: over the surviving
     clauses, the propagated projector sum dominates the original one."""
-    check_cap(f.n, DENSE_CAP, "monotone update check")
+    check_alloc((2 * f.m + 4) * 8 << 2 * f.n, "monotone update check")  # the pairs, two sums
     pairs = _embedded_propagated_projectors(f, theta, var, value)
     dim = 1 << f.n
     h_before = sum((b for b, _ in pairs), np.zeros((dim, dim)))

@@ -83,7 +83,7 @@ class TestSolve:
         cnf = tmp_path / "big.cnf"
         run(["gen", "random_ksat", "30", "-m", "20", "--seed", "1", "--out", str(cnf)])
         assert run(["solve", str(cnf), "--theta-fraction", "0.8"]) == 2
-        assert "cap" in capsys.readouterr().err
+        assert "MDSAT_MEM_BYTES" in capsys.readouterr().err
 
     def test_numerics_error_exit_two(self, tmp_path, capsys, monkeypatch):
         # a numerics failure is an error (exit 2), not an UNSAT verdict (exit 1)
@@ -206,8 +206,8 @@ class TestSweep:
         assert out.exists()
 
     def test_cap_violation_reported_per_row(self, tmp_path, capsys):
-        # n=30 exceeds the enumeration cap; the row reports the error while
-        # the in-cap rows still complete
+        # n=30 enumerates 10 GiB, over the memory budget; the row reports the
+        # error while the rows that fit still complete
         import csv
 
         cfg = self._config(tmp_path, n="4,30", trials="1", thetas="0.5pi")
@@ -217,7 +217,7 @@ class TestSweep:
         rows = list(csv.DictReader(lines[1:]))
         by_n = {int(r["n"]): r for r in rows}
         assert by_n[4]["status"] == "SAT"
-        assert by_n[30]["status"] == "error" and "cap" in by_n[30]["error"]
+        assert by_n[30]["status"] == "error" and "MDSAT_MEM_BYTES" in by_n[30]["error"]
 
     def test_numerics_error_reported_per_row(self, tmp_path, capsys, monkeypatch):
         # the first solve hits a numerics failure; its row reports the error
@@ -235,6 +235,35 @@ class TestSweep:
         assert rows[0]["status"] == "error" and "not finite" in rows[0]["error"]
         assert rows[1]["status"] == "SAT" and rows[1]["error"] == ""
         assert rows[0]["theta"] == rows[1]["theta"] != ""
+
+    def test_pool_sized_by_tasks_and_spawned(self, tmp_path, capsys, monkeypatch):
+        # A stand-in executor records how the pool is opened and runs the
+        # rows in this process, so the test starts no process.
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                opened.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = self._config(tmp_path, n="4", thetas="0.5pi", trials="2")
+        assert run(["sweep", "--config", str(cfg), "--set", "workers=500"]) == 0
+        assert opened == [(2, "spawn")]  # two rows, two workers
+        assert run(["sweep", "--config", str(cfg), "--set", "trials=1",
+                    "--set", "workers=500"]) == 0
+        assert opened == [(2, "spawn")]  # one row runs in this process
+        for workers in ("0", "-3"):
+            assert run(["sweep", "--config", str(cfg), "--set", f"workers={workers}"]) == 2
+            assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_worker_parallelism_deterministic(self, tmp_path, capsys):
         outs = []

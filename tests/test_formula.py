@@ -124,11 +124,14 @@ class TestBruteForce:
             assert fm.solution_indices(f).dtype == np.int64
 
     def test_cap(self, monkeypatch):
-        with pytest.raises(CapExceeded):
-            fm.brute_force_solutions(_formula(30, [1]))
-        # int32 enumeration: refused before anything is allocated
-        monkeypatch.setattr(fm, "BRUTE_CAP", 40)
-        with pytest.raises(CapExceeded, match="cap is 31"):
+        # 10 bytes per enumerated assignment: n = 10 fits 10 KiB exactly
+        monkeypatch.setenv("MDSAT_MEM_BYTES", str(10 << 10))
+        assert fm.solution_indices(_formula(10, [1])).size == 512
+        with pytest.raises(CapExceeded, match="needs 20480 bytes; .* budget is 10240"):
+            fm.brute_force_solutions(_formula(11, [1]))
+        # int32 enumeration: refused before anything is allocated, whatever the budget
+        monkeypatch.setenv("MDSAT_MEM_BYTES", str(1 << 62))
+        with pytest.raises(CapExceeded, match="stop at n=31"):
             fm.solution_indices(_formula(32, [1]))
 
 

@@ -182,18 +182,16 @@ class TestConvergenceRateMatchesDenseOracle:
     def test_zero_operator_gives_zero(self):
         assert sp._lanczos_max(np.zeros_like, 64) == 0.0
 
-    def test_dense_cap_below_cutoff_takes_per_vector_route(self, monkeypatch):
-        monkeypatch.setattr(sp, "DENSE_CAP", 5)
-        f = fm.generate("planted_unique", 7, 30, 3, 1)
-        theta = 0.4 * np.pi
-        mu = sp.convergence_rate(f, theta)
-        assert abs(mu - oracle.dense_convergence_rate(f, theta)) <= 1e-12
-
-    def test_per_vector_route_checks_state_cap(self, monkeypatch):
-        monkeypatch.setattr(sp, "STATE_CAP", 10)
+    def test_per_vector_route_checks_budget(self, monkeypatch):
+        # one solution: five vectors while Q is built, plus the Lanczos basis,
+        # the Ritz vectors of a restart and three work vectors
         f = fm.generate("planted_unique", 11, 47, 3, 1)
-        with pytest.raises(CapExceeded):
+        need = (5 + sp._LANCZOS_BASIS + sp._LANCZOS_KEEP + 3) * 8 << 11
+        monkeypatch.setenv("MDSAT_MEM_BYTES", str(need - 1))
+        with pytest.raises(CapExceeded, match=f"Lanczos basis .* needs {need} bytes"):
             sp.convergence_rate(f, 0.4 * np.pi)
+        monkeypatch.setenv("MDSAT_MEM_BYTES", str(need))
+        assert 0.0 < sp.convergence_rate(f, 0.4 * np.pi) < 1.0
 
 
 def _dl_qub(f, theta):

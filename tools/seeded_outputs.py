@@ -23,7 +23,9 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
   with two trials, ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact
   basis encoding) on planted_unique 6/26 seed 5 and on unate 6/14 seed 2
-  (commuting checks, g = 0), and ``phf 9 3``.
+  (commuting checks, g = 0), the same ``spectral`` on planted_unique 6/26
+  seed 5 under ``MDSAT_MEM_BYTES=524288`` (the gap and mu fit, the uniform
+  gap is refused, so every row records the refusal), and ``phf 9 3``.
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
@@ -38,6 +40,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -121,6 +124,9 @@ def main(argv: list[str]) -> int:
         codes)
     run("spectral-unate", ["spectral", "unate.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
                            "--out", "spectral-unate.csv"], codes)
+    with mock.patch.dict(os.environ, MDSAT_MEM_BYTES="524288"):
+        run("spectral-budget", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
+                                "--out", "spectral-budget.csv"], codes)
     run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
