@@ -14,7 +14,7 @@ import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,21 +26,10 @@ from .encoding import Unsatisfiable
 
 SWEEP_SCHEMA = "mdsat-sweep/1"
 SPECTRAL_SCHEMA = "mdsat-spectral-sweep/1"
-# SpectralReport fields of a spectral row, in column order.
-SPECTRAL_FIELDS = (
-    "d_sol",
-    "gap",
-    "gap_lower_bound",
-    "gap_bound_slack",
-    "uniform_gap",
-    "uniform_gap_exact",
-    "mu",
-    "g",
-    "dl_slack",
-    "qub_slack",
-    "friedrichs_c",
-    "layer_count",
-    "speed_bound_slack",
+# SpectralReport fields of a spectral row, in column order: all but the
+# instance and angle (theta, n, m, k) and the free-text notes.
+SPECTRAL_FIELDS = tuple(
+    fld.name for fld in fields(sp.SpectralReport) if fld.name not in {"theta", "n", "m", "k", "notes"}
 )
 
 
@@ -329,12 +318,12 @@ def cmd_spectral(args) -> int:
                 with_uniform=not args.no_uniform,
                 with_friedrichs=not args.no_friedrichs,
             )
-            fields = {key: getattr(rep, key) for key in SPECTRAL_FIELDS}
-            rows.append({**base, "status": "ok", **fields, "error": ""})
+            values = {key: getattr(rep, key) for key in SPECTRAL_FIELDS}
+            rows.append({**base, "status": "ok", **values, "error": ""})
         except ValueError as exc:  # Unsatisfiable included
             d_sol = 0 if isinstance(exc, Unsatisfiable) else None
-            fields = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": d_sol}
-            rows.append({**base, "status": "error", **fields, "error": str(exc)})
+            values = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": d_sol}
+            rows.append({**base, "status": "error", **values, "error": str(exc)})
     if args.out:
         _write_csv(args.out, SPECTRAL_SCHEMA, rows)
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -8,6 +8,9 @@ inequality that ties them together: the detectability lemma (upper) and the
 quantum union bound (lower) on mu, the closed-form gap lower bound, and the
 alternating-projections speed bound.
 
+Every gap, of H or of a clause subset's Hamiltonian, is the first eigenvalue
+above a kernel whose dimension is that clause set's solution count.
+
 The gaps and c diagonalize dense 2^n x 2^n matrices, so they stop where the
 memory budget of :mod:`mdsat.config` does.  mu is the top singular value of
 the check product off the ground space, from a thick-restart Lanczos
@@ -34,11 +37,10 @@ from .encoding import (
     ground_space_projector,
     hamiltonian_matrix,
 )
-from .formula import Formula, count_solutions
+from .formula import Formula, clause_mask, count_solutions
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
 from .statevec import apply_check_inplace, product_operator
 
-_ZERO_TOL = 1e-9
 _GROUND_TOL = 1e-10
 _UNIFORM_EXACT_M = 12  # largest clause count whose 2^m - 1 subsets are all solved
 _UNIFORM_SAMPLES = 512
@@ -54,41 +56,33 @@ _LANCZOS_TOL = 1e-13  # residual of the top Ritz pair; the operator has norm <= 
 _LANCZOS_MAX_RESTARTS = 200
 
 
-def spectral_gap(f: Formula, theta: float) -> float:
-    """Smallest nonzero eigenvalue of H(theta).
+def _gap_above_kernel(h: np.ndarray, d: int) -> float:
+    """Smallest eigenvalue of the frustration-free clause-set Hamiltonian h
+    above its kernel, whose dimension d is the clause set's solution count,
+    so the gap is read off as the next eigenvalue rather than thresholded."""
+    eigs = np.linalg.eigvalsh(h)
+    if eigs[d - 1] > _GROUND_TOL:
+        raise AssertionError(f"ground energy {eigs[d - 1]:.3e} not frustration-free")
+    if d == eigs.size:
+        raise ValueError("Hamiltonian has no nonzero eigenvalue (no clauses)")
+    return float(eigs[d])
 
-    The kernel dimension is pinned by the brute-force solution count, so the
-    gap is read off as the next eigenvalue rather than thresholded.
-    """
+
+def spectral_gap(f: Formula, theta: float) -> float:
+    """Smallest nonzero eigenvalue of H(theta); its kernel dimension is the
+    brute-force solution count."""
     check_angle(theta)
     d_sol = count_solutions(f)
     if d_sol == 0:
         raise Unsatisfiable("no zero-energy state: formula is unsatisfiable")
     check_alloc(24 << 2 * f.n, "spectral gap")  # as hamiltonian_matrix
-    h = hamiltonian_matrix(f, theta)
-    eigs = np.linalg.eigvalsh(h)
-    if eigs[d_sol - 1] > _GROUND_TOL:
-        raise AssertionError(
-            f"ground energy {eigs[d_sol - 1]:.3e} not frustration-free"
-        )
-    if d_sol == eigs.size:
-        raise ValueError("Hamiltonian has no nonzero eigenvalue (no clauses)")
-    return float(eigs[d_sol])
+    return _gap_above_kernel(hamiltonian_matrix(f, theta), d_sol)
 
 
 def gap_lower_bound(theta: float, n: int, k: int) -> float:
     """sin^(2k)(theta) * ((1-cos theta)/(1+cos theta))^n."""
     c = math.cos(theta)
     return math.sin(theta) ** (2 * k) * ((1 - c) / (1 + c)) ** n
-
-
-def _subset_gap(projs_dense: list[np.ndarray], subset) -> float:
-    h = sum(projs_dense[i] for i in subset)
-    eigs = np.linalg.eigvalsh(h)
-    positive = eigs[eigs > _ZERO_TOL]
-    if positive.size == 0:
-        raise ValueError("subset Hamiltonian has no nonzero eigenvalue")
-    return float(positive[0])
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,8 @@ class UniformGapEstimate:
 
 
 def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
-    """Minimum gap over all nonempty clause subsets.
+    """Minimum gap over all nonempty clause subsets, each read above a kernel
+    pinned by the subset's solution count (from clause violation rows).
 
     Exact up to 12 clauses (2^m - 1 diagonalizations); beyond that the
     minimum over 512 random subsets, drawn from ``default_rng(0)`` so the
@@ -111,23 +106,26 @@ def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
         raise ValueError("uniform gap undefined for an empty clause list")
     if count_solutions(f) == 0:
         raise Unsatisfiable("uniform gap requires a satisfiable formula")
-    check_alloc((f.m + 2) * 8 << 2 * f.n, "uniform gap")  # m projectors, a sum, its copy
+    # m projectors, a sum, its copy; violation rows twice, indices, a temporary
+    check_alloc(((f.m + 2) * 8 << 2 * f.n) + ((2 * f.m + 16) << f.n), "uniform gap")
     dense = [dense_projector(p) for p in clause_projectors(f, theta)]
-    if f.m <= _UNIFORM_EXACT_M:
-        best = math.inf
-        count = 0
-        for r in range(1, f.m + 1):
-            for subset in itertools.combinations(range(f.m), r):
-                best = min(best, _subset_gap(dense, subset))
-                count += 1
-        return UniformGapEstimate(value=best, exact=True, subsets_checked=count)
-    rng = np.random.default_rng(0)
+    idx = np.arange(1 << f.n)
+    masks = [clause_mask(c, f.n) for c in f.clauses]
+    violates = np.array([(idx & mask) == forbidden for mask, forbidden in masks])
+    exact = f.m <= _UNIFORM_EXACT_M
+    if exact:
+        subsets = [s for r in range(1, f.m + 1) for s in itertools.combinations(range(f.m), r)]
+    else:
+        rng = np.random.default_rng(0)
+        subsets = [
+            rng.choice(f.m, size=int(rng.integers(1, f.m + 1)), replace=False)
+            for _ in range(_UNIFORM_SAMPLES)
+        ]
     best = math.inf
-    for _ in range(_UNIFORM_SAMPLES):
-        size = int(rng.integers(1, f.m + 1))
-        subset = rng.choice(f.m, size=size, replace=False)
-        best = min(best, _subset_gap(dense, subset))
-    return UniformGapEstimate(value=best, exact=False, subsets_checked=_UNIFORM_SAMPLES)
+    for subset in subsets:
+        d = (1 << f.n) - int(np.count_nonzero(violates[list(subset)].any(axis=0)))
+        best = min(best, _gap_above_kernel(sum(dense[i] for i in subset), d))
+    return UniformGapEstimate(value=best, exact=exact, subsets_checked=len(subsets))
 
 
 def _lanczos_max(matvec, dim: int) -> float:
@@ -263,12 +261,13 @@ def friedrichs_speed_slack(f: Formula, theta: float):
     ell = len(layers)
     if ell < 2:
         return math.inf, 0.0, ell
-    check_alloc(48 << 2 * f.n, "Friedrichs angle and speed bound")  # six matrices
+    check_alloc(40 << 2 * f.n, "Friedrichs angle and speed bound")  # five matrices
     p_gs = ground_space_projector(f, theta)
     images = -ell * p_gs
     for layer in layers:
         images += product_operator(f, theta, order=layer.members)
     lam_max = float(np.linalg.eigvalsh(images)[-1])
+    del images
     c = min(1.0, max(0.0, (lam_max - 1.0) / (ell - 1)))
     t = product_operator(f, theta, order=layered_order(layers))
     slack = math.inf

@@ -39,6 +39,16 @@ class TestSpectralGap:
                 bound = sp.gap_lower_bound(theta, f.n, f.max_width())
                 assert gap - bound >= -1e-9
 
+    def test_no_clauses_raises(self):
+        f = fm.formula_from_dimacs_codes(3, [])
+        with pytest.raises(ValueError, match="no nonzero eigenvalue"):
+            sp.spectral_gap(f, 0.3)
+
+    def test_kernel_above_ground_tolerance_raises(self):
+        # Pinned at dimension 2, the kernel's top eigenvalue is 1.
+        with pytest.raises(AssertionError, match="not frustration-free"):
+            sp._gap_above_kernel(np.diag([0.0, 1.0, 2.0]), 2)
+
     def test_unate_pi_half_gap_at_least_one(self):
         for seed in range(4):
             f = fm.generate("unate", 6, 9, 3, seed)
@@ -54,12 +64,15 @@ class TestUniformGap:
         assert est.exact and abs(est.value - 1.0) < 1e-12
 
     def test_at_most_full_gap(self, small_instances):
-        theta = 0.35 * np.pi
-        for f in small_instances[:3]:
-            if f.m > 12:
-                continue
+        # The full clause set is one of the subsets, and its summed Hamiltonian
+        # is hamiltonian_matrix bit for bit, so the exact minimum needs no
+        # tolerance.  At 0.01pi and 0.02pi the gaps lie below 1e-9.
+        cases = [(f, 0.35 * np.pi) for f in small_instances[:3] if f.m <= 12]
+        tiny_gaps = fm.generate("random_ksat", 7, 10, 3, seed=2)
+        cases += [(tiny_gaps, 0.01 * np.pi), (tiny_gaps, 0.02 * np.pi)]
+        for f, theta in cases:
             est = sp.uniform_gap(f, theta)
-            assert est.value <= sp.spectral_gap(f, theta) + 1e-9
+            assert est.exact and est.value <= sp.spectral_gap(f, theta)
 
     def test_propagated_hamiltonians_respect_uniform_gap(self):
         theta = 0.3 * np.pi
