@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             f = fm.parse_dimacs(fh.read())
-    except (OSError, fm.DimacsError) as exc:
+    except fm.DimacsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -285,7 +285,7 @@ def cmd_sweep(args) -> int:
         mapping = _load_config(args.config) if args.config else {}
         mapping.update(_split_key_value(override) for override in args.set or [])
         cfg = sweep_config_from_mapping(mapping)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = run_sweep(cfg)
@@ -298,7 +298,7 @@ def cmd_spectral(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             f = fm.parse_dimacs(fh.read())
-    except (OSError, fm.DimacsError) as exc:
+    except fm.DimacsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -410,7 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # an unreadable input or unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ formula leaves ~1e-16 where 0 belongs), so the check kernel sees exact zero
 amplitudes there.  Below pi/2 :func:`sparse_frame` gives each qubit an
 orthogonal 2x2 frame that maps the perpendicular state of its majority
 literal sign to exactly |0>, so the factors of those literals are exact basis
-vectors too; the solver's trajectory runs in that frame.  Dense projectors
-and Hamiltonians are built by applying the factorized check kernel of
+vectors too; the solver's trajectory and the per-vector convergence rate of
+:mod:`mdsat.spectral` run in that frame, entered through :func:`_frame_change`.
+Every product state is built by :func:`product_state`.  Dense projectors and
+Hamiltonians are built by applying the factorized check kernel of
 :mod:`mdsat.statevec` to the identity.
 """
 
@@ -137,14 +139,37 @@ def sparse_frame(f: Formula, theta: float):
     return bases, projs
 
 
+def _frame_change(old, new) -> dict[int, np.ndarray]:
+    """Per-qubit rotations B_q(new) B_q(old)^T between two frames of
+    :func:`sparse_frame`, ``(None,) * n`` being the computational basis,
+    leaving out the qubits that are the identity in both."""
+    eye = np.eye(2)
+    return {
+        q: (eye if b_new is None else b_new) @ (eye if b_old is None else b_old).T
+        for q, (b_old, b_new) in enumerate(zip(old, new), start=1)
+        if b_old is not None or b_new is not None
+    }
+
+
+def product_state(factors) -> np.ndarray:
+    """The product of the single-qubit states ``factors`` (qubit 1 first),
+    built in place in the one array it returns."""
+    n = len(factors)
+    check_alloc(8 << n, "product state")
+    psi = np.empty(1 << n)
+    psi[0] = 1.0
+    size = 1
+    for v in reversed(factors):  # each qubit lands on the next higher bit
+        np.multiply(psi[:size], v[1], out=psi[size : 2 * size])
+        psi[:size] *= v[0]
+        size *= 2
+    return psi
+
+
 def theta_string_state(assignment: str, theta: float) -> np.ndarray:
     """Rotated product state encoding ``assignment``; length 2^n, unit norm."""
     up, down, _, _ = single_qubit_states(theta)
-    check_alloc(16 << len(assignment), "rotated product state")  # np.kron's temporaries
-    state = np.array([1.0])
-    for bit in assignment:
-        state = np.kron(state, up if bit == "1" else down)
-    return state
+    return product_state([up if bit == "1" else down for bit in assignment])
 
 
 def dense_projector(proj: ClauseProjector) -> np.ndarray:

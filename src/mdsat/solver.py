@@ -42,7 +42,7 @@ import numpy as np
 
 from . import spectral
 from .config import check_alloc
-from .encoding import check_angle, sparse_frame
+from .encoding import _frame_change, check_angle, product_state, sparse_frame
 from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
@@ -50,7 +50,6 @@ from .statevec import (
     basis_cdf,
     plus_state,
     prob_one,
-    product_state,
     rotate_qubits_inplace,
     sample_basis,
 )
@@ -211,17 +210,6 @@ def _plan_steps(f: Formula, plan: str) -> list[list[int]]:
     if plan == "layered":
         return [list(layer.members) for layer in build_layers(f)]
     return [[i] for i in range(f.m)]
-
-
-def _frame_change(old, new) -> dict[int, np.ndarray]:
-    """Per-qubit rotations B_q(new) B_q(old)^T between two frames of
-    :func:`sparse_frame`, leaving out the qubits that are the identity in both."""
-    eye = np.eye(2)
-    return {
-        q: (eye if b_new is None else b_new) @ (eye if b_old is None else b_old).T
-        for q, (b_old, b_new) in enumerate(zip(old, new), start=1)
-        if b_old is not None or b_new is not None
-    }
 
 
 def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
@@ -565,7 +553,6 @@ class BoundReport:
     n: int
     m: int
     delta: float
-    q: int
     readout: str
     mu: float | None
     ln_inv_mu: float
@@ -582,7 +569,6 @@ def theory_bounds(
     n: int,
     m: int,
     delta: float,
-    q: int = 1,
     mu: float | None = None,
     uniform_gap: float | None = None,
     g: int | None = None,
@@ -595,8 +581,6 @@ def theory_bounds(
     gap route uses ln(1/mu) >= gap / (4 g^2).
     """
     check_angle(theta)
-    if q not in (1, 2):
-        raise ValueError("q must be 1 (default) or 2 (amplitude-amplified)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if readout not in ("unique", "multiple"):
@@ -631,15 +615,14 @@ def theory_bounds(
                 / ln_inv_mu
             ),
         )
-    amplification = (2.0 / (1.0 + math.cos(theta))) ** (n / q)
+    amplification = (2.0 / (1.0 + math.cos(theta))) ** n
     prep_cost = m * cycle_bound * math.log(1.0 / delta) * amplification
-    unrotated = m * math.log(1.0 / delta) * ((2.0**n) / d_sol) ** (1.0 / q)
+    unrotated = m * math.log(1.0 / delta) * (2.0**n / d_sol)
     return BoundReport(
         theta=theta,
         n=n,
         m=m,
         delta=delta,
-        q=q,
         readout=readout,
         mu=mu,
         ln_inv_mu=ln_inv_mu,

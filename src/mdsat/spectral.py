@@ -15,41 +15,43 @@ The gaps and c diagonalize dense 2^n x 2^n matrices, so they stop where the
 memory budget of :mod:`mdsat.config` does.  mu is the top singular value of
 the check product off the ground space, from a thick-restart Lanczos
 eigensolver that only needs products with vectors: above n = _ASSEMBLE_MAX_N
-it applies the check kernel to one vector at a time, holding vectors only.
+it applies the check kernel to one vector at a time in the solver's sparse
+frame, holding vectors only.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import check_alloc
 from .encoding import (
     Unsatisfiable,
+    _frame_change,
     check_angle,
     clause_projectors,
     dense_projector,
     ground_space_basis,
     ground_space_projector,
     hamiltonian_matrix,
+    sparse_frame,
 )
 from .formula import Formula, clause_mask, count_solutions
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
-from .statevec import apply_check_inplace, product_operator
+from .statevec import apply_check_inplace, product_operator, rotate_qubits_inplace
 
 _GROUND_TOL = 1e-10
 _UNIFORM_EXACT_M = 12  # largest clause count whose 2^m - 1 subsets are all solved
 _UNIFORM_SAMPLES = 512
 _SPEED_R_MAX = 10
-# Largest n whose mu operator is assembled densely.  Below it the per-vector
-# kernel is bound by Python overhead; on a 2-vCPU host one mu at
-# theta = 0.4 pi (planted_unique, m = 4.3n) took 0.10 s assembled against
-# 0.11 s per vector at n = 10, and 0.50 s against 0.13 s at n = 11.
-_ASSEMBLE_MAX_N = 10
+# Largest n whose mu operator is assembled densely; up to it the per-vector
+# route is bound by Python overhead.  One mu at theta = 0.4 pi on a 2-vCPU
+# host (planted_unique, m = round(4.3n), seed 1, best of 5): 0.039 s assembled
+# against 0.089 s per vector at n = 9, 0.169 s against 0.133 s at n = 10.
+_ASSEMBLE_MAX_N = 9
 _LANCZOS_BASIS = 30  # Krylov vectors per restart
 _LANCZOS_KEEP = 10  # Ritz vectors kept across a restart
 _LANCZOS_TOL = 1e-13  # residual of the top Ritz pair; the operator has norm <= 1
@@ -184,7 +186,9 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     identity; three 2^n x 2^n matrices); above it, A applies the checks to one
     vector at a time (A^T: the checks in reverse order, then I - Q Q^T), and
     building Q (five vectors per solution), then the Lanczos basis and a
-    restart's Ritz vectors are the peak.
+    restart's Ritz vectors are the peak.  That route runs in the sparse frame
+    of :func:`mdsat.encoding.sparse_frame`, with Q rotated into it in place;
+    the frame is orthogonal, so mu is the same in both.
 
     lambda_max is resolved to _LANCZOS_TOL (||A|| <= 1), so a mu below about
     sqrt(_LANCZOS_TOL) ~ 3e-7 is only known to lie below it.
@@ -199,8 +203,9 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     else:
         vectors = 5 * count_solutions(f) + _LANCZOS_BASIS + _LANCZOS_KEEP + 3
         check_alloc(vectors * 8 << f.n, "Lanczos basis and ground-space basis")
+        bases, projs = sparse_frame(f, theta)
         q = ground_space_basis(f, theta)
-        projs = clause_projectors(f, theta)
+        rotate_qubits_inplace(q, _frame_change((None,) * f.n, bases))
         checks = [projs[i] for i in (range(f.m) if order is None else order)]
 
         def normal_matvec(v: np.ndarray) -> np.ndarray:
@@ -301,9 +306,6 @@ class SpectralReport:
     layer_count: int | None = None
     speed_bound_slack: float | None = None
     notes: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({"schema": "mdsat-spectral/1", **asdict(self)}, indent=2)
 
 
 def spectral_report(

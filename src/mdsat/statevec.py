@@ -28,26 +28,11 @@ def plus_state(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2))
 
 
-def product_state(factors) -> np.ndarray:
-    """The product of the single-qubit states ``factors`` (qubit 1 first),
-    built in place in the one array it returns."""
-    n = len(factors)
-    check_alloc(8 << n, "product state")
-    psi = np.empty(1 << n)
-    psi[0] = 1.0
-    size = 1
-    for v in reversed(factors):  # each qubit lands on the next higher bit
-        np.multiply(psi[:size], v[1], out=psi[size : 2 * size])
-        psi[:size] *= v[0]
-        size *= 2
-    return psi
-
-
 def rotate_qubits_inplace(psi: np.ndarray, gates: dict[int, np.ndarray]) -> None:
-    """psi <- (x)_q G_q psi for a state vector ``psi``, with the real 2x2
-    ``gates[q]`` on qubit q (1-based) and the identity elsewhere.  The
-    temporaries live in two half-state buffers, allocated once per call and
-    reused for every qubit."""
+    """psi <- (x)_q G_q psi for a C-contiguous ``psi`` of shape (2^n, *batch),
+    with the real 2x2 ``gates[q]`` on qubit q (1-based) and the identity
+    elsewhere.  The temporaries live in two half-size buffers, allocated once
+    per call and reused for every qubit."""
     if not gates:
         return
     x, y = np.empty(psi.size // 2), np.empty(psi.size // 2)

@@ -38,13 +38,13 @@ def _pu(n, m):
     return _formula("planted_unique", n, m, 1)
 
 
-# (what the refusal names, the call); each call needs far more than
-# REFUSAL_BUDGET and its inputs are built before memory is traced.
+# (what the refusal names, the call); each call needs far more than its
+# budget, REFUSAL_BUDGET unless BUDGETS names another, and its inputs are
+# built before memory is traced.
 REFUSALS = {
     "brute-force enumeration": lambda: (fm.solution_indices, _formula("random_ksat", 24, 10, 1)),
     "plus state": lambda: (svec.plus_state, 24),
-    "product state": lambda: (svec.product_state, [np.array([0.6, 0.8])] * 24),
-    "rotated product state": lambda: (enc.theta_string_state, "10" * 12, THETA),
+    "product state": lambda: (enc.product_state, [np.array([0.6, 0.8])] * 24),
     "state preparation": lambda: (
         sv.allpass_trajectory, _formula("random_ksat", 26, 20, 1),
         sv.PrepConfig(theta=THETA, mu_source="user", mu=0.5), 1,
@@ -52,7 +52,9 @@ REFUSALS = {
     "ground-space basis": lambda: (enc.ground_space_basis, _rk16(), THETA),
     "ground-space projector": lambda: (enc.ground_space_projector, _pu(12, 52), THETA),
     "Lanczos basis and ground-space basis": lambda: (sp.convergence_rate, _rk16(), THETA),
-    "assembled mu operator": lambda: (sp.convergence_rate, _pu(10, 43), THETA),
+    "assembled mu operator": lambda: (
+        sp.convergence_rate, _pu(sp._ASSEMBLE_MAX_N, round(4.3 * sp._ASSEMBLE_MAX_N)), THETA,
+    ),
     "dense check product": lambda: (svec.product_operator, _pu(12, 52), THETA),
     "dense projector": lambda: (enc.dense_projector, enc.clause_projectors(_pu(12, 52), THETA)[0]),
     "dense Hamiltonian": lambda: (enc.hamiltonian_matrix, _pu(12, 52), THETA),
@@ -60,15 +62,19 @@ REFUSALS = {
     "uniform gap": lambda: (sp.uniform_gap, _pu(11, 47), THETA),
     "Friedrichs angle and speed bound": lambda: (sp.friedrichs_speed_slack, _pu(12, 52), THETA),
 }
+# The assembled operator at the largest n that assembles it, 24 * 4^n bytes
+# (6 MiB at n = 9), fits in REFUSAL_BUDGET.
+BUDGETS = {"assembled mu operator": 1 << 20}
 
 
 @pytest.mark.parametrize("what", list(REFUSALS))
 def test_refused_before_anything_large_is_allocated(what, monkeypatch):
     fn, *args = REFUSALS[what]()
-    monkeypatch.setenv("MDSAT_MEM_BYTES", str(REFUSAL_BUDGET))
+    budget = BUDGETS.get(what, REFUSAL_BUDGET)
+    monkeypatch.setenv("MDSAT_MEM_BYTES", str(budget))
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceeded, match=f"^{what} needs \\d+ bytes; .* is {REFUSAL_BUDGET}$"):
+        with pytest.raises(CapExceeded, match=f"^{what} needs \\d+ bytes; .* is {budget}$"):
             fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -335,3 +335,25 @@ class TestPhfCmd:
         assert "verified=true" in printed
         rows = pc.load_phf(out.read_text())
         assert rows.shape[0] <= 19 and rows.shape[1] == 10
+
+
+@pytest.mark.parametrize(
+    "command", ["gen", "solve --report", "solve --trace", "sweep", "spectral", "phf"]
+)
+def test_unwritable_output_exits_two(command, tmp_path, capsys):
+    # exit 2 is an error; for solve, exit 1 would read as UNSAT
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "gen": ["gen", "random_ksat", "5", "-m", "10", "--out", missing],
+        "solve --report": ["solve", str(cnf), "--report", missing],
+        "solve --trace": ["solve", str(cnf), "--trace", missing],
+        "sweep": ["sweep", "--set", "kind=unate_unique", "--set", "n=4", "--set", "trials=1",
+                  "--set", f"out={missing}"],
+        "spectral": ["spectral", str(cnf), "--thetas", "0.5pi", "--out", missing],
+        "phf": ["phf", "4", "2", "--out", missing],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err

@@ -558,17 +558,10 @@ class TestSolve:
 
 class TestTheoryBounds:
     def test_unrotated_expression(self):
-        tb = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, q=1, mu=0.0, d_sol=1)
+        tb = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, mu=0.0, d_sol=1)
         assert tb.unrotated_cost == pytest.approx(30 * math.log(10) * 2**8)
-        tb4 = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, q=1, mu=0.0, d_sol=4)
+        tb4 = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, mu=0.0, d_sol=4)
         assert tb4.unrotated_cost == pytest.approx(tb.unrotated_cost / 4)
-
-    def test_amplitude_amplification_halves_exponent(self):
-        theta = 0.3 * np.pi
-        t1 = sv.theory_bounds(theta, 10, 30, 0.1, q=1, mu=0.5)
-        t2 = sv.theory_bounds(theta, 10, 30, 0.1, q=2, mu=0.5)
-        factor = (2 / (1 + math.cos(theta))) ** (10 / 2)
-        assert t1.prep_cost / t2.prep_cost == pytest.approx(factor)
 
     def test_unate_schedule_polynomial(self):
         # cos(theta) = 1 - 2/n keeps the amplification factor bounded by e,
@@ -576,7 +569,7 @@ class TestTheoryBounds:
         costs = []
         for n in (8, 16, 32, 64):
             theta = math.acos(1 - 2 / n)
-            tb = sv.theory_bounds(theta, n, n, 0.1, q=1, mu=0.0, readout="multiple")
+            tb = sv.theory_bounds(theta, n, n, 0.1, mu=0.0, readout="multiple")
             costs.append(tb.total_cost)
         for a, b, n in zip(costs, costs[1:], (8, 16, 32)):
             poly_ref = (2 * n / n) ** 3 * (math.log(2 * n) / math.log(n)) ** 2
@@ -587,8 +580,6 @@ class TestTheoryBounds:
         assert tb.ln_inv_mu == pytest.approx(0.2 / 36)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sv.theory_bounds(0.4, 6, 10, 0.1, q=3, mu=0.5)
         with pytest.raises(ValueError):
             sv.theory_bounds(0.4, 6, 10, 0.1)  # neither mu nor gap
         with pytest.raises(ValueError):

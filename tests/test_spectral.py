@@ -99,13 +99,19 @@ class TestUniformGap:
 
 
 class TestConvergenceRate:
-    def test_pi_half_is_zero(self, small_instances):
-        for f in small_instances[:4]:
-            assert sp.convergence_rate(f, np.pi / 2) < 1e-12
+    # The first two run on both routes: the per-vector route's frame is the
+    # identity at pi/2, and unate checks commute in any frame.
+    def test_pi_half_is_zero(self, small_instances, monkeypatch):
+        for assemble_max_n in (sp._ASSEMBLE_MAX_N, 0):
+            monkeypatch.setattr(sp, "_ASSEMBLE_MAX_N", assemble_max_n)
+            for f in small_instances[:4]:
+                assert sp.convergence_rate(f, np.pi / 2) < 1e-12
 
-    def test_unate_is_zero(self):
+    def test_unate_is_zero(self, monkeypatch):
         f = fm.generate("unate", 6, 10, 3, seed=1)
-        if fm.count_solutions(f) > 0:
+        assert fm.count_solutions(f) > 0
+        for assemble_max_n in (sp._ASSEMBLE_MAX_N, 0):
+            monkeypatch.setattr(sp, "_ASSEMBLE_MAX_N", assemble_max_n)
             assert sp.convergence_rate(f, 0.3 * np.pi) < 1e-12
 
     def test_strictly_contractive(self, small_instances):
@@ -344,8 +350,6 @@ class TestSpectralReport:
         assert rep.gap_bound_slack >= -1e-9
         assert rep.dl_slack >= -1e-9 and rep.qub_slack >= -1e-9
         assert rep.uniform_gap is not None and rep.uniform_gap_exact
-        data = rep.to_json()
-        assert '"schema": "mdsat-spectral/1"' in data
 
     def test_unsatisfiable_raises(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])

@@ -337,7 +337,7 @@ class TestFrameHelpers:
         for n in range(0, 9):
             factors = [rng.standard_normal(2) for _ in range(n)]
             expected = reduce(np.kron, factors, np.array([1.0]))
-            assert np.abs(svec.product_state(factors) - expected).max() <= 1e-15
+            assert np.abs(enc.product_state(factors) - expected).max() <= 1e-15
 
     def test_rotate_qubits_matches_kron(self):
         rng = np.random.default_rng(6)

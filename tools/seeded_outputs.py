@@ -14,6 +14,10 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - ``solve --theta-fraction 0.8`` with both readouts and otherwise default
   flags on planted_unique 11/47 seed 1, whose n lies above the size up to
   which mu is taken from an assembled operator;
+- the same with ``--readout multiple`` on random_ksat 11/40 seed 2, which
+  has 8 solutions: its mu runs in the sparse frame with a frame ground-space
+  basis of width 8, and the reduced formulas of its readout fall on both
+  sides of that size;
 - ``solve --mu-source user --mu 0.6 --theta-fraction 0.8 --readout unique``
   with both plans on planted_unique 13/56 seed 1, a sparse-frame trajectory
   above n = 11;
@@ -95,6 +99,11 @@ def main(argv: list[str]) -> int:
         name = f"solve-pu11-s1-{readout}"
         run(name, ["solve", "pu11-s1.cnf", "--seed", "7", "--no-timing", "--report",
                    f"{name}.json", "--readout", readout, "--theta-fraction", "0.8"], codes)
+    run("gen-rk11-s2", ["gen", "random_ksat", "11", "-m", "40", "--seed", "2",
+                        "--out", "rk11-s2.cnf"], codes)
+    run("solve-rk11-s2-multiple", ["solve", "rk11-s2.cnf", "--seed", "7", "--no-timing",
+                                   "--report", "solve-rk11-s2-multiple.json", "--readout",
+                                   "multiple", "--theta-fraction", "0.8"], codes)
     run("gen-pu13-s1", ["gen", "planted_unique", "13", "-m", "56", "--seed", "1",
                         "--out", "pu13-s1.cnf"], codes)
     for plan in ("sequential", "layered"):
