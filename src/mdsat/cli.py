@@ -3,11 +3,17 @@
 All commands are deterministic given their parameters and seed; floats are
 printed with 17 significant digits so reports are diffable and re-ingestible.
 Sweep configs are key=value files, overridable by flags.
+
+This is the only module that touches the file system: each command reads its
+input and opens every output (``solve``'s report and ``trace=`` stream
+included) before it computes, and :func:`main` is the one place where an
+error becomes ``error: ...`` on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -91,18 +97,21 @@ def _load_config(path: str) -> dict[str, str]:
     return config
 
 
+def _read_dimacs(path: str) -> fm.Formula:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fm.parse_dimacs(fh.read())
+
+
+def _create(path: str | None, default=None):
+    """Open an output path for writing, or hold ``default`` when there is none."""
+    if path is None:
+        return contextlib.nullcontext(default)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def cmd_gen(args) -> int:
-    try:
-        f = fm.generate(args.kind, args.n, args.m, args.k, args.seed)
-    except (ValueError, fm.GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = f.to_dimacs()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _create(args.out, sys.stdout) as fh:
+        fh.write(fm.generate(args.kind, args.n, args.m, args.k, args.seed).to_dimacs())
     return 0
 
 
@@ -117,14 +126,9 @@ def _schedule_from_args(args) -> float | sv.Schedule:
 
 
 def cmd_solve(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            f = fm.parse_dimacs(fh.read())
-    except fm.DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        theta = _schedule_from_args(args)
+    f = _read_dimacs(args.file)
+    theta = _schedule_from_args(args)
+    with _create(args.report) as report_fh, _create(args.trace) as trace_fh:
         report = sv.solve(
             f,
             theta,
@@ -136,18 +140,11 @@ def cmd_solve(args) -> int:
             mu_source=args.mu_source,
             mu=args.mu,
             budget=args.budget,
-            trace_file=args.trace,
+            trace=trace_fh,
         )
-    except (ValueError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if report.status == "SAT":
-        print(report.assignment)
-    else:
-        print("UNSAT")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(include_timing=not args.no_timing) + "\n")
+        print(report.assignment if report.status == "SAT" else "UNSAT")
+        if report_fh is not None:
+            report_fh.write(report.to_json(include_timing=not args.no_timing) + "\n")
     return 0 if report.status == "SAT" else 1
 
 
@@ -269,82 +266,63 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     return rows
 
 
-def _write_csv(path: str, schema: str, rows: list[dict]) -> None:
+def _write_csv(fh, schema: str, rows: list[dict]) -> None:
     if not rows:
         raise ValueError("no rows to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# schema={schema}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+    fh.write(f"# schema={schema}\n")
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
 
 
 def cmd_sweep(args) -> int:
-    try:
-        mapping = _load_config(args.config) if args.config else {}
-        mapping.update(_split_key_value(override) for override in args.set or [])
-        cfg = sweep_config_from_mapping(mapping)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = run_sweep(cfg)
-    _write_csv(cfg.out, SWEEP_SCHEMA, rows)
+    mapping = _load_config(args.config) if args.config else {}
+    mapping.update(_split_key_value(override) for override in args.set or [])
+    cfg = sweep_config_from_mapping(mapping)
+    with _create(cfg.out) as fh:
+        rows = run_sweep(cfg)
+        _write_csv(fh, SWEEP_SCHEMA, rows)
     print(f"wrote {len(rows)} rows to {cfg.out}")
     return 0
 
 
 def cmd_spectral(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            f = fm.parse_dimacs(fh.read())
-    except fm.DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        thetas = _parse_theta_grid(args.thetas)
-        if "sched" in thetas:
-            raise ValueError("the 'sched' angle is for sweeps only")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = []
-    for theta in thetas:
-        base = {"file": args.file, "n": f.n, "m": f.m, "theta": theta}
-        try:
-            rep = sp.spectral_report(
-                f,
-                theta,
-                with_uniform=not args.no_uniform,
-                with_friedrichs=not args.no_friedrichs,
-            )
-            values = {key: getattr(rep, key) for key in SPECTRAL_FIELDS}
-            rows.append({**base, "status": "ok", **values, "error": ""})
-        except ValueError as exc:  # Unsatisfiable included
-            d_sol = 0 if isinstance(exc, Unsatisfiable) else None
-            values = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": d_sol}
-            rows.append({**base, "status": "error", **values, "error": str(exc)})
-    if args.out:
-        _write_csv(args.out, SPECTRAL_SCHEMA, rows)
+    f = _read_dimacs(args.file)
+    thetas = _parse_theta_grid(args.thetas)
+    if "sched" in thetas:
+        raise ValueError("the 'sched' angle is for sweeps only")
+    with _create(args.out) as fh:
+        rows = []
+        for theta in thetas:
+            base = {"file": args.file, "n": f.n, "m": f.m, "theta": theta}
+            try:
+                rep = sp.spectral_report(
+                    f,
+                    theta,
+                    with_uniform=not args.no_uniform,
+                    with_friedrichs=not args.no_friedrichs,
+                )
+                values = {key: getattr(rep, key) for key in SPECTRAL_FIELDS}
+                rows.append({**base, "status": "ok", **values, "error": ""})
+            except ValueError as exc:  # Unsatisfiable included
+                d_sol = 0 if isinstance(exc, Unsatisfiable) else None
+                values = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": d_sol}
+                rows.append({**base, "status": "error", **values, "error": str(exc)})
+        if fh is None:
+            print(json.dumps({"schema": SPECTRAL_SCHEMA, "rows": rows}, indent=2))
+        else:
+            _write_csv(fh, SPECTRAL_SCHEMA, rows)
+    if args.out is not None:
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(json.dumps({"schema": SPECTRAL_SCHEMA, "rows": rows}, indent=2))
     return 0
 
 
 def cmd_phf(args) -> int:
-    try:
+    with _create(args.out, sys.stdout) as fh:
         rows = phfmod.density_algorithm(args.n, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ok = phfmod.verify_phf(rows, args.n, args.k)
-    text = phfmod.save_phf(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        ok = phfmod.verify_phf(rows, args.n, args.k)
+        fh.write(phfmod.save_phf(rows))
     print(f"rows={rows.shape[0]} verified={str(ok).lower()}")
     return 0 if ok else 1
 
@@ -412,7 +390,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OSError as exc:  # an unreadable input or unwritable output path
+    # DimacsError, CapExceeded, Unsatisfiable and LinAlgError are ValueErrors
+    except (ValueError, FloatingPointError, fm.GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

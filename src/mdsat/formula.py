@@ -319,6 +319,8 @@ def generate(
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
     rng = np.random.default_rng(seed)
     if kind == "unate_unique":
         signs = rng.integers(0, 2, size=n)

@@ -37,6 +37,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 
@@ -686,7 +687,7 @@ def solve(
     mu_source: str = "empirical",
     mu: float | None = None,
     budget: int | None = None,
-    trace_file: str | None = None,
+    trace: TextIO | None = None,
 ) -> RunReport:
     """Run preparation plus readout until a verified assignment or exhaustion.
 
@@ -694,8 +695,11 @@ def solve(
     times the theory estimate with a generic convergence rate) or the restart
     allowance (ten times the inverse success-probability floor) runs out, or
     when 64 readout attempts fail, before any readout verifies.
-    ``trace_file`` streams a CSV log of every preparation measurement.
+    ``trace``, an open text stream, receives a CSV log of every preparation
+    measurement; the caller opens and closes it.
     """
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
     if readout not in ("unique", "multiple"):
         raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
@@ -729,8 +733,7 @@ def solve(
         effective_cfg = replace(cfg, mu_source="user", mu=0.5)
         notes.append("mu fallback: no satisfying assignment found by oracle")
 
-    trace_fh = open(trace_file, "w", encoding="utf-8", newline="") if trace_file else None
-    tracer = TraceWriter(trace_fh) if trace_fh else None
+    tracer = TraceWriter(trace) if trace is not None else None
     preparer = Preparer(effective_cfg, rng, MeasurementCounter(budget), tracer)
     readout_fn = readout_unique if readout == "unique" else readout_multiple
     assignment = None
@@ -746,9 +749,6 @@ def solve(
                 continue
     except (RestartsExhausted, BudgetExhausted) as exc:
         notes.append(str(exc))
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
     # f is prepared at the readout's tolerance only, so its entry holds the
     # cycle count of every attempt
     mu_used, cycles = preparer.resolved.get(f, (None, None))

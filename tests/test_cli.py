@@ -1,3 +1,4 @@
+import csv
 import json
 
 import paper_checks as pc
@@ -5,7 +6,8 @@ import pytest
 
 from mdsat import cli
 from mdsat import formula as fm
-from mdsat import solver
+from mdsat import phf, solver
+from mdsat import spectral as sp
 
 
 def _fail_first_trajectory(monkeypatch):
@@ -340,8 +342,15 @@ class TestPhfCmd:
 @pytest.mark.parametrize(
     "command", ["gen", "solve --report", "solve --trace", "sweep", "spectral", "phf"]
 )
-def test_unwritable_output_exits_two(command, tmp_path, capsys):
-    # exit 2 is an error; for solve, exit 1 would read as UNSAT
+def test_unwritable_output_exits_two(command, tmp_path, capsys, monkeypatch):
+    # exit 2 is an error; for solve, exit 1 would read as UNSAT.  Every
+    # output is opened before the work starts, so the work never runs.
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the outputs were opened")
+
+    for module, name in ((solver, "solve"), (cli, "run_sweep"), (sp, "spectral_report"),
+                         (fm, "generate"), (phf, "density_algorithm")):
+        monkeypatch.setattr(module, name, never)
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
     missing = str(tmp_path / "missing" / "out")
@@ -355,5 +364,56 @@ def test_unwritable_output_exits_two(command, tmp_path, capsys):
         "phf": ["phf", "4", "2", "--out", missing],
     }[command]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and missing in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["solve", "{cnf}", "--delta", "0"], "delta must lie in (0, 1)"),
+        (["solve", "{cnf}", "--delta", "1.5", "--budget", "100000"], "delta must lie in (0, 1)"),
+        (["solve", "{cnf}", "--delta", "-1"], "delta must lie in (0, 1)"),
+        (["sweep", "--set", "delta=0", "--set", "kind=unate_unique", "--set", "n=4",
+          "--set", "trials=1", "--set", "out={csv}"], "delta must lie in (0, 1)"),
+        (["gen", "random_ksat", "5", "-m", "-3"], "need m >= 0, got m=-3"),
+    ],
+    ids=["solve-delta-0", "solve-delta-1.5", "solve-delta-neg", "sweep-delta-0", "gen-m-neg"],
+)
+def test_out_of_range_parameters_rejected(argv, error, tmp_path, capsys):
+    # a sweep records the error in its row; every other command exits 2
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    csv_path = tmp_path / "sweep.csv"
+    argv = [a.format(cnf=cnf, csv=csv_path) for a in argv]
+    if argv[0] == "sweep":
+        assert run(argv) == 0
+        capsys.readouterr()
+        (row,) = csv.DictReader(csv_path.read_text().splitlines()[1:])
+        assert row["status"] == "error" and row["error"] == error
+    else:
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_unconverged_lanczos_reaches_the_user(tmp_path, capsys, monkeypatch):
+    # pool seed 37 at 0.1 pi (theta fraction 0.2), n = 7: one restart is too
+    # few for its clustered top singular values
+    from test_spectral import _clustered_case
+
+    monkeypatch.setattr(sp, "_LANCZOS_MAX_RESTARTS", 1)
+    f, _, _ = _clustered_case()
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(f.to_dimacs())
+    message = "Lanczos did not converge in 1 restarts"
+    assert run(["solve", str(cnf), "--theta-fraction", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    out = tmp_path / "spectral.csv"
+    assert run(["spectral", str(cnf), "--thetas", "0.1pi", "--no-uniform", "--no-friedrichs",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    (row,) = csv.DictReader(out.read_text().splitlines()[1:])
+    assert row["status"] == "error" and row["error"] == message

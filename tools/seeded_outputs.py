@@ -29,7 +29,10 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   basis encoding) on planted_unique 6/26 seed 5 and on unate 6/14 seed 2
   (commuting checks, g = 0), the same ``spectral`` on planted_unique 6/26
   seed 5 under ``MDSAT_MEM_BYTES=524288`` (the gap and mu fit, the uniform
-  gap is refused, so every row records the refusal), and ``phf 9 3``.
+  gap is refused, so every row records the refusal), and ``phf 9 3``;
+- ``solve --report missing/r.json`` on planted_unique 9/39 seed 1, whose
+  report directory does not exist: the command fails with exit 2 before it
+  solves, so its stdout is empty.
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
@@ -137,6 +140,8 @@ def main(argv: list[str]) -> int:
         run("spectral-budget", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
                                 "--out", "spectral-budget.csv"], codes)
     run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
+    run("solve-missing-report", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing",
+                                 "--report", "missing/r.json"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     return 0
 
