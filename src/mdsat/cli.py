@@ -17,9 +17,7 @@ import contextlib
 import csv
 import json
 import math
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -117,9 +115,12 @@ def cmd_gen(args) -> int:
 
 def _schedule_from_args(args) -> float | sv.Schedule:
     if args.schedule == "cubic":
+        c_q = 32 if args.cycles is None else args.cycles
         if args.theta_init is None:
-            return sv.Schedule(c_q=args.cycles)
-        return sv.Schedule(c_q=args.cycles, theta_init=args.theta_init)
+            return sv.Schedule(c_q=c_q)
+        return sv.Schedule(c_q=c_q, theta_init=args.theta_init)
+    if args.theta_init is not None or args.cycles is not None:
+        raise ValueError("--theta-init and --cycles need --schedule")
     if args.theta is not None:
         return _snap_right_angle(args.theta)
     return (args.theta_fraction if args.theta_fraction is not None else 1.0) * math.pi / 2
@@ -135,7 +136,6 @@ def cmd_solve(args) -> int:
             delta=args.delta,
             readout=args.readout,
             seed=args.seed,
-            mode=args.mode,
             plan=args.plan,
             mu_source=args.mu_source,
             mu=args.mu,
@@ -160,7 +160,6 @@ class SweepConfig:
     delta: float = 0.1
     seed: int = 0
     readout: str = "multiple"
-    mode: str = "monte_carlo"
     plan: str = "sequential"
     workers: int = 1
     out: str = "sweep.csv"
@@ -189,7 +188,7 @@ def sweep_config_from_mapping(mapping: dict[str, str]) -> SweepConfig:
             setattr(cfg, key, int(value))
         elif key in ("delta", "m_per_n"):
             setattr(cfg, key, float(value))
-        elif key in ("kind", "readout", "mode", "plan", "out"):
+        elif key in ("kind", "readout", "plan", "out"):
             setattr(cfg, key, value)
         else:
             raise ValueError(f"unknown sweep config key {key!r}")
@@ -228,7 +227,6 @@ def _sweep_row(task) -> dict:
             delta=cfg.delta,
             readout=cfg.readout,
             seed=int(np.random.default_rng([cfg.seed, n, trial]).integers(2**63)),
-            mode=cfg.mode,
             plan=cfg.plan,
         )
     except (ValueError, FloatingPointError) as exc:
@@ -257,6 +255,11 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     ]
     workers = min(cfg.workers, len(tasks))
     if workers > 1:
+        # imported here: they are a large share of the import time of a run
+        # that does not start a pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("spawn")  # fork starts every worker at once
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             rows = list(pool.map(_sweep_row, tasks))
@@ -344,16 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a DIMACS instance")
     p.add_argument("file")
-    p.add_argument("--theta", type=float, default=None, help="rotation angle in radians")
-    p.add_argument(
+    angle = p.add_mutually_exclusive_group()
+    angle.add_argument("--theta", type=float, default=None, help="rotation angle in radians")
+    angle.add_argument(
         "--theta-fraction", type=float, default=None, help="rotation angle as a fraction of pi/2"
     )
-    p.add_argument("--schedule", choices=["cubic"], default=None)
-    p.add_argument("--theta-init", type=float, default=None)
-    p.add_argument("--cycles", type=int, default=32, help="target cycle count for the cubic schedule")
+    angle.add_argument("--schedule", choices=["cubic"], default=None)
+    p.add_argument("--theta-init", type=float, default=None, help="start angle of the schedule")
+    p.add_argument(
+        "--cycles", type=int, default=None, help="target cycle count of the schedule (default 32)"
+    )
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--readout", choices=["unique", "multiple"], default="multiple")
-    p.add_argument("--mode", choices=["monte_carlo", "deterministic"], default="monte_carlo")
     p.add_argument("--plan", choices=["sequential", "layered"], default="sequential")
     p.add_argument("--mu-source", choices=["empirical", "dl_bound", "user"], default="empirical")
     p.add_argument("--mu", type=float, default=None)

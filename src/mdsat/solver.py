@@ -114,9 +114,8 @@ class PrepConfig:
 
     theta: float | Schedule
     mu_source: str = "empirical"  # empirical | dl_bound | user
-    mu: float | None = None
+    mu: float | None = None  # given with mu_source="user" only
     max_restarts: int = 1_000_000
-    mode: str = "monte_carlo"  # monte_carlo | deterministic
     plan: str = "sequential"  # sequential | layered
 
     def __post_init__(self):
@@ -124,8 +123,10 @@ class PrepConfig:
             raise ValueError("max_restarts must be >= 1")
         if self.mu_source not in ("empirical", "dl_bound", "user"):
             raise ValueError(f"unknown mu_source {self.mu_source!r}")
-        if self.mode not in ("monte_carlo", "deterministic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mu_source != "user" and self.mu is not None:
+            raise ValueError(f"mu is only used with mu_source='user', not {self.mu_source!r}")
+        if self.mu_source == "user" and not (self.mu is not None and 0.0 <= self.mu < 1.0):
+            raise ValueError(f"mu_source='user' needs a mu in [0, 1), got {self.mu}")
         if self.plan not in ("sequential", "layered"):
             raise ValueError(f"unknown plan {self.plan!r}")
         if not self.is_scheduled:
@@ -139,6 +140,12 @@ class PrepConfig:
         if self.is_scheduled:
             raise ValueError("config uses an evolving angle")
         return self.theta
+
+
+def readout_angle(theta: float | Schedule) -> float:
+    """The angle at which a preparation's final state is read out: the fixed
+    angle, or pi/2, where a schedule ends."""
+    return math.pi / 2 if isinstance(theta, Schedule) else theta
 
 
 def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
@@ -158,10 +165,6 @@ def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
 def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
     """Convergence-rate input for the cycle bound, per the configured policy."""
     if cfg.mu_source == "user":
-        if cfg.mu is None:
-            raise ValueError("mu_source='user' requires an explicit mu")
-        if not 0.0 <= cfg.mu < 1.0:
-            raise ValueError("mu must lie in [0, 1)")
         return cfg.mu
     theta = cfg.fixed_theta()
     if cfg.mu_source == "empirical":
@@ -283,15 +286,6 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     )
 
 
-@dataclass
-class PrepResult:
-    state: np.ndarray
-    success_probability: float
-    r_star: int
-    restarts: int
-    measurements: int
-
-
 class TraceWriter:
     """Streams one CSV row per performed clause/layer measurement.
 
@@ -336,16 +330,16 @@ def _sample_restart_costs(
     counter: MeasurementCounter,
     trace_rng: np.random.Generator | None,
 ):
-    """Sample the number of failed attempts and their measurement cost.
+    """Sample the number of failed attempts and spend their measurement cost
+    through ``counter``.
 
-    Returns (restarts, measurements, fail_positions); the positions, in
-    attempt order, are drawn only when ``trace_rng`` is given and are None
-    otherwise.  Raises RestartsExhausted or BudgetExhausted with the cost
-    already counted.
+    Returns (restarts, fail_positions); the positions, in attempt order, are
+    drawn only when ``trace_rng`` is given and are None otherwise.  Raises
+    RestartsExhausted or BudgetExhausted with the cost already counted.
     """
     length = traj.length
     if length == 0:
-        return 0, 0, []
+        return 0, []
     p_s = traj.success_probability
     if p_s >= _MIN_GEOMETRIC_P:
         restarts = int(rng.geometric(p_s)) - 1
@@ -359,18 +353,17 @@ def _sample_restart_costs(
         counts = np.zeros(length, dtype=np.int64)
     # Python integers: n_fail * length can exceed int64.  The failing
     # measurement at position j is the (j+1)-th of its attempt.
-    measurements = sum(c * (pos + 1) for pos, c in enumerate(counts.tolist()))
-    counter.spend(measurements)
+    counter.spend(sum(c * (pos + 1) for pos, c in enumerate(counts.tolist())))
     if restarts >= max_restarts:
         raise RestartsExhausted(
             f"no successful preparation within {max_restarts} restarts"
         )
     if trace_rng is None:
-        return restarts, measurements, None
+        return restarts, None
     # Only a successful preparation is traced, and its trace lists every
     # failure anyway, so the positions cost no more memory than the trace.
     positions = trace_rng.permutation(np.repeat(np.arange(length), counts))
-    return restarts, measurements, positions
+    return restarts, positions
 
 
 class Preparer:
@@ -404,9 +397,9 @@ class Preparer:
         self._trace_rng = rng.spawn(1)[0] if trace is not None else None
         self._trajectories: dict[tuple[Formula, int], Trajectory] = {}
 
-    def trajectory(self, f: Formula, epsilon: float) -> tuple[Trajectory, int]:
-        """The all-pass trajectory that prepares ``f`` to tolerance ``epsilon``
-        and its cycle count; a schedule fixes the cycle count and ignores
+    def trajectory(self, f: Formula, epsilon: float) -> Trajectory:
+        """The all-pass trajectory that prepares ``f`` to tolerance
+        ``epsilon``; a schedule fixes its cycle count and ignores
         ``epsilon``."""
         if self.cfg.is_scheduled:
             cycles = self.cfg.theta.c_q + 1
@@ -417,18 +410,18 @@ class Preparer:
         key = (f, cycles)
         if key not in self._trajectories:
             self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
-        return self._trajectories[key], cycles
+        return self._trajectories[key]
 
-    def prepare(self, f: Formula, epsilon: float) -> PrepResult:
-        traj, cycles = self.trajectory(f, epsilon)
+    def prepare(self, f: Formula, epsilon: float) -> None:
+        """Spend and count one preparation of ``f``: its sampled failed
+        attempts, then the successful one.  The prepared state is
+        :meth:`trajectory`'s final state."""
+        traj = self.trajectory(f, epsilon)
         if self.trace is not None:
             self.trace.next_preparation()
-        if self.cfg.mode == "deterministic":
-            restarts, spent, positions = 0, 0, []
-        else:
-            restarts, spent, positions = _sample_restart_costs(
-                traj, self.rng, self.cfg.max_restarts, self.counter, self._trace_rng
-            )
+        restarts, positions = _sample_restart_costs(
+            traj, self.rng, self.cfg.max_restarts, self.counter, self._trace_rng
+        )
         self.counter.spend(traj.length)
         self.preparations += 1
         self.restarts += restarts
@@ -436,13 +429,6 @@ class Preparer:
             for attempt, pos in enumerate(positions):
                 self.trace.emit_attempt(traj, attempt, int(pos))
             self.trace.emit_attempt(traj, restarts, None)
-        return PrepResult(
-            state=traj.final_state,
-            success_probability=traj.success_probability,
-            r_star=cycles,
-            restarts=restarts,
-            measurements=spent + traj.length,
-        )
 
 
 def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, int]:
@@ -466,19 +452,19 @@ def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[flo
 
 def readout_unique(
     f: Formula,
-    theta: float,
     delta: float,
     rng: np.random.Generator,
     preparer: Preparer,
 ) -> str:
-    """Majority-vote readout; requires the caller's promise of a unique
-    solution.  Each copy is one preparation and one full basis readout, drawn
-    from a CDF built once per call.  The returned assignment is verified
-    against the formula."""
+    """Majority-vote readout at the preparer's readout angle; requires the
+    caller's promise of a unique solution.  Each copy is one preparation and
+    one full basis readout, drawn from a CDF built once per call.  The
+    returned assignment is verified against the formula."""
+    theta = readout_angle(preparer.cfg.theta)
     eps, copies = unique_readout_parameters(theta, f.n, delta)
     # Every copy prepares the same cached trajectory, so its final state and
     # readout distribution are the same for all of them.
-    cdf = basis_cdf(preparer.trajectory(f, eps)[0].final_state)
+    cdf = basis_cdf(preparer.trajectory(f, eps).final_state)
     votes = np.zeros(f.n, dtype=np.int64)
     for _ in range(copies):
         preparer.prepare(f, eps)
@@ -494,18 +480,19 @@ def readout_unique(
 
 def readout_multiple(
     f: Formula,
-    theta: float,
     delta: float,
     rng: np.random.Generator,
     preparer: Preparer,
 ) -> str:
-    """Variable-by-variable readout for instances with any number of
-    solutions.  Fixes each variable from a Z estimate on the current first
-    qubit, propagates, and re-encodes the shrunken formula.  A wrong fix is
-    the readout's failure event, which the readout detects itself whatever
-    the convergence-rate source: the propagation hits an empty clause, or the
-    shrunken formula has no satisfying assignment left to prepare (checked by
-    brute force before it is prepared)."""
+    """Variable-by-variable readout, at the preparer's readout angle, for
+    instances with any number of solutions.  Fixes each variable from a Z
+    estimate on the current first qubit, propagates, and re-encodes the
+    shrunken formula.  A wrong fix is the readout's failure event, which the
+    readout detects itself whatever the convergence-rate source: the
+    propagation hits an empty clause, or the shrunken formula has no
+    satisfying assignment left to prepare (checked by brute force before it
+    is prepared)."""
+    theta = readout_angle(preparer.cfg.theta)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
     sin_t = math.sin(theta)
     bits: list[str] = []
@@ -521,7 +508,7 @@ def readout_multiple(
             continue
         # Every shot prepares the same cached trajectory, so its final state
         # and readout probability are the same for all of them.
-        p1 = prob_one(preparer.trajectory(cur, eps)[0].final_state, 1)
+        p1 = prob_one(preparer.trajectory(cur, eps).final_state, 1)
         total = 0
         for _ in range(shots):
             preparer.prepare(cur, eps)
@@ -654,7 +641,6 @@ class RunReport:
     schedule: dict | None
     delta: float
     readout: str
-    mode: str
     plan: str
     mu: float | None
     mu_source: str
@@ -670,7 +656,7 @@ class RunReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self, include_timing: bool = True) -> str:
-        data = {"schema": "mdsat-report/1", **asdict(self)}
+        data = {"schema": "mdsat-report/2", **asdict(self)}
         if not include_timing:
             data.pop("wall_time_s")
         return json.dumps(data, indent=2)
@@ -682,7 +668,6 @@ def solve(
     delta: float = 0.1,
     readout: str = "multiple",
     seed: int = 0,
-    mode: str = "monte_carlo",
     plan: str = "sequential",
     mu_source: str = "empirical",
     mu: float | None = None,
@@ -704,8 +689,7 @@ def solve(
         raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    # a schedule ends at pi/2, where its states are read out
-    theta_ro = math.pi / 2 if isinstance(theta, Schedule) else theta
+    theta_ro = readout_angle(theta)
     floor = success_probability_floor(theta_ro, f.n)
     max_restarts = max(
         1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15))
@@ -715,7 +699,6 @@ def solve(
         mu_source=mu_source,
         mu=mu,
         max_restarts=max_restarts,
-        mode=mode,
         plan=plan,
     )
     if budget is None:
@@ -742,7 +725,7 @@ def solve(
         while attempts < _MAX_READOUT_ATTEMPTS:
             attempts += 1
             try:
-                assignment = readout_fn(f, theta_ro, delta, rng, preparer=preparer)
+                assignment = readout_fn(f, delta, rng, preparer=preparer)
                 break
             except ReadoutFailed as exc:
                 notes.append(f"readout attempt {attempts} failed: {exc}")
@@ -767,7 +750,6 @@ def solve(
         ),
         delta=delta,
         readout=readout,
-        mode=mode,
         plan=plan,
         mu=mu_used,
         mu_source=effective_cfg.mu_source,

@@ -63,20 +63,17 @@ def test_c02_gram_identity():
 
 
 def test_c03_unrotated_exactness():
-    """theta=pi/2 deterministic success probability equals d_sol/2^n to 1e-10
+    """theta=pi/2 all-pass success probability equals d_sol/2^n to 1e-10
     for 50 random satisfiable 3-SAT instances, n <= 12."""
     start = time.perf_counter()
     rng = np.random.default_rng(303)
     for i in range(50):
         n = 4 + i % 9  # 4..12
         f = fm.random_satisfiable(rng, n, round(2.5 * n), 3)
-        prep = sv.Preparer(
-            sv.PrepConfig(theta=np.pi / 2, mode="deterministic"),
-            np.random.default_rng(0),
-        )
-        res = prep.prepare(f, 0.01)
-        assert res.r_star == 1
-        assert abs(res.success_probability - fm.count_solutions(f) / 2**n) <= 1e-10
+        prep = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
+        traj = prep.trajectory(f, 0.01)
+        assert traj.cycles == 1
+        assert abs(traj.success_probability - fm.count_solutions(f) / 2**n) <= 1e-10
     assert time.perf_counter() - start < 60.0
 
 
@@ -129,10 +126,10 @@ def test_c06_cycle_bound_end_to_end():
             mu = sp.convergence_rate(f, theta)
             p_gs = enc.ground_space_projector(f, theta)
             for eps in (0.1, 0.01):
-                cfg = sv.PrepConfig(theta=theta, mode="deterministic")
-                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, eps)
-                assert res.r_star == sv.cycles_required(theta, f.n, eps, mu)
-                assert np.linalg.norm(p_gs @ res.state) >= 1 - eps
+                cfg = sv.PrepConfig(theta=theta)
+                traj = sv.Preparer(cfg, np.random.default_rng(0)).trajectory(f, eps)
+                assert traj.cycles == sv.cycles_required(theta, f.n, eps, mu)
+                assert np.linalg.norm(p_gs @ traj.final_state) >= 1 - eps
 
 
 # --- criterion 7: success probability floor ---------------------------------
@@ -203,7 +200,7 @@ def test_c09_layer_soundness():
                     assert oracle.commutator_norm(dense[i1], dense[i2]) <= 1e-12
         cycles = 3
         layered = sv.allpass_trajectory(
-            f, sv.PrepConfig(theta=theta, plan="layered", mode="deterministic"), cycles
+            f, sv.PrepConfig(theta=theta, plan="layered"), cycles
         )
         order = phf.layered_order(layers)
         projs = enc.clause_projectors(f, theta)
@@ -242,14 +239,12 @@ def test_c10_unique_readout_guarantee():
     for inst in range(4):
         f = fm.generate("planted_unique", n, 34, 3, seed=1000 + inst)
         planted = next(iter(fm.brute_force_solutions(f)))
-        preparer = sv.Preparer(
-            sv.PrepConfig(theta=theta, mode="deterministic"), np.random.default_rng(0)
-        )
+        preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
         for trial in range(50):
             rng = np.random.default_rng([10, inst, trial])
             trials += 1
             try:
-                got = sv.readout_unique(f, theta, delta, rng, preparer=preparer)
+                got = sv.readout_unique(f, delta, rng, preparer=preparer)
                 if got != planted:
                     failures += 1
             except sv.ReadoutFailed:
@@ -268,14 +263,12 @@ def test_c11_multiple_readout_guarantee():
     trials = 0
     for inst in range(4):
         f = fm.random_satisfiable(rng_gen, n, 20, 3, min_solutions=2)
-        preparer = sv.Preparer(
-            sv.PrepConfig(theta=theta, mode="deterministic"), np.random.default_rng(0)
-        )
+        preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
         for trial in range(50):
             rng = np.random.default_rng([11, inst, trial])
             trials += 1
             try:
-                got = sv.readout_multiple(f, theta, delta, rng, preparer=preparer)
+                got = sv.readout_multiple(f, delta, rng, preparer=preparer)
                 assert fm.evaluate(f, got)
             except sv.ReadoutFailed:
                 failures += 1
@@ -323,7 +316,6 @@ def _unate_mean_measurements(n, theta, trials=5):
             delta=0.1,
             readout="unique",
             seed=seed,
-            mode="monte_carlo",
             mu_source="user",
             mu=0.0,  # all checks commute on unate instances
         )

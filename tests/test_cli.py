@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import paper_checks as pc
 import pytest
@@ -106,6 +110,7 @@ class TestSolve:
             ["sweep", "--set", out, "--set", "n=5..3"],
             ["sweep", "--set", out, "--set", "trials=0"],
             ["sweep", "--set", out, "--set", "foo"],
+            ["sweep", "--set", out, "--set", "mode=deterministic"],
             ["sweep", "--config", str(tmp_path / "missing.cfg")],
         ):
             assert run(argv) == 2, argv
@@ -256,7 +261,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         cfg = self._config(tmp_path, n="4", thetas="0.5pi", trials="2")
         assert run(["sweep", "--config", str(cfg), "--set", "workers=500"]) == 0
         assert opened == [(2, "spawn")]  # two rows, two workers
@@ -378,8 +383,14 @@ def test_unwritable_output_exits_two(command, tmp_path, capsys, monkeypatch):
         (["sweep", "--set", "delta=0", "--set", "kind=unate_unique", "--set", "n=4",
           "--set", "trials=1", "--set", "out={csv}"], "delta must lie in (0, 1)"),
         (["gen", "random_ksat", "5", "-m", "-3"], "need m >= 0, got m=-3"),
+        (["solve", "{cnf}", "--theta-fraction", "0.8", "--mu", "0.99"],
+         "mu is only used with mu_source='user', not 'empirical'"),
+        (["solve", "{cnf}", "--theta-init", "0.2"], "--theta-init and --cycles need --schedule"),
+        (["solve", "{cnf}", "--cycles", "4"], "--theta-init and --cycles need --schedule"),
     ],
-    ids=["solve-delta-0", "solve-delta-1.5", "solve-delta-neg", "sweep-delta-0", "gen-m-neg"],
+    ids=["solve-delta-0", "solve-delta-1.5", "solve-delta-neg", "sweep-delta-0", "gen-m-neg",
+         "solve-mu-without-user-source", "solve-theta-init-without-schedule",
+         "solve-cycles-without-schedule"],
 )
 def test_out_of_range_parameters_rejected(argv, error, tmp_path, capsys):
     # a sweep records the error in its row; every other command exits 2
@@ -417,3 +428,34 @@ def test_unconverged_lanczos_reaches_the_user(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     (row,) = csv.DictReader(out.read_text().splitlines()[1:])
     assert row["status"] == "error" and row["error"] == message
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--theta", "0.3", "--theta-fraction", "0.8"],
+        ["--theta", "0.3", "--schedule", "cubic", "--cycles", "4"],
+        ["--theta-fraction", "0.8", "--schedule", "cubic"],
+        ["--mode", "deterministic"],
+    ],
+    ids=["theta-and-fraction", "theta-and-schedule", "fraction-and-schedule", "mode"],
+)
+def test_conflicting_or_unknown_solve_flags_exit_two(flags, tmp_path, capsys):
+    # each angle flag alone picks the angle, so two of them conflict
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", str(cnf), *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_import_loads_no_process_pool():
+    # only a sweep with more than one worker starts a pool
+    code = ("import sys, mdsat.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -53,6 +53,26 @@ class TestSchedule:
             sv.schedule_angle(s, 6)
 
 
+class TestPrepConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mu": 0.5},
+            {"mu_source": "dl_bound", "mu": 0.5},
+            {"mu_source": "user"},
+            {"mu_source": "user", "mu": 1.0},
+            {"mu_source": "user", "mu": -0.1},
+        ],
+        ids=["empirical-with-mu", "dl-bound-with-mu", "user-without-mu", "user-mu-1", "user-mu-neg"],
+    )
+    def test_mu_given_exactly_with_user_source(self, kwargs):
+        # a mu the run would not use must not set the default budget either
+        with pytest.raises(ValueError, match="mu"):
+            sv.PrepConfig(theta=0.4 * np.pi, **kwargs)
+        with pytest.raises(ValueError, match="mu"):
+            sv.solve(fm.formula_from_dimacs_codes(2, [[1, 2]]), 0.4 * np.pi, **kwargs)
+
+
 class TestResolveMu:
     def test_dl_bound_upper_bounds_convergence_rate(self):
         # mu <= 1 - gap / (4 g^2) (detectability lemma); g = 0 gives 0
@@ -68,45 +88,38 @@ class TestResolveMu:
 class TestPrepareState:
     def test_pi_half_success_probability_exact(self, small_instances):
         for f in small_instances[:6]:
-            prep = sv.Preparer(
-                sv.PrepConfig(theta=np.pi / 2, mode="deterministic"),
-                np.random.default_rng(0),
-            )
-            res = prep.prepare(f, 0.01)
-            assert res.r_star == 1
+            prep = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
+            traj = prep.trajectory(f, 0.01)
+            assert traj.cycles == 1
             expected = fm.count_solutions(f) / 2**f.n
-            assert abs(res.success_probability - expected) < 1e-12
+            assert abs(traj.success_probability - expected) < 1e-12
 
     def test_unate_one_cycle_full_fidelity(self):
         f = fm.generate("unate", 6, 10, 3, seed=6)
         theta = 0.3 * np.pi
-        prep = sv.Preparer(
-            sv.PrepConfig(theta=theta, mode="deterministic"), np.random.default_rng(0)
-        )
-        res = prep.prepare(f, 0.01)
-        assert res.r_star == 1
+        prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
+        traj = prep.trajectory(f, 0.01)
+        assert traj.cycles == 1
         p_gs = enc.ground_space_projector(f, theta)
-        assert np.linalg.norm(p_gs @ res.state) > 1 - 1e-10
+        assert np.linalg.norm(p_gs @ traj.final_state) > 1 - 1e-10
 
     def test_success_floor(self, small_instances):
         theta = 0.35 * np.pi
         for f in small_instances[:4]:
-            prep = sv.Preparer(
-                sv.PrepConfig(theta=theta, mode="deterministic"), np.random.default_rng(0)
-            )
-            res = prep.prepare(f, 0.01)
-            assert res.success_probability >= sv.success_probability_floor(theta, f.n)
+            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
+            traj = prep.trajectory(f, 0.01)
+            assert traj.success_probability >= sv.success_probability_floor(theta, f.n)
 
     def test_cycle_bound_guarantee(self, small_instances):
         for f in small_instances[:4]:
             theta = 0.4 * np.pi
             mu = sp.convergence_rate(f, theta)
             for eps in (0.1, 0.01):
-                cfg = sv.PrepConfig(theta=theta, mode="deterministic")
-                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, eps)
+                cfg = sv.PrepConfig(theta=theta)
+                traj = sv.Preparer(cfg, np.random.default_rng(0)).trajectory(f, eps)
                 p_gs = enc.ground_space_projector(f, theta)
-                assert np.linalg.norm(p_gs @ res.state) >= 1 - eps
-                assert res.r_star == sv.cycles_required(theta, f.n, eps, mu)
+                assert np.linalg.norm(p_gs @ traj.final_state) >= 1 - eps
+                assert traj.cycles == sv.cycles_required(theta, f.n, eps, mu)
 
     def test_trace_distance_within_sqrt_two_epsilon(self, small_instances):
         # fidelity >= 1 - eps puts the prepared state within sqrt(2 eps) trace
@@ -114,19 +127,21 @@ class TestPrepareState:
         theta = 0.4 * np.pi
         for f in small_instances[:4]:
             for eps in (0.1, 0.01):
-                cfg = sv.PrepConfig(theta=theta, mode="deterministic")
-                res = sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, eps)
+                cfg = sv.PrepConfig(theta=theta)
+                traj = sv.Preparer(cfg, np.random.default_rng(0)).trajectory(f, eps)
                 p_gs = enc.ground_space_projector(f, theta)
-                fid = np.linalg.norm(p_gs @ res.state)
+                fid = np.linalg.norm(p_gs @ traj.final_state)
                 trace_dist = math.sqrt(max(0.0, 1.0 - fid**2))
                 assert trace_dist <= math.sqrt(2 * eps) + 1e-12
 
     def test_monte_carlo_counts_are_deterministic_per_seed(self):
         f = fm.random_satisfiable(np.random.default_rng(1), 5, 10, 3)
-        cfg = sv.PrepConfig(theta=0.4 * np.pi, mode="monte_carlo")
-        a = sv.Preparer(cfg, np.random.default_rng(42)).prepare(f, 0.01)
-        b = sv.Preparer(cfg, np.random.default_rng(42)).prepare(f, 0.01)
-        assert (a.restarts, a.measurements) == (b.restarts, b.measurements)
+        cfg = sv.PrepConfig(theta=0.4 * np.pi)
+        a = sv.Preparer(cfg, np.random.default_rng(42))
+        b = sv.Preparer(cfg, np.random.default_rng(42))
+        for prep in (a, b):
+            prep.prepare(f, 0.01)
+        assert (a.restarts, a.counter.used) == (b.restarts, b.counter.used)
 
     def test_monte_carlo_matches_naive_simulation(self):
         """The naive check-by-check simulation succeeds with the trajectory's
@@ -138,8 +153,8 @@ class TestPrepareState:
         mu = sp.convergence_rate(f, theta)
         r_star = sv.cycles_required(theta, f.n, eps, mu)
         projs = enc.clause_projectors(f, theta)
-        cfg = sv.PrepConfig(theta=theta, mode="deterministic")
-        traj = sv.Preparer(cfg, rng).trajectory(f, eps)[0]
+        cfg = sv.PrepConfig(theta=theta)
+        traj = sv.Preparer(cfg, rng).trajectory(f, eps)
         assert traj.cycles == r_star
         p_exact = traj.success_probability
 
@@ -177,11 +192,10 @@ class TestPrepareState:
         sampled_fails = np.zeros(traj.length, dtype=np.int64)
         restarts = np.zeros(preparations)
         for i in range(preparations):
-            r, cost, positions = sv._sample_restart_costs(
-                traj, sample_rng, 10**6, sv.MeasurementCounter(), trace_rng
-            )
+            counter = sv.MeasurementCounter()
+            r, positions = sv._sample_restart_costs(traj, sample_rng, 10**6, counter, trace_rng)
             positions = np.asarray(positions, dtype=np.int64)
-            assert positions.size == r and cost == int(np.sum(positions + 1))
+            assert positions.size == r and counter.used == int(np.sum(positions + 1))
             np.add.at(sampled_fails, positions, 1)
             restarts[i] = r
         assert sampled_fails.sum() > 10**4
@@ -203,7 +217,7 @@ class TestPrepareState:
         for f in small_instances[:4]:
             order = layered_order(build_layers(f, theta))
             lay = sv.allpass_trajectory(
-                f, sv.PrepConfig(theta=theta, plan="layered", mode="deterministic"), 3
+                f, sv.PrepConfig(theta=theta, plan="layered"), 3
             )
             seq_state = svec.plus_state(f.n)
             projs = enc.clause_projectors(f, theta)
@@ -219,30 +233,31 @@ class TestPrepareState:
 
     def test_prepare_state_wrapper_and_trace(self, tmp_path):
         f = fm.random_satisfiable(np.random.default_rng(1), 4, 7, 3)
-        cfg = sv.PrepConfig(theta=0.4 * np.pi, mode="monte_carlo")
+        cfg = sv.PrepConfig(theta=0.4 * np.pi)
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
-            tracer = sv.TraceWriter(fh)
-            res = sv.Preparer(cfg, np.random.default_rng(6), trace=tracer).prepare(f, 0.01)
+            traced = sv.Preparer(cfg, np.random.default_rng(6), trace=sv.TraceWriter(fh))
+            traced.prepare(f, 0.01)
         lines = path.read_text().splitlines()
         assert lines[0] == "preparation,attempt,cycle,check,outcome,probability"
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == res.measurements
-        assert sum(1 for r in rows if r[4] == "fail") == res.restarts
+        assert len(rows) == traced.counter.used
+        assert sum(1 for r in rows if r[4] == "fail") == traced.restarts
         # the successful attempt passes every check of every cycle
-        final = [r for r in rows if int(r[1]) == res.restarts]
-        assert len(final) == res.r_star * f.m
+        final = [r for r in rows if int(r[1]) == traced.restarts]
+        assert len(final) == traced.trajectory(f, 0.01).cycles * f.m
         assert all(r[4] == "pass" for r in final)
         # ordering the traced failures draws nothing from the run's generator
-        untraced = sv.Preparer(cfg, np.random.default_rng(6)).prepare(f, 0.01)
-        assert (untraced.restarts, untraced.measurements) == (
-            res.restarts, res.measurements
+        untraced = sv.Preparer(cfg, np.random.default_rng(6))
+        untraced.prepare(f, 0.01)
+        assert (untraced.restarts, untraced.counter.used) == (
+            traced.restarts, traced.counter.used
         )
 
     def test_restarts_exhausted_on_unsat(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
         cfg = sv.PrepConfig(
-            theta=np.pi / 2, mode="monte_carlo", max_restarts=50,
+            theta=np.pi / 2, max_restarts=50,
             mu_source="user", mu=0.0,
         )
         with pytest.raises(sv.RestartsExhausted):
@@ -252,7 +267,7 @@ class TestPrepareState:
         # p_s = 0: the allowance of 10^12 restarts is drawn and charged at once
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
         cfg = sv.PrepConfig(
-            theta=np.pi / 2, mode="monte_carlo", max_restarts=10**12,
+            theta=np.pi / 2, max_restarts=10**12,
             mu_source="user", mu=0.0,
         )
         start = time.perf_counter()
@@ -386,9 +401,9 @@ class TestReadoutUnique:
         hits = 0
         for trial in range(20):
             rng = np.random.default_rng([trial, 5])
-            prep = sv.Preparer(sv.PrepConfig(theta=theta, mode="deterministic"), rng)
+            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
             try:
-                a = sv.readout_unique(f, theta, 0.1, rng, preparer=prep)
+                a = sv.readout_unique(f, 0.1, rng, preparer=prep)
             except sv.ReadoutFailed:
                 continue
             assert a == planted
@@ -433,8 +448,8 @@ class TestReadoutMultiple:
         planted = next(iter(fm.brute_force_solutions(f)))
         theta = 0.45 * np.pi
         rng = np.random.default_rng(3)
-        prep = sv.Preparer(sv.PrepConfig(theta=theta, mode="deterministic"), rng)
-        a = sv.readout_multiple(f, theta, 0.1, rng, preparer=prep)
+        prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
+        a = sv.readout_multiple(f, 0.1, rng, preparer=prep)
         assert a == planted
 
     def test_multi_solution_membership(self):
@@ -443,8 +458,8 @@ class TestReadoutMultiple:
         seen = set()
         for trial in range(12):
             rng = np.random.default_rng(trial)
-            prep = sv.Preparer(sv.PrepConfig(theta=theta, mode="deterministic"), rng)
-            a = sv.readout_multiple(f, theta, 0.1, rng, preparer=prep)
+            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
+            a = sv.readout_multiple(f, 0.1, rng, preparer=prep)
             assert a in {"01", "10", "11"}
             seen.add(a)
         assert seen  # at least one solution produced
@@ -457,9 +472,9 @@ class TestReadoutMultiple:
         assert next(iter(fm.brute_force_solutions(f)))[0] == "1"
         theta = 0.4 * np.pi
         rng = _HighUniforms(np.random.default_rng(0))
-        prep = sv.Preparer(sv.PrepConfig(theta=theta, mode="deterministic"), rng)
+        prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
         with pytest.raises(sv.ReadoutFailed, match="no satisfying assignment"):
-            sv.readout_multiple(f, theta, 0.1, rng, preparer=prep)
+            sv.readout_multiple(f, 0.1, rng, preparer=prep)
         _assert_every_readout_fails(monkeypatch, f, theta)
 
     def test_fix_leaving_no_solution_fails_under_user_mu(self, monkeypatch):
@@ -470,8 +485,8 @@ class TestReadoutMultiple:
     def test_zero_occurrence_variable_fixed_false(self):
         f = fm.formula_from_dimacs_codes(3, [[2, 3]])  # variable 1 unused
         rng = np.random.default_rng(0)
-        prep = sv.Preparer(sv.PrepConfig(theta=0.4 * np.pi, mode="deterministic"), rng)
-        a = sv.readout_multiple(f, 0.4 * np.pi, 0.1, rng, preparer=prep)
+        prep = sv.Preparer(sv.PrepConfig(theta=0.4 * np.pi), np.random.default_rng(0))
+        a = sv.readout_multiple(f, 0.1, rng, preparer=prep)
         assert a[0] == "0" and fm.evaluate(f, a)
 
 
@@ -523,15 +538,17 @@ class TestSolve:
             assert report.cycles_per_attempt == sv.cycles_required(theta, f.n, eps, mu)
 
     def test_budget_spent_on_a_readout_shot_counts_its_preparation(self):
-        # At pi/2 a deterministic preparation is one cycle of f.m checks; the
-        # budget lets the first preparation complete, and its readout shot of
-        # f.n measurements exhausts it.
+        # P is the cost of the first preparation, its failed attempts
+        # included, drawn from the run's generator as solve draws it; the
+        # budget lets that preparation complete, and its readout shot of f.n
+        # measurements exhausts it.
         f = fm.generate("planted_unique", 6, 20, 3, seed=14)
-        report = sv.solve(
-            f, np.pi / 2, readout="unique", mode="deterministic", budget=f.m + 1, seed=0
-        )
-        assert report.status == "UNSAT" and report.measurements == f.m + 1
-        assert report.preparations == 1 and report.restarts == 0
+        first = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
+        first.prepare(f, sv.unique_readout_parameters(np.pi / 2, f.n, 0.1)[0])
+        spent = first.counter.used
+        report = sv.solve(f, np.pi / 2, readout="unique", budget=spent + 1, seed=0)
+        assert report.status == "UNSAT" and report.measurements == spent + 1
+        assert report.preparations == 1 and report.restarts == first.restarts
         assert report.cycles_per_attempt == 1
 
     def test_layered_plan(self):

@@ -10,7 +10,7 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - four instances: planted_unique 9/39 seeds 1 and 2, random_ksat 8/30 seed 3
   and random_ksat 6/40 seed 4 (unsatisfiable);
 - for each, ``solve --seed 7 --no-timing --report`` with both readouts, both
-  plans and each of the VARIANTS below (96 runs);
+  plans and each of the VARIANTS below (80 runs);
 - ``solve --theta-fraction 0.8`` with both readouts and otherwise default
   flags on planted_unique 11/47 seed 1, whose n lies above the size up to
   which mu is taken from an assembled operator;
@@ -64,7 +64,6 @@ VARIANTS = {
     "frac1.0": ["--theta-fraction", "1.0"],
     "cubic8": ["--schedule", "cubic", "--cycles", "8"],
     "user-mu": ["--mu-source", "user", "--mu", "0.6"],
-    "deterministic": ["--mode", "deterministic"],
     "budget3000": ["--budget", "3000"],
 }
 
