@@ -26,7 +26,7 @@ Hamiltonians are built by applying the factorized check kernel of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,11 +73,38 @@ def single_qubit_states(theta: float):
 
 @dataclass(frozen=True, eq=False)
 class ClauseProjector:
-    """Rank-1 projector |u><u| on ``support`` tensored with identity."""
+    """Rank-1 projector |u><u| on ``support`` tensored with identity.
+
+    ``view_shape`` and ``patterns`` are compiled once, at construction, for
+    the check kernel of :mod:`mdsat.statevec`.  A state of length 2^n
+    reshaped to ``view_shape`` (any batch axes appended) gives each support
+    qubit its own length-2 axis.  ``patterns`` lists, in lexicographic order
+    of the support bits b, the index of the slice psi_b in that view and the
+    amplitude u_b = prod_q u_q[b_q] of every pattern with u_b != 0.0.
+    """
 
     n: int
     support: tuple[int, ...]  # 1-based qubit indices, strictly increasing
     factors: tuple[np.ndarray, ...]  # one unit 2-vector per support qubit
+    view_shape: tuple[int, ...] = field(init=False, repr=False)
+    patterns: tuple[tuple[tuple, float], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shape, prev = [], 0
+        for q in self.support:
+            shape += [1 << (q - 1 - prev), 2]
+            prev = q
+        shape.append(1 << (self.n - prev))
+        patterns = []
+        for code in range(1 << self.width):  # the first support bit is the most significant
+            bits = [(code >> (self.width - 1 - j)) & 1 for j in range(self.width)]
+            a = 1.0
+            for u, b in zip(self.factors, bits):
+                a *= float(u[b])
+            if a != 0.0:
+                patterns.append((tuple(x for b in bits for x in (slice(None), b)), a))
+        object.__setattr__(self, "view_shape", tuple(shape))
+        object.__setattr__(self, "patterns", tuple(patterns))
 
     @property
     def width(self) -> int:

@@ -184,9 +184,14 @@ def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
 
 @dataclass
 class Trajectory:
-    """All-pass evolution of one preparation attempt."""
+    """All-pass evolution of one preparation attempt.
 
-    final_state: np.ndarray
+    ``final_state`` is None for a dead trajectory, one with a pass
+    probability of exactly 0: no attempt can pass it, so there is no
+    prepared state to read out.
+    """
+
+    final_state: np.ndarray | None
     step_pass_probs: np.ndarray  # one entry per measurement
     steps_per_cycle: int
     cycles: int
@@ -219,9 +224,14 @@ def _plan_steps(f: Formula, plan: str) -> list[list[int]]:
 def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     """Evolve |+>^n through ``cycles`` all-pass cycles, recording the pass
     probability of every measurement.  Once a pass probability hits exactly
-    zero the remaining entries are zero and the state stops evolving.  The
-    measurement steps are planned once: the layer grouping does not depend on
-    the angle.
+    zero the remaining entries are zero, the state stops evolving, and the
+    trajectory is dead: its ``final_state`` is None.  The measurement steps
+    are planned once: the layer grouping does not depend on the angle.
+
+    Every check acts in place on one state buffer, through
+    ``apply_check_unnormalized(psi, proj, out=psi)``, and each step is
+    renormalized in place by dividing by sqrt(p), so a step allocates no
+    state vector.
 
     The state evolves in the sparse frame of :func:`sparse_frame`, built once
     per angle, where most clause-projector factors are exact basis vectors
@@ -233,10 +243,15 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
 
     A pass probability that is not finite, or positive but below the
     smallest normal float, raises FloatingPointError instead of being
-    renormalized, as does a final state whose norm is off 1 by more than
-    1e-10.
+    renormalized, as does the final state of a live trajectory whose norm
+    is off 1 by more than 1e-10.
     """
-    check_alloc(32 << f.n, "state preparation")  # the state, 2 copies, scratch
+    # The state, plus the check kernel's two half-state temporaries (w and
+    # its scratch, at k = 1) or the frame rotation's two half-state buffers:
+    # 2 state vectors.  numpy's ufunc iteration buffers (64 KiB per strided
+    # operand) and the plan add a fixed amount, at most 181 KiB by
+    # tracemalloc at n = 8..18; 256 KiB covers it.
+    check_alloc((16 << f.n) + (256 << 10), "state preparation")
     probs: list[float] = []
     steps = _plan_steps(f, cfg.plan)
     dead = False
@@ -261,10 +276,9 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
             if dead:
                 probs.append(0.0)
                 continue
-            out = psi
             for ci in step:
-                out = apply_check_unnormalized(out, projs[ci])
-            p = float(np.dot(out, out))
+                psi = apply_check_unnormalized(psi, projs[ci], out=psi)
+            p = float(np.dot(psi, psi))
             if not math.isfinite(p) or 0.0 < p < _TINY:
                 raise FloatingPointError(
                     f"pass probability {p!r} at measurement {len(probs)} cannot be renormalized"
@@ -273,11 +287,14 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
             if p == 0.0:
                 dead = True
                 continue
-            psi = np.divide(out, math.sqrt(p), out=out)  # out is a fresh array
-    rotate_qubits_inplace(psi, _frame_change(bases, (None,) * f.n))
-    norm = math.sqrt(float(np.dot(psi, psi)))
-    if not abs(norm - 1.0) <= _NORM_DRIFT:
-        raise FloatingPointError(f"final state has norm {norm!r}, not 1")
+            np.divide(psi, math.sqrt(p), out=psi)
+    if dead:
+        psi = None
+    else:
+        rotate_qubits_inplace(psi, _frame_change(bases, (None,) * f.n))
+        norm = math.sqrt(float(np.dot(psi, psi)))
+        if not abs(norm - 1.0) <= _NORM_DRIFT:
+            raise FloatingPointError(f"final state has norm {norm!r}, not 1")
     return Trajectory(
         final_state=psi,
         step_pass_probs=np.array(probs),
@@ -463,8 +480,11 @@ def readout_unique(
     theta = readout_angle(preparer.cfg.theta)
     eps, copies = unique_readout_parameters(theta, f.n, delta)
     # Every copy prepares the same cached trajectory, so its final state and
-    # readout distribution are the same for all of them.
-    cdf = basis_cdf(preparer.trajectory(f, eps).final_state)
+    # readout distribution are the same for all of them.  A dead trajectory
+    # has no final state, and its first preparation raises before any copy
+    # is read.
+    state = preparer.trajectory(f, eps).final_state
+    cdf = None if state is None else basis_cdf(state)
     votes = np.zeros(f.n, dtype=np.int64)
     for _ in range(copies):
         preparer.prepare(f, eps)
@@ -507,8 +527,10 @@ def readout_multiple(
             cur = nxt
             continue
         # Every shot prepares the same cached trajectory, so its final state
-        # and readout probability are the same for all of them.
-        p1 = prob_one(preparer.trajectory(cur, eps).final_state, 1)
+        # and readout probability are the same for all of them.  A dead
+        # trajectory has no final state, and its first preparation raises.
+        state = preparer.trajectory(cur, eps).final_state
+        p1 = None if state is None else prob_one(state, 1)
         total = 0
         for _ in range(shots):
             preparer.prepare(cur, eps)

@@ -5,16 +5,16 @@ significant bit, matching the assignment-string convention of
 :mod:`mdsat.formula`.  A clause check C = I - |u><u| is applied through the
 factorized rank-1 structure of its projector, in place, on any array of
 shape (2^n, *batch), visiting only the support patterns on which the
-projector's amplitude is nonzero (one of 2^k at theta = pi/2).  Dense
+projector's amplitude is nonzero (one of 2^k at theta = pi/2).  Those
+patterns, and the view that exposes them, are compiled once per
+:class:`mdsat.encoding.ClauseProjector`; a check with a single pattern of
+amplitude +-1 zeroes its slice and allocates nothing.  Dense
 operators (check products, clause projectors, Hamiltonians) are this same
 kernel applied to the identity; no Kronecker product or 2^n x 2^n matrix
 product is formed.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 import numpy as np
 
@@ -51,26 +51,26 @@ def rotate_qubits_inplace(psi: np.ndarray, gates: dict[int, np.ndarray]) -> None
 def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
     """psi <- (I - |u><u|) psi for a C-contiguous ``psi`` of shape (2^n, *batch).
 
-    Each support qubit gets its own length-2 axis, which splits ``psi`` into
-    2^k support slices psi_b (views).  With u_b the amplitude of |u> on the
-    support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.  Patterns
-    with u_b exactly 0.0 are skipped, since they add nothing to w and are left
-    unchanged: at theta = pi/2 only the forbidden pattern remains, with
-    u_b = +-1, and its slice is set to exactly zero.  Below pi/2 no amplitude
-    of a computational-basis projector is zero and every pattern is visited;
-    in the sparse frame every majority-sign literal halves the patterns.
+    ``psi`` is viewed in the projector's compiled ``view_shape``, which
+    splits it into 2^k support slices psi_b (views), and only the compiled
+    ``patterns`` are visited: those with u_b != 0.0, since the others add
+    nothing to w and are left unchanged.  With u_b the amplitude of |u> on
+    the support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.  A
+    check with one pattern and u_b = +-1 sets its slice to 0.0, which is bit
+    for bit what w and the subtraction give on a finite state; this covers
+    every check at theta = pi/2, and in the sparse frame every clause whose
+    literals all have their variable's majority sign.  Below pi/2 no
+    amplitude of a computational-basis projector is zero and every pattern is
+    visited; in the sparse frame every majority-sign literal halves the
+    patterns.
     """
-    shape, prev = [], 0
-    for q in proj.support:
-        shape += [1 << (q - 1 - prev), 2]
-        prev = q
-    t = psi.reshape(shape + [1 << (proj.n - prev), *psi.shape[1:]])
-    slices, amps = [], []
-    for bits in itertools.product((0, 1), repeat=proj.width):
-        a = math.prod(u[b] for u, b in zip(proj.factors, bits))
-        if a != 0.0:
-            slices.append(t[tuple(x for b in bits for x in (slice(None), b))])
-            amps.append(a)
+    t = psi.reshape(proj.view_shape + psi.shape[1:])
+    patterns = proj.patterns
+    if len(patterns) == 1 and abs(patterns[0][1]) == 1.0:
+        t[patterns[0][0]] = 0.0
+        return
+    slices = [t[i] for i, _ in patterns]
+    amps = [a for _, a in patterns]
     w = amps[0] * slices[0]
     tmp = np.empty_like(w)
     for a, s in zip(amps[1:], slices[1:]):
@@ -79,9 +79,18 @@ def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
         s -= np.multiply(w, a, out=tmp)
 
 
-def apply_check_unnormalized(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:
-    """C|psi> = (I - P)|psi> (unnormalized) as a new array; ``psi`` is untouched."""
-    out = psi.copy()
+def apply_check_unnormalized(
+    psi: np.ndarray, proj: ClauseProjector, out: np.ndarray | None = None
+) -> np.ndarray:
+    """C|psi> = (I - P)|psi> (unnormalized), written to ``out`` and returned.
+
+    As in numpy, ``out`` defaults to a new array, leaving ``psi`` untouched;
+    ``out=psi`` applies the check in place and allocates no state.
+    """
+    if out is None:
+        out = psi.copy()
+    elif out is not psi:
+        np.copyto(out, psi)
     apply_check_inplace(out, proj)
     return out
 

@@ -7,13 +7,19 @@ route), independently of the projector-sum route of
 ``mdsat.spectral.friedrichs_speed_slack``.  ``dense_convergence_rate`` takes
 mu from a dense SVD of the assembled check product minus the ground-space
 projector, independently of the Lanczos eigensolver of
-``mdsat.spectral.convergence_rate``.  The rest is the naive
+``mdsat.spectral.convergence_rate``.  ``apply_check_reference`` is the check
+kernel without its compiled patterns or its zeroing branch: it enumerates
+the support patterns on every call and always computes w and subtracts, so
+``mdsat.statevec.apply_check_inplace`` must match it bit for bit.  The rest
+is the naive
 per-measurement simulator: one projective clause (or layer) check at a time,
 with explicit branch probabilities and renormalized post-measurement states.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -34,6 +40,29 @@ def kron_projector(proj: ClauseProjector) -> np.ndarray:
         for q in range(1, proj.n + 1)
     ]
     return reduce(np.kron, blocks, np.array([[1.0]]))
+
+
+def apply_check_reference(psi: np.ndarray, proj: ClauseProjector) -> None:
+    """psi <- (I - |u><u|) psi for a C-contiguous ``psi`` of shape (2^n, *batch):
+    w = sum_b u_b psi_b over the support patterns b with u_b != 0.0, then
+    psi_b -= u_b w, with the patterns and the view rebuilt on every call."""
+    shape, prev = [], 0
+    for q in proj.support:
+        shape += [1 << (q - 1 - prev), 2]
+        prev = q
+    t = psi.reshape(shape + [1 << (proj.n - prev), *psi.shape[1:]])
+    slices, amps = [], []
+    for bits in itertools.product((0, 1), repeat=proj.width):
+        a = math.prod(u[b] for u, b in zip(proj.factors, bits))
+        if a != 0.0:
+            slices.append(t[tuple(x for b in bits for x in (slice(None), b))])
+            amps.append(a)
+    w = amps[0] * slices[0]
+    tmp = np.empty_like(w)
+    for a, s in zip(amps[1:], slices[1:]):
+        w += np.multiply(s, a, out=tmp)
+    for a, s in zip(amps, slices):
+        s -= np.multiply(w, a, out=tmp)
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -22,8 +22,8 @@ REFUSAL_BUDGET = 16 << 20
 
 
 @functools.cache
-def _formula(kind, n, m, seed):
-    return fm.generate(kind, n, m, 3, seed)
+def _formula(kind, n, m, seed, k=3):
+    return fm.generate(kind, n, m, k, seed)
 
 
 def _rk16():
@@ -127,3 +127,26 @@ def test_solve_refuses_the_ground_space_basis(monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: Lanczos basis and ground-space basis needs ")
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("plan", ["sequential", "layered"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_state_preparation_peak_fits_its_check(plan, k, monkeypatch):
+    # one-literal clauses give the kernel its largest temporaries (two
+    # half-state slices), and a layered plan applies several checks per step
+    f = _formula("random_ksat", 14, 30, 1, k)
+    cfg = sv.PrepConfig(theta=THETA, mu_source="user", mu=0.5, plan=plan)
+    checked = []
+
+    def recording_check_alloc(nbytes, what):
+        checked.append(nbytes)
+        check_alloc(nbytes, what)
+
+    monkeypatch.setattr(sv, "check_alloc", recording_check_alloc)
+    tracemalloc.start()
+    try:
+        sv.allpass_trajectory(f, cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1 and peak <= checked[0]

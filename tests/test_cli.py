@@ -452,9 +452,10 @@ def test_conflicting_or_unknown_solve_flags_exit_two(flags, tmp_path, capsys):
 
 
 def test_import_loads_no_process_pool():
-    # only a sweep with more than one worker starts a pool
+    # only a sweep with more than one worker starts a pool, and only the
+    # tests use scipy; a fresh import is all of the set-up of some runs
     code = ("import sys, mdsat.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'scipy') if m in sys.modules))")
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout

@@ -370,9 +370,21 @@ class TestTrajectoryNumerics:
         # 1e-160 leaves a pass probability near 1e-320: positive but
         # subnormal, too small to renormalize by; 1e300 overflows it
         check = sv.apply_check_unnormalized
-        monkeypatch.setattr(sv, "apply_check_unnormalized", lambda psi, p: check(psi, p) * scale)
+        monkeypatch.setattr(
+            sv, "apply_check_unnormalized", lambda psi, p, out=None: check(psi, p, out=out) * scale
+        )
         with pytest.raises(FloatingPointError, match="pass probability"):
             sv.allpass_trajectory(self.f, self.cfg, 2)
+
+    def test_dead_trajectory_keeps_no_state(self):
+        # x1 and not x1: the second check of the first cycle passes with
+        # probability 0, and the state after it is zero
+        f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
+        for plan in ("sequential", "layered"):
+            traj = sv.allpass_trajectory(f, sv.PrepConfig(theta=np.pi / 2, plan=plan), 2)
+            assert traj.final_state is None
+            probs = traj.step_pass_probs
+            assert abs(probs[0] - 0.5) < 1e-15 and probs[1:].tolist() == [0.0, 0.0, 0.0]
 
     def test_final_norm_drift_raises(self, monkeypatch):
         rotate = sv.rotate_qubits_inplace
@@ -502,6 +514,15 @@ class TestSolve:
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
         report = sv.solve(f, np.pi / 2, seed=0)
         assert report.status == "UNSAT" and report.assignment is None
+
+    @pytest.mark.parametrize("readout, measurements", [("unique", 4896), ("multiple", 8830)])
+    def test_dead_trajectory_exhausts_the_budget(self, readout, measurements):
+        # neither readout reads the missing final state: the restarts of the
+        # first preparation spend the whole budget first
+        f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
+        report = sv.solve(f, np.pi / 2, readout=readout, seed=3)
+        assert report.status == "UNSAT" and report.measurements == measurements == report.budget
+        assert report.preparations == 0
 
     def test_seed_determinism(self):
         f = fm.random_satisfiable(np.random.default_rng(8), 6, 14, 3)

@@ -349,3 +349,74 @@ class TestFrameHelpers:
             out = psi.copy()
             svec.rotate_qubits_inplace(out, gates)
             assert np.abs(out - dense @ psi).max() <= 1e-13
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bytes: unlike ``np.array_equal``, -0.0 != 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_and_reference(x: np.ndarray, proj) -> tuple[np.ndarray, np.ndarray]:
+    """(apply_check_inplace, apply_check_reference) applied to copies of x."""
+    got, want = x.copy(), x.copy()
+    svec.apply_check_inplace(got, proj)
+    oracle.apply_check_reference(want, proj)
+    return got, want
+
+
+class TestKernelMatchesReference:
+    """The compiled patterns and the zeroing branch change no bit: the kernel
+    matches the per-call reference exactly, on states and on batches."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [np.pi / 2, 0.1 * np.pi, 0.25 * np.pi, 0.3 * np.pi, 0.45 * np.pi])
+    def test_sparse_frame_and_computational_projectors(self, k, theta):
+        f = fm.generate("random_ksat", 9, 30, k, 1)
+        _, frame_projs = enc.sparse_frame(f, theta)
+        # one pattern (the zeroing branch), two, and, from k = 2, four
+        expected = {1} if theta == np.pi / 2 else {1, 2, 4} if k > 1 else {1, 2}
+        assert expected <= {len(p.patterns) for p in frame_projs}
+        rng = np.random.default_rng(k)
+        for proj in frame_projs + enc.clause_projectors(f, theta):
+            for x in (rng.standard_normal(1 << f.n), rng.standard_normal((1 << f.n, 3))):
+                assert _same_bits(*_kernel_and_reference(x, proj))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mixed_sparsity_case())
+    def test_mixed_sparsity(self, case):
+        """Basis factors of either sign, so single patterns of amplitude +1
+        and -1, beside generic factors."""
+        proj, seed = case
+        rng = np.random.default_rng(seed)
+        for x in (rng.standard_normal(1 << proj.n), rng.standard_normal((1 << proj.n, 2))):
+            assert _same_bits(*_kernel_and_reference(x, proj))
+
+    def test_zeroing_branch_writes_positive_zeros(self):
+        # the reference's x - (+-1)(+-1)x is +0.0 for every finite x, -0.0
+        # included; (not x1 or x2) forbids x1 = 1, x2 = 0: indices 4 and 5
+        proj = _proj([-1, 2], np.pi / 2, 3)
+        for forbidden in ([-0.0, 0.0], [np.finfo(float).max, -5e-324]):
+            psi = np.array([-0.0, 0.0, 1.5, -2.5, *forbidden, -7.0, 1e-300])
+            got, want = _kernel_and_reference(psi, proj)
+            assert _same_bits(got, want) and _same_bits(got[4:6], np.zeros(2))
+            assert _same_bits(np.delete(got, [4, 5]), np.delete(psi, [4, 5]))
+
+    def test_single_pattern_off_one_is_not_zeroed(self):
+        # a factor of norm 1 - 2^-53 leaves one pattern whose amplitude is
+        # not exactly +-1, so w and the subtraction leave a residue
+        proj = enc.ClauseProjector(n=2, support=(1,), factors=(np.array([0.0, 1.0 - 2.0**-53]),))
+        got, want = _kernel_and_reference(np.array([1.0, 2.0, 3.0, 4.0]), proj)
+        assert _same_bits(got, want) and np.all(got[2:] != 0.0)
+
+    def test_unnormalized_out(self):
+        proj = _proj([1, -3], 0.3 * np.pi, 4)
+        psi = np.random.default_rng(3).standard_normal(16)
+        _, want = _kernel_and_reference(psi, proj)
+        before = psi.copy()
+        fresh = svec.apply_check_unnormalized(psi, proj)
+        assert _same_bits(fresh, want) and _same_bits(psi, before)
+        other = np.empty_like(psi)
+        assert svec.apply_check_unnormalized(psi, proj, out=other) is other
+        assert _same_bits(other, want) and _same_bits(psi, before)
+        assert svec.apply_check_unnormalized(psi, proj, out=psi) is psi
+        assert _same_bits(psi, want)
