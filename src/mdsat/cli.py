@@ -152,9 +152,9 @@ def cmd_solve(args) -> int:
 class SweepConfig:
     kind: str = "random_ksat"
     n_values: list[int] = field(default_factory=lambda: [6])
-    m: int = 0
+    m: int | None = None  # None: the kind's own clause count
     m_per_n: float = 0.0  # if set, m = round(m_per_n * n)
-    k: int = 3
+    k: int | None = None  # None: the kind's own clause width
     thetas: list = field(default_factory=lambda: [math.pi / 2])
     trials: int = 3
     delta: float = 0.1
@@ -339,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a DIMACS instance")
     p.add_argument("kind", choices=["random_ksat", "planted_unique", "unate", "unate_unique"])
     p.add_argument("n", type=int)
-    p.add_argument("-m", type=int, default=0)
-    p.add_argument("-k", type=int, default=3)
+    p.add_argument("-m", type=int, default=None, help="clause count (default: the kind's own)")
+    p.add_argument("-k", type=int, default=None, help="clause width (default: the kind's own)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gen)

@@ -303,8 +303,8 @@ def _random_clause(rng: np.random.Generator, n: int, k: int) -> Clause:
 def generate(
     kind: str,
     n: int,
-    m: int = 0,
-    k: int = 3,
+    m: int | None = None,
+    k: int | None = None,
     seed: int = 0,
 ) -> Formula:
     """Generate a random instance; deterministic per (kind, n, m, k, seed).
@@ -316,9 +316,16 @@ def generate(
                         clauses satisfied by the planted assignment)
       unate          -- one fixed random polarity per variable
       unate_unique   -- one single-literal clause per variable (m=n, k=1)
+
+    An m or k of None takes the kind's own value: m = 0 and k = 3, or m = n
+    and k = 1 for unate_unique, which refuses any other m or k.
     """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
+    if kind == "unate_unique" and (m not in (None, n) or k not in (None, 1)):
+        raise ValueError(f"unate_unique has m = n and k = 1, got n={n}, m={m}, k={k}")
+    m = 0 if m is None else m
+    k = 3 if k is None else k
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
     rng = np.random.default_rng(seed)

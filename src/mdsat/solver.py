@@ -22,7 +22,7 @@ measurement counting exact at desk scale.
 Both readouts, majority vote for a unique solution and variable-by-variable
 fixing for any number of solutions, prepare a state and measure it.  One
 :class:`Preparer` per run owns the accounting: it spends every preparation
-and readout measurement through one counter, counts the completed
+and readout measurement against the run's budget, counts the completed
 preparations and their restarts, and records the convergence-rate input and
 cycle count it resolved for each formula, which :func:`solve` reports.  Each
 readout passes its own tolerance to every preparation and decides its own
@@ -60,6 +60,7 @@ _MIN_GEOMETRIC_P = 1e-12
 _MAX_READOUT_ATTEMPTS = 64
 _TINY = np.finfo(float).tiny  # smallest pass probability renormalized
 _NORM_DRIFT = 1e-10  # tolerated distance of a trajectory's final norm from 1
+_GENERIC_MU = 0.5  # assumed by the default budget and for formulas with no ground space
 
 
 class RestartsExhausted(RuntimeError):
@@ -72,20 +73,6 @@ class BudgetExhausted(RuntimeError):
 
 class ReadoutFailed(RuntimeError):
     """A readout produced an inconsistent or non-satisfying assignment."""
-
-
-class MeasurementCounter:
-    """Tallies projective measurements against an optional budget."""
-
-    def __init__(self, budget: int | None = None):
-        self.used = 0
-        self.budget = budget
-
-    def spend(self, count: int) -> None:
-        self.used += int(count)
-        if self.budget is not None and self.used > self.budget:
-            self.used = self.budget  # the run halts the moment the budget is hit
-            raise BudgetExhausted(f"measurement budget {self.budget} exhausted")
 
 
 @dataclass(frozen=True)
@@ -156,10 +143,15 @@ def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"convergence rate must lie in [0, 1), got {mu}")
-    if mu <= _MU_ZERO:
+    return _cycles(theta, n, epsilon, math.inf if mu <= _MU_ZERO else math.log(1.0 / mu))
+
+
+def _cycles(theta: float, n: int, epsilon: float, ln_inv_mu: float) -> int:
+    """The cycle bound r* from ln(1/mu); one cycle when it is infinite."""
+    if math.isinf(ln_inv_mu):
         return 1
     target = math.log(1.0 / (epsilon * math.cos(theta / 2) ** n))
-    return max(1, math.ceil(target / math.log(1.0 / mu)))
+    return max(1, math.ceil(target / ln_inv_mu))
 
 
 def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
@@ -344,19 +336,19 @@ def _sample_restart_costs(
     traj: Trajectory,
     rng: np.random.Generator,
     max_restarts: int,
-    counter: MeasurementCounter,
     trace_rng: np.random.Generator | None,
 ):
-    """Sample the number of failed attempts and spend their measurement cost
-    through ``counter``.
+    """Sample the number of failed attempts and their measurement cost.
 
-    Returns (restarts, fail_positions); the positions, in attempt order, are
-    drawn only when ``trace_rng`` is given and are None otherwise.  Raises
-    RestartsExhausted or BudgetExhausted with the cost already counted.
+    Returns (restarts, cost, fail_positions).  The cost covers the failed
+    attempts only, at most ``max_restarts`` of them; ``restarts`` reaching
+    ``max_restarts`` means the allowance ran out, which the caller raises.
+    The positions, in attempt order, are drawn only when ``trace_rng`` is
+    given and the allowance holds, and are None otherwise.
     """
     length = traj.length
     if length == 0:
-        return 0, []
+        return 0, 0, []
     p_s = traj.success_probability
     if p_s >= _MIN_GEOMETRIC_P:
         restarts = int(rng.geometric(p_s)) - 1
@@ -370,17 +362,13 @@ def _sample_restart_costs(
         counts = np.zeros(length, dtype=np.int64)
     # Python integers: n_fail * length can exceed int64.  The failing
     # measurement at position j is the (j+1)-th of its attempt.
-    counter.spend(sum(c * (pos + 1) for pos, c in enumerate(counts.tolist())))
-    if restarts >= max_restarts:
-        raise RestartsExhausted(
-            f"no successful preparation within {max_restarts} restarts"
-        )
-    if trace_rng is None:
-        return restarts, None
+    cost = sum(c * (pos + 1) for pos, c in enumerate(counts.tolist()))
+    if trace_rng is None or restarts >= max_restarts:
+        return restarts, cost, None
     # Only a successful preparation is traced, and its trace lists every
     # failure anyway, so the positions cost no more memory than the trace.
     positions = trace_rng.permutation(np.repeat(np.arange(length), counts))
-    return restarts, positions
+    return restarts, cost, positions
 
 
 class Preparer:
@@ -389,22 +377,24 @@ class Preparer:
     One instance serves every preparation of a solve run: the convergence-rate
     input and the trajectory are computed once per distinct formula (and
     cycle count) and reused, Monte Carlo restart counts are sampled fresh on
-    every call, and every measurement is spent through ``counter``, which the
-    readouts share for their shots.  ``preparations`` and ``restarts`` count
-    the completed preparations and their failed attempts; ``resolved`` maps
-    each formula to the (mu, cycles) of its latest fixed-angle preparation.
+    every call, and every measurement, the readouts' shots included, is
+    counted by :meth:`spend` in ``used`` against ``budget`` (None: no
+    limit).  ``preparations`` and ``restarts`` count the completed
+    preparations and their failed attempts; ``resolved`` maps each formula
+    to the (mu, cycles) of its latest fixed-angle preparation.
     """
 
     def __init__(
         self,
         cfg: PrepConfig,
         rng: np.random.Generator,
-        counter: MeasurementCounter | None = None,
+        budget: int | None = None,
         trace: TraceWriter | None = None,
     ):
         self.cfg = cfg
         self.rng = rng
-        self.counter = MeasurementCounter() if counter is None else counter
+        self.budget = budget
+        self.used = 0
         self.trace = trace
         self.preparations = 0
         self.restarts = 0
@@ -413,6 +403,13 @@ class Preparer:
         # keeps a traced run's draws identical to an untraced one's.
         self._trace_rng = rng.spawn(1)[0] if trace is not None else None
         self._trajectories: dict[tuple[Formula, int], Trajectory] = {}
+
+    def spend(self, count: int) -> None:
+        """Count measurements; past the budget, raise BudgetExhausted."""
+        self.used += int(count)
+        if self.budget is not None and self.used > self.budget:
+            self.used = self.budget  # the run halts the moment the budget is hit
+            raise BudgetExhausted(f"measurement budget {self.budget} exhausted")
 
     def trajectory(self, f: Formula, epsilon: float) -> Trajectory:
         """The all-pass trajectory that prepares ``f`` to tolerance
@@ -431,15 +428,19 @@ class Preparer:
 
     def prepare(self, f: Formula, epsilon: float) -> None:
         """Spend and count one preparation of ``f``: its sampled failed
-        attempts, then the successful one.  The prepared state is
-        :meth:`trajectory`'s final state."""
+        attempts, then (unless the restarts ran out) the successful one.  The
+        prepared state is :meth:`trajectory`'s final state."""
         traj = self.trajectory(f, epsilon)
         if self.trace is not None:
             self.trace.next_preparation()
-        restarts, positions = _sample_restart_costs(
-            traj, self.rng, self.cfg.max_restarts, self.counter, self._trace_rng
+        max_restarts = self.cfg.max_restarts
+        restarts, cost, positions = _sample_restart_costs(
+            traj, self.rng, max_restarts, self._trace_rng
         )
-        self.counter.spend(traj.length)
+        self.spend(cost)
+        if restarts >= max_restarts:
+            raise RestartsExhausted(f"no successful preparation within {max_restarts} restarts")
+        self.spend(traj.length)
         self.preparations += 1
         self.restarts += restarts
         if self.trace is not None:
@@ -448,23 +449,20 @@ class Preparer:
             self.trace.emit_attempt(traj, restarts, None)
 
 
-def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, int]:
-    """(epsilon, copies) for the majority-vote readout of a unique solution."""
+def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
+    """(epsilon, copies) for the majority-vote readout of a unique solution;
+    the copy count is not rounded."""
     check_angle(theta)
     eps = (1.0 - 1.0 / math.sqrt(2.0)) ** 2 / 8.0 * math.sin(theta) ** 2
-    copies = math.ceil(
-        2.0 * math.log(n / delta) / math.log(2.0 / (1.0 + math.cos(theta) ** 2))
-    )
-    return eps, max(1, copies)
+    return eps, 2.0 * math.log(n / delta) / math.log(2.0 / (1.0 + math.cos(theta) ** 2))
 
 
-def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, int]:
-    """(epsilon, shots-per-variable) for the variable-by-variable readout."""
+def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
+    """(epsilon, shots-per-variable) for the variable-by-variable readout;
+    the shot count is not rounded."""
     check_angle(theta)
     s2 = math.sin(theta) ** 2
-    eps = s2 / 8.0
-    shots = math.ceil(8.0 * math.log(2.0 * n / delta) / s2)
-    return eps, max(1, shots)
+    return s2 / 8.0, 8.0 * math.log(2.0 * n / delta) / s2
 
 
 def readout_unique(
@@ -486,9 +484,9 @@ def readout_unique(
     state = preparer.trajectory(f, eps).final_state
     cdf = None if state is None else basis_cdf(state)
     votes = np.zeros(f.n, dtype=np.int64)
-    for _ in range(copies):
+    for _ in range(math.ceil(copies)):
         preparer.prepare(f, eps)
-        preparer.counter.spend(f.n)
+        preparer.spend(f.n)
         index = int(sample_basis(cdf, rng, 1)[0])
         bits = np.array([(index >> (f.n - q)) & 1 for q in range(1, f.n + 1)])
         votes += 2 * bits - 1  # outcome +1 on |1>, -1 on |0>
@@ -514,6 +512,7 @@ def readout_multiple(
     is prepared)."""
     theta = readout_angle(preparer.cfg.theta)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
+    shots = math.ceil(shots)
     sin_t = math.sin(theta)
     bits: list[str] = []
     cur = f
@@ -534,7 +533,7 @@ def readout_multiple(
         total = 0
         for _ in range(shots):
             preparer.prepare(cur, eps)
-            preparer.counter.spend(1)
+            preparer.spend(1)
             total += 1 if rng.random() < p1 else -1
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
@@ -559,12 +558,6 @@ def readout_multiple(
 class BoundReport:
     """Numeric evaluation of the runtime guarantees (bounds, not predictions)."""
 
-    theta: float
-    n: int
-    m: int
-    delta: float
-    readout: str
-    mu: float | None
     ln_inv_mu: float
     epsilon: float
     cycle_bound: int
@@ -588,9 +581,10 @@ def theory_bounds(
     """Evaluate the preparation/readout cost bounds with constants as stated.
 
     ``mu`` or (``uniform_gap``, ``g``) selects how ln(1/mu) is bounded; the
-    gap route uses ln(1/mu) >= gap / (4 g^2).
+    gap route uses ln(1/mu) >= gap / (4 g^2).  The other factors come from
+    the functions the run calls: the readout parameters, the cycle bound of
+    :func:`cycles_required` and :func:`success_probability_floor`.
     """
-    check_angle(theta)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if readout not in ("unique", "multiple"):
@@ -607,34 +601,13 @@ def theory_bounds(
         ln_inv_mu = math.inf if g == 0 else uniform_gap / (4.0 * g**2)
     else:
         raise ValueError("supply mu or uniform_gap")
-    if readout == "unique":
-        epsilon, _ = unique_readout_parameters(theta, n, delta)
-        readout_cost = 2.0 * math.log(n / delta) / math.log(
-            2.0 / (1.0 + math.cos(theta) ** 2)
-        )
-    else:
-        epsilon, _ = multiple_readout_parameters(theta, n, delta)
-        readout_cost = 8.0 * math.log(2.0 * n / delta) / math.sin(theta) ** 2
-    if math.isinf(ln_inv_mu):
-        cycle_bound = 1
-    else:
-        cycle_bound = max(
-            1,
-            math.ceil(
-                (math.log(1.0 / epsilon) + n * math.log(1.0 / math.cos(theta / 2)))
-                / ln_inv_mu
-            ),
-        )
-    amplification = (2.0 / (1.0 + math.cos(theta))) ** n
+    parameters = unique_readout_parameters if readout == "unique" else multiple_readout_parameters
+    epsilon, readout_cost = parameters(theta, n, delta)
+    cycle_bound = _cycles(theta, n, epsilon, ln_inv_mu)
+    amplification = 1.0 / success_probability_floor(theta, n)
     prep_cost = m * cycle_bound * math.log(1.0 / delta) * amplification
     unrotated = m * math.log(1.0 / delta) * (2.0**n / d_sol)
     return BoundReport(
-        theta=theta,
-        n=n,
-        m=m,
-        delta=delta,
-        readout=readout,
-        mu=mu,
         ln_inv_mu=ln_inv_mu,
         epsilon=epsilon,
         cycle_bound=cycle_bound,
@@ -698,15 +671,17 @@ def solve(
 ) -> RunReport:
     """Run preparation plus readout until a verified assignment or exhaustion.
 
-    The UNSAT verdict is emitted when the measurement budget (default: ten
-    times the theory estimate with a generic convergence rate) or the restart
-    allowance (ten times the inverse success-probability floor) runs out, or
-    when 64 readout attempts fail, before any readout verifies.
+    The UNSAT verdict is emitted when the measurement budget (at least 1;
+    default: ten times the theory estimate at a generic convergence rate) or
+    the restart allowance (ten times the inverse success-probability floor)
+    runs out, or when 64 readout attempts fail, before any readout verifies.
     ``trace``, an open text stream, receives a CSV log of every preparation
     measurement; the caller opens and closes it.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     if readout not in ("unique", "multiple"):
         raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
@@ -725,7 +700,7 @@ def solve(
     )
     if budget is None:
         est = theory_bounds(
-            theta_ro, f.n, max(f.m, 1), delta, mu=mu if mu is not None else 0.5,
+            theta_ro, f.n, max(f.m, 1), delta, mu=_GENERIC_MU if mu is None else mu,
             readout=readout,
         )
         budget = max(1000, math.ceil(10.0 * est.total_cost))
@@ -735,11 +710,11 @@ def solve(
     if not cfg.is_scheduled and cfg.mu_source != "user" and count_solutions(f) == 0:
         # No ground space to measure a convergence rate against; fall back to
         # a generic user rate so the run can exhaust its budget honestly.
-        effective_cfg = replace(cfg, mu_source="user", mu=0.5)
+        effective_cfg = replace(cfg, mu_source="user", mu=_GENERIC_MU)
         notes.append("mu fallback: no satisfying assignment found by oracle")
 
     tracer = TraceWriter(trace) if trace is not None else None
-    preparer = Preparer(effective_cfg, rng, MeasurementCounter(budget), tracer)
+    preparer = Preparer(effective_cfg, rng, budget, tracer)
     readout_fn = readout_unique if readout == "unique" else readout_multiple
     assignment = None
     attempts = 0
@@ -779,7 +754,7 @@ def solve(
         restarts=preparer.restarts,
         preparations=preparer.preparations,
         readout_attempts=attempts,
-        measurements=preparer.counter.used,
+        measurements=preparer.used,
         budget=budget,
         seed=seed,
         verified=verified,

@@ -231,9 +231,7 @@ def test_c10_unique_readout_guarantee():
     theta, delta, n = 0.4 * np.pi, 0.1, 8
     eps, copies = sv.unique_readout_parameters(theta, n, delta)
     assert abs(eps - (1 - 1 / math.sqrt(2)) ** 2 / 8 * math.sin(theta) ** 2) <= 1e-15
-    assert copies == math.ceil(
-        2 * math.log(n / delta) / math.log(2 / (1 + math.cos(theta) ** 2))
-    )
+    assert copies == 2 * math.log(n / delta) / math.log(2 / (1 + math.cos(theta) ** 2))
     failures = 0
     trials = 0
     for inst in range(4):

@@ -383,12 +383,20 @@ def test_unwritable_output_exits_two(command, tmp_path, capsys, monkeypatch):
         (["sweep", "--set", "delta=0", "--set", "kind=unate_unique", "--set", "n=4",
           "--set", "trials=1", "--set", "out={csv}"], "delta must lie in (0, 1)"),
         (["gen", "random_ksat", "5", "-m", "-3"], "need m >= 0, got m=-3"),
+        (["gen", "unate_unique", "5", "-m", "7", "-k", "3"],
+         "unate_unique has m = n and k = 1, got n=5, m=7, k=3"),
+        (["sweep", "--set", "kind=unate_unique", "--set", "n=4", "--set", "k=3",
+          "--set", "trials=1", "--set", "out={csv}"],
+         "unate_unique has m = n and k = 1, got n=4, m=None, k=3"),
+        (["solve", "{cnf}", "--budget", "0"], "budget must be >= 1"),
+        (["solve", "{cnf}", "--budget", "-5", "--report", "{report}"], "budget must be >= 1"),
         (["solve", "{cnf}", "--theta-fraction", "0.8", "--mu", "0.99"],
          "mu is only used with mu_source='user', not 'empirical'"),
         (["solve", "{cnf}", "--theta-init", "0.2"], "--theta-init and --cycles need --schedule"),
         (["solve", "{cnf}", "--cycles", "4"], "--theta-init and --cycles need --schedule"),
     ],
     ids=["solve-delta-0", "solve-delta-1.5", "solve-delta-neg", "sweep-delta-0", "gen-m-neg",
+         "gen-unate-unique-m-k", "sweep-unate-unique-k", "solve-budget-0", "solve-budget-neg",
          "solve-mu-without-user-source", "solve-theta-init-without-schedule",
          "solve-cycles-without-schedule"],
 )
@@ -397,7 +405,7 @@ def test_out_of_range_parameters_rejected(argv, error, tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
     csv_path = tmp_path / "sweep.csv"
-    argv = [a.format(cnf=cnf, csv=csv_path) for a in argv]
+    argv = [a.format(cnf=cnf, csv=csv_path, report=tmp_path / "r.json") for a in argv]
     if argv[0] == "sweep":
         assert run(argv) == 0
         capsys.readouterr()

@@ -165,6 +165,16 @@ class TestGenerate:
         assert all(c.width == 1 for c in f.clauses)
         assert fm.count_solutions(f) == 1
 
+    def test_unate_unique_takes_only_its_own_m_and_k(self):
+        assert fm.generate("unate_unique", 5, m=5, k=1, seed=3) == fm.generate("unate_unique", 5, seed=3)
+        for m, k in ((7, None), (None, 3), (7, 3), (0, 3)):
+            with pytest.raises(ValueError, match="unate_unique has m = n and k = 1"):
+                fm.generate("unate_unique", 5, m=m, k=k, seed=3)
+
+    def test_default_m_and_k(self):
+        f = fm.generate("random_ksat", 6, seed=1)
+        assert (f.m, f.k) == (0, 3)
+
     def test_planted_unique(self):
         f = fm.generate("planted_unique", 6, 18, 3, seed=2)
         assert fm.count_solutions(f) == 1

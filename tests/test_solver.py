@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 import time
 
@@ -141,7 +143,7 @@ class TestPrepareState:
         b = sv.Preparer(cfg, np.random.default_rng(42))
         for prep in (a, b):
             prep.prepare(f, 0.01)
-        assert (a.restarts, a.counter.used) == (b.restarts, b.counter.used)
+        assert (a.restarts, a.used) == (b.restarts, b.used)
 
     def test_monte_carlo_matches_naive_simulation(self):
         """The naive check-by-check simulation succeeds with the trajectory's
@@ -192,10 +194,9 @@ class TestPrepareState:
         sampled_fails = np.zeros(traj.length, dtype=np.int64)
         restarts = np.zeros(preparations)
         for i in range(preparations):
-            counter = sv.MeasurementCounter()
-            r, positions = sv._sample_restart_costs(traj, sample_rng, 10**6, counter, trace_rng)
+            r, cost, positions = sv._sample_restart_costs(traj, sample_rng, 10**6, trace_rng)
             positions = np.asarray(positions, dtype=np.int64)
-            assert positions.size == r and counter.used == int(np.sum(positions + 1))
+            assert positions.size == r and cost == int(np.sum(positions + 1))
             np.add.at(sampled_fails, positions, 1)
             restarts[i] = r
         assert sampled_fails.sum() > 10**4
@@ -241,7 +242,7 @@ class TestPrepareState:
         lines = path.read_text().splitlines()
         assert lines[0] == "preparation,attempt,cycle,check,outcome,probability"
         rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == traced.counter.used
+        assert len(rows) == traced.used
         assert sum(1 for r in rows if r[4] == "fail") == traced.restarts
         # the successful attempt passes every check of every cycle
         final = [r for r in rows if int(r[1]) == traced.restarts]
@@ -250,8 +251,8 @@ class TestPrepareState:
         # ordering the traced failures draws nothing from the run's generator
         untraced = sv.Preparer(cfg, np.random.default_rng(6))
         untraced.prepare(f, 0.01)
-        assert (untraced.restarts, untraced.counter.used) == (
-            traced.restarts, traced.counter.used
+        assert (untraced.restarts, untraced.used) == (
+            traced.restarts, traced.used
         )
 
     def test_restarts_exhausted_on_unsat(self):
@@ -274,10 +275,10 @@ class TestPrepareState:
         with pytest.raises(sv.RestartsExhausted):
             sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, 0.01)
         assert time.perf_counter() - start < 1.0
-        counter = sv.MeasurementCounter(10**6)
+        preparer = sv.Preparer(cfg, np.random.default_rng(0), budget=10**6)
         with pytest.raises(sv.BudgetExhausted):
-            sv.Preparer(cfg, np.random.default_rng(0), counter).prepare(f, 0.01)
-        assert counter.used == 10**6
+            preparer.prepare(f, 0.01)
+        assert preparer.used == 10**6
 
 
 def _angles(cfg, cycles):
@@ -401,7 +402,7 @@ class TestTrajectoryNumerics:
 class TestReadoutUnique:
     def test_parameter_formulas(self):
         eps, copies = sv.unique_readout_parameters(np.pi / 2, 4, 0.1)
-        assert copies == 11  # ceil(2 ln 40 / ln 2)
+        assert math.ceil(copies) == 11  # ceil(2 ln 40 / ln 2)
         assert abs(eps - (1 - 1 / math.sqrt(2)) ** 2 / 8) < 1e-12
         eps2, _ = sv.unique_readout_parameters(0.3 * np.pi, 4, 0.1)
         assert abs(eps2 - (1 - 1 / math.sqrt(2)) ** 2 / 8 * math.sin(0.3 * np.pi) ** 2) < 1e-12
@@ -452,7 +453,7 @@ def _assert_every_readout_fails(monkeypatch, f, theta, **solve_args):
 class TestReadoutMultiple:
     def test_parameter_formulas(self):
         eps, shots = sv.multiple_readout_parameters(np.pi / 2, 4, 0.1)
-        assert shots == 36  # ceil(8 ln 80)
+        assert math.ceil(shots) == 36  # ceil(8 ln 80)
         assert abs(eps - 1 / 8) < 1e-12
 
     def test_unique_instance_agrees_with_majority_readout(self):
@@ -515,6 +516,14 @@ class TestSolve:
         report = sv.solve(f, np.pi / 2, seed=0)
         assert report.status == "UNSAT" and report.assignment is None
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_refused(self, budget):
+        # a budget that cannot pay for one measurement would end a
+        # satisfiable instance UNSAT without measuring anything
+        f = fm.generate("planted_unique", 6, 26, 3, seed=1)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            sv.solve(f, np.pi / 2, budget=budget)
+
     @pytest.mark.parametrize("readout, measurements", [("unique", 4896), ("multiple", 8830)])
     def test_dead_trajectory_exhausts_the_budget(self, readout, measurements):
         # neither readout reads the missing final state: the restarts of the
@@ -566,7 +575,7 @@ class TestSolve:
         f = fm.generate("planted_unique", 6, 20, 3, seed=14)
         first = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
         first.prepare(f, sv.unique_readout_parameters(np.pi / 2, f.n, 0.1)[0])
-        spent = first.counter.used
+        spent = first.used
         report = sv.solve(f, np.pi / 2, readout="unique", budget=spent + 1, seed=0)
         assert report.status == "UNSAT" and report.measurements == spent + 1
         assert report.preparations == 1 and report.restarts == first.restarts
@@ -612,6 +621,43 @@ class TestTheoryBounds:
         for a, b, n in zip(costs, costs[1:], (8, 16, 32)):
             poly_ref = (2 * n / n) ** 3 * (math.log(2 * n) / math.log(n)) ** 2
             assert b / a < 8 * poly_ref  # far below any exponential doubling
+
+    def test_bound_agrees_with_the_cost_formulas(self):
+        params = {"unique": sv.unique_readout_parameters, "multiple": sv.multiple_readout_parameters}
+        thetas = (0.1 * np.pi, 0.25 * np.pi, 0.4 * np.pi, 0.47 * np.pi / 2, np.pi / 2)
+        grid = itertools.product(thetas, (4, 9, 16, 31), (0.1, 0.01), (0.0, 0.3, 0.6, 0.99), params)
+        for theta, n, delta, mu, readout in grid:
+            m = 4 * n
+            tb = sv.theory_bounds(theta, n, m, delta, mu=mu, readout=readout)
+            assert tb.cycle_bound == sv.cycles_required(theta, n, tb.epsilon, mu)
+            eps, count = params[readout](theta, n, delta)
+            assert (tb.epsilon, math.ceil(tb.readout_cost)) == (eps, math.ceil(count))
+            floor = sv.success_probability_floor(theta, n)
+            expected = m * tb.cycle_bound * math.log(1 / delta)
+            assert tb.prep_cost * floor == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("readout", ["unique", "multiple"])
+    def test_readout_spends_what_the_bound_counts(self, readout):
+        # the readout prepares f ceil(readout_cost) times (the multiple
+        # readout: for its first variable), at tolerance epsilon and the
+        # bound's cycle count
+        f = fm.generate("planted_unique", 5, 20, 3, seed=3)
+        theta, delta, mu = 0.4 * np.pi, 0.1, 0.6
+        calls = []
+
+        class RecordingPreparer(sv.Preparer):
+            def prepare(self, g, epsilon):
+                calls.append((g, epsilon))
+                super().prepare(g, epsilon)
+
+        cfg = sv.PrepConfig(theta=theta, mu_source="user", mu=mu)
+        preparer = RecordingPreparer(cfg, np.random.default_rng(0))
+        readout_fn = sv.readout_unique if readout == "unique" else sv.readout_multiple
+        with contextlib.suppress(sv.ReadoutFailed):
+            readout_fn(f, delta, np.random.default_rng(1), preparer=preparer)
+        tb = sv.theory_bounds(theta, f.n, f.m, delta, mu=mu, readout=readout)
+        assert [eps for g, eps in calls if g == f] == [tb.epsilon] * math.ceil(tb.readout_cost)
+        assert preparer.resolved[f] == (mu, tb.cycle_bound)
 
     def test_gap_route(self):
         tb = sv.theory_bounds(0.4 * np.pi, 6, 12, 0.1, uniform_gap=0.2, g=3)

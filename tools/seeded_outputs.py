@@ -30,14 +30,20 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   (commuting checks, g = 0), the same ``spectral`` on planted_unique 6/26
   seed 5 under ``MDSAT_MEM_BYTES=524288`` (the gap and mu fit, the uniform
   gap is refused, so every row records the refusal), and ``phf 9 3``;
-- ``solve --report missing/r.json`` on planted_unique 9/39 seed 1, whose
-  report directory does not exist: the command fails with exit 2 before it
-  solves, so its stdout is empty.
+- three refusals, each of which must exit 2 with empty stdout:
+  ``solve --report missing/r.json`` on planted_unique 9/39 seed 1, whose
+  report directory does not exist, ``solve --budget 0`` on the same
+  instance, and ``gen unate_unique 5 -m 7 -k 3``, a clause count and width
+  that kind cannot honour.
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
 so no absolute path reaches an output.  ``--mu-source dl_bound`` is left
 out: under the default budget one such run can take minutes.
+
+The script exits 1 when a refusal does not exit 2 or prints to stdout, or
+when any other command exits 2, so that a change which makes every solve
+raise fails here even though it fails the same way on every run.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ VARIANTS = {
     "user-mu": ["--mu-source", "user", "--mu", "0.6"],
     "budget3000": ["--budget", "3000"],
 }
+REFUSALS = ("solve-missing-report", "solve-budget-0", "gen-unate-unique-m7-k3")
 
 
 def run(name: str, argv: list[str], exit_codes: list[str]) -> None:
@@ -141,8 +148,20 @@ def main(argv: list[str]) -> int:
     run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
     run("solve-missing-report", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing",
                                  "--report", "missing/r.json"], codes)
+    run("solve-budget-0", ["solve", "pu9-s1.cnf", "--budget", "0"], codes)
+    run("gen-unate-unique-m7-k3", ["gen", "unate_unique", "5", "-m", "7", "-k", "3"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
-    return 0
+    wrong = []
+    for line in codes:
+        name, code = line.rsplit(" ", 1)
+        if name in REFUSALS:
+            if code != "2" or Path(f"{name}.stdout").read_text(encoding="utf-8"):
+                wrong.append(f"{name} should exit 2 with empty stdout, exited {code}")
+        elif code == "2":
+            wrong.append(f"{name} exited 2")
+    for message in wrong:
+        print(f"unexpected: {message}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
