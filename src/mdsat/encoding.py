@@ -19,9 +19,10 @@ orthogonal 2x2 frame that maps the perpendicular state of its majority
 literal sign to exactly |0>, so the factors of those literals are exact basis
 vectors too; the solver's trajectory and the per-vector convergence rate of
 :mod:`mdsat.spectral` run in that frame, entered through :func:`_frame_change`.
-Every product state is built by :func:`product_state`.  Dense projectors and
-Hamiltonians are built by applying the factorized check kernel of
-:mod:`mdsat.statevec` to the identity.
+Every product state is built by :func:`product_state`.  The factorized
+clause-check kernel :func:`apply_check_inplace` sits beside the compiled
+:class:`ClauseProjector` format it reads; dense projectors and Hamiltonians
+are that kernel applied to the identity.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class ClauseProjector:
     """Rank-1 projector |u><u| on ``support`` tensored with identity.
 
     ``view_shape`` and ``patterns`` are compiled once, at construction, for
-    the check kernel of :mod:`mdsat.statevec`.  A state of length 2^n
-    reshaped to ``view_shape`` (any batch axes appended) gives each support
-    qubit its own length-2 axis.  ``patterns`` lists, in lexicographic order
+    their one reader, the check kernel :func:`apply_check_inplace`.  A state
+    of length 2^n reshaped to ``view_shape`` (any batch axes appended) gives
+    each support qubit its own length-2 axis.  ``patterns`` lists, in lexicographic order
     of the support bits b, the index of the slice psi_b in that view and the
     amplitude u_b = prod_q u_q[b_q] of every pattern with u_b != 0.0.
     """
@@ -109,6 +110,37 @@ class ClauseProjector:
     @property
     def width(self) -> int:
         return len(self.support)
+
+
+def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
+    """psi <- (I - |u><u|) psi for a C-contiguous ``psi`` of shape (2^n, *batch).
+
+    ``psi`` is viewed in the projector's compiled ``view_shape``, which
+    splits it into 2^k support slices psi_b (views), and only the compiled
+    ``patterns`` are visited: those with u_b != 0.0, since the others add
+    nothing to w and are left unchanged.  With u_b the amplitude of |u> on
+    the support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.  A
+    check with one pattern and u_b = +-1 sets its slice to 0.0, which is bit
+    for bit what w and the subtraction give on a finite state; this covers
+    every check at theta = pi/2, and in the sparse frame every clause whose
+    literals all have their variable's majority sign.  Below pi/2 no
+    amplitude of a computational-basis projector is zero and every pattern is
+    visited; in the sparse frame every majority-sign literal halves the
+    patterns.
+    """
+    t = psi.reshape(proj.view_shape + psi.shape[1:])
+    patterns = proj.patterns
+    if len(patterns) == 1 and abs(patterns[0][1]) == 1.0:
+        t[patterns[0][0]] = 0.0
+        return
+    slices = [t[i] for i, _ in patterns]
+    amps = [a for _, a in patterns]
+    w = amps[0] * slices[0]
+    tmp = np.empty_like(w)
+    for a, s in zip(amps[1:], slices[1:]):
+        w += np.multiply(s, a, out=tmp)
+    for a, s in zip(amps, slices):
+        s -= np.multiply(w, a, out=tmp)
 
 
 def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:
@@ -201,8 +233,6 @@ def theta_string_state(assignment: str, theta: float) -> np.ndarray:
 
 def dense_projector(proj: ClauseProjector) -> np.ndarray:
     """The 2^n x 2^n matrix of a clause projector, I - C(I)."""
-    from .statevec import apply_check_inplace  # statevec imports this module
-
     check_alloc(16 << 2 * proj.n, "dense projector")  # C(I) and I
     c = np.eye(1 << proj.n)
     apply_check_inplace(c, proj)

@@ -21,7 +21,8 @@ measurement counting exact at desk scale.
 
 Both readouts, majority vote for a unique solution and variable-by-variable
 fixing for any number of solutions, prepare a state and measure it.  One
-:class:`Preparer` per run owns the accounting: it spends every preparation
+:class:`Preparer` per run owns its configuration, its one generator (the
+readouts draw from it too) and its accounting: it spends every preparation
 and readout measurement against the run's budget, counts the completed
 preparations and their restarts, and records the convergence-rate input and
 cycle count it resolved for each formula, which :func:`solve` reports.  Each
@@ -44,7 +45,7 @@ import numpy as np
 from . import spectral
 from .config import check_alloc
 from .encoding import _frame_change, check_angle, product_state, sparse_frame
-from .formula import UNSAT, Formula, count_solutions, evaluate, propagate
+from .formula import UNSAT, Formula, assignment_from_index, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
     apply_check_unnormalized,
@@ -60,7 +61,7 @@ _MIN_GEOMETRIC_P = 1e-12
 _MAX_READOUT_ATTEMPTS = 64
 _TINY = np.finfo(float).tiny  # smallest pass probability renormalized
 _NORM_DRIFT = 1e-10  # tolerated distance of a trajectory's final norm from 1
-_GENERIC_MU = 0.5  # assumed by the default budget and for formulas with no ground space
+_GENERIC_MU = 0.5  # for a schedule's default budget and formulas with no ground space
 
 
 class RestartsExhausted(RuntimeError):
@@ -299,9 +300,9 @@ class TraceWriter:
     """Streams one CSV row per performed clause/layer measurement.
 
     Sequential plans use the clause index as the check id, layered plans the
-    layer index.  Only completed preparations are logged; a run cut short by
-    the budget or the restart allowance ends the trace at the previous
-    preparation.
+    layer index.  Only completed preparations are logged, each under the
+    index the :class:`Preparer` gives it, so a run cut short by the budget or
+    the restart allowance ends the trace at the previous preparation.
     """
 
     COLUMNS = ("preparation", "attempt", "cycle", "check", "outcome", "probability")
@@ -309,12 +310,10 @@ class TraceWriter:
     def __init__(self, fh):
         self._writer = csv.writer(fh)
         self._writer.writerow(self.COLUMNS)
-        self.preparation = -1
 
-    def next_preparation(self) -> None:
-        self.preparation += 1
-
-    def emit_attempt(self, traj: "Trajectory", attempt: int, fail_pos: int | None) -> None:
+    def emit_attempt(
+        self, traj: Trajectory, preparation: int, attempt: int, fail_pos: int | None
+    ) -> None:
         spc = max(traj.steps_per_cycle, 1)
         end = traj.length if fail_pos is None else fail_pos + 1
         for pos in range(end):
@@ -322,7 +321,7 @@ class TraceWriter:
             failed = fail_pos is not None and pos == fail_pos
             self._writer.writerow(
                 [
-                    self.preparation,
+                    preparation,
                     attempt,
                     pos // spc,
                     pos % spc,
@@ -372,16 +371,18 @@ def _sample_restart_costs(
 
 
 class Preparer:
-    """Prepares ground-space approximations and keeps a run's accounting.
+    """Prepares ground-space approximations and keeps a run's state.
 
-    One instance serves every preparation of a solve run: the convergence-rate
-    input and the trajectory are computed once per distinct formula (and
-    cycle count) and reused, Monte Carlo restart counts are sampled fresh on
-    every call, and every measurement, the readouts' shots included, is
-    counted by :meth:`spend` in ``used`` against ``budget`` (None: no
-    limit).  ``preparations`` and ``restarts`` count the completed
-    preparations and their failed attempts; ``resolved`` maps each formula
-    to the (mu, cycles) of its latest fixed-angle preparation.
+    One instance serves every preparation of a solve run; its ``cfg`` and
+    ``rng`` are the run's only configuration and generator.  The
+    convergence-rate input (:meth:`mu`) and the trajectory are computed once
+    per distinct formula (and cycle count) and reused, Monte Carlo restart
+    counts are sampled fresh on every call, and every measurement, the
+    readouts' shots included, is counted by :meth:`spend` in ``used``
+    against ``budget`` (None: no limit).  ``preparations`` and ``restarts``
+    count the completed preparations, which the trace is numbered by, and
+    their failed attempts; ``resolved`` maps each formula to the (mu,
+    cycles) of its latest fixed-angle preparation.
     """
 
     def __init__(
@@ -399,6 +400,7 @@ class Preparer:
         self.preparations = 0
         self.restarts = 0
         self.resolved: dict[Formula, tuple[float, int]] = {}
+        self._mus: dict[Formula, float] = {}
         # Orders the failures of a traced preparation; a stream of its own
         # keeps a traced run's draws identical to an untraced one's.
         self._trace_rng = rng.spawn(1)[0] if trace is not None else None
@@ -411,6 +413,12 @@ class Preparer:
             self.used = self.budget  # the run halts the moment the budget is hit
             raise BudgetExhausted(f"measurement budget {self.budget} exhausted")
 
+    def mu(self, f: Formula) -> float:
+        """The convergence-rate input for ``f``, resolved once per formula."""
+        if f not in self._mus:
+            self._mus[f] = resolve_mu(f, self.cfg)
+        return self._mus[f]
+
     def trajectory(self, f: Formula, epsilon: float) -> Trajectory:
         """The all-pass trajectory that prepares ``f`` to tolerance
         ``epsilon``; a schedule fixes its cycle count and ignores
@@ -418,7 +426,7 @@ class Preparer:
         if self.cfg.is_scheduled:
             cycles = self.cfg.theta.c_q + 1
         else:
-            mu = self.resolved[f][0] if f in self.resolved else resolve_mu(f, self.cfg)
+            mu = self.mu(f)
             cycles = cycles_required(self.cfg.theta, f.n, epsilon, mu)
             self.resolved[f] = (mu, cycles)
         key = (f, cycles)
@@ -431,8 +439,6 @@ class Preparer:
         attempts, then (unless the restarts ran out) the successful one.  The
         prepared state is :meth:`trajectory`'s final state."""
         traj = self.trajectory(f, epsilon)
-        if self.trace is not None:
-            self.trace.next_preparation()
         max_restarts = self.cfg.max_restarts
         restarts, cost, positions = _sample_restart_costs(
             traj, self.rng, max_restarts, self._trace_rng
@@ -441,12 +447,12 @@ class Preparer:
         if restarts >= max_restarts:
             raise RestartsExhausted(f"no successful preparation within {max_restarts} restarts")
         self.spend(traj.length)
-        self.preparations += 1
-        self.restarts += restarts
         if self.trace is not None:
             for attempt, pos in enumerate(positions):
-                self.trace.emit_attempt(traj, attempt, int(pos))
-            self.trace.emit_attempt(traj, restarts, None)
+                self.trace.emit_attempt(traj, self.preparations, attempt, int(pos))
+            self.trace.emit_attempt(traj, self.preparations, restarts, None)
+        self.preparations += 1
+        self.restarts += restarts
 
 
 def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
@@ -465,16 +471,13 @@ def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[flo
     return s2 / 8.0, 8.0 * math.log(2.0 * n / delta) / s2
 
 
-def readout_unique(
-    f: Formula,
-    delta: float,
-    rng: np.random.Generator,
-    preparer: Preparer,
-) -> str:
+def readout_unique(f: Formula, delta: float, preparer: Preparer) -> str:
     """Majority-vote readout at the preparer's readout angle; requires the
     caller's promise of a unique solution.  Each copy is one preparation and
-    one full basis readout, drawn from a CDF built once per call.  The
-    returned assignment is verified against the formula."""
+    one full basis readout, drawn from the preparer's generator through a CDF
+    built once per call and read as an assignment string by
+    :func:`mdsat.formula.assignment_from_index`.  The returned assignment is
+    verified against the formula."""
     theta = readout_angle(preparer.cfg.theta)
     eps, copies = unique_readout_parameters(theta, f.n, delta)
     # Every copy prepares the same cached trajectory, so its final state and
@@ -487,26 +490,21 @@ def readout_unique(
     for _ in range(math.ceil(copies)):
         preparer.prepare(f, eps)
         preparer.spend(f.n)
-        index = int(sample_basis(cdf, rng, 1)[0])
-        bits = np.array([(index >> (f.n - q)) & 1 for q in range(1, f.n + 1)])
-        votes += 2 * bits - 1  # outcome +1 on |1>, -1 on |0>
+        outcome = assignment_from_index(int(sample_basis(cdf, preparer.rng, 1)[0]), f.n)
+        votes += [1 if bit == "1" else -1 for bit in outcome]  # +1 on |1>, -1 on |0>
     assignment = "".join("1" if v > 0 else "0" for v in votes)  # tie -> FALSE
     if not evaluate(f, assignment):
         raise ReadoutFailed("majority vote produced a non-satisfying assignment")
     return assignment
 
 
-def readout_multiple(
-    f: Formula,
-    delta: float,
-    rng: np.random.Generator,
-    preparer: Preparer,
-) -> str:
+def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
     """Variable-by-variable readout, at the preparer's readout angle, for
     instances with any number of solutions.  Fixes each variable from a Z
-    estimate on the current first qubit, propagates, and re-encodes the
-    shrunken formula.  A wrong fix is the readout's failure event, which the
-    readout detects itself whatever the convergence-rate source: the
+    estimate on the current first qubit, its shots drawn from the preparer's
+    generator, propagates, and re-encodes the shrunken formula.  A wrong fix
+    is the readout's failure event, which the readout detects itself
+    whatever the convergence-rate source: the
     propagation hits an empty clause, or the shrunken formula has no
     satisfying assignment left to prepare (checked by brute force before it
     is prepared)."""
@@ -534,7 +532,7 @@ def readout_multiple(
         for _ in range(shots):
             preparer.prepare(cur, eps)
             preparer.spend(1)
-            total += 1 if rng.random() < p1 else -1
+            total += 1 if preparer.rng.random() < p1 else -1
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
         nxt = propagate(cur, 1, value)
@@ -671,12 +669,14 @@ def solve(
 ) -> RunReport:
     """Run preparation plus readout until a verified assignment or exhaustion.
 
-    The UNSAT verdict is emitted when the measurement budget (at least 1;
-    default: ten times the theory estimate at a generic convergence rate) or
-    the restart allowance (ten times the inverse success-probability floor)
-    runs out, or when 64 readout attempts fail, before any readout verifies.
-    ``trace``, an open text stream, receives a CSV log of every preparation
-    measurement; the caller opens and closes it.
+    The UNSAT verdict is emitted when the measurement budget or the restart
+    allowance (ten times the inverse success-probability floor) runs out, or
+    when 64 readout attempts fail, before any readout verifies.  The budget
+    is at least 1; by default it is ten times :func:`theory_bounds` at the
+    convergence rate the run resolves for ``f`` (the user's mu, or a generic
+    0.5 under a schedule and for a formula with no satisfying assignment),
+    and at least 1000.  ``trace``, an open text stream, receives a CSV log of
+    every preparation measurement; the caller opens and closes it.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -685,36 +685,30 @@ def solve(
     if readout not in ("unique", "multiple"):
         raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
     theta_ro = readout_angle(theta)
     floor = success_probability_floor(theta_ro, f.n)
-    max_restarts = max(
-        1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15))
-    )
-    cfg = PrepConfig(
-        theta=theta,
-        mu_source=mu_source,
-        mu=mu,
-        max_restarts=max_restarts,
-        plan=plan,
-    )
-    if budget is None:
-        est = theory_bounds(
-            theta_ro, f.n, max(f.m, 1), delta, mu=_GENERIC_MU if mu is None else mu,
-            readout=readout,
-        )
-        budget = max(1000, math.ceil(10.0 * est.total_cost))
+    max_restarts = max(1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15)))
+    cfg = PrepConfig(theta=theta, mu_source=mu_source, mu=mu, max_restarts=max_restarts,
+                     plan=plan)
     notes: list[str] = []
-
-    effective_cfg = cfg
     if not cfg.is_scheduled and cfg.mu_source != "user" and count_solutions(f) == 0:
         # No ground space to measure a convergence rate against; fall back to
         # a generic user rate so the run can exhaust its budget honestly.
-        effective_cfg = replace(cfg, mu_source="user", mu=_GENERIC_MU)
+        cfg = replace(cfg, mu_source="user", mu=_GENERIC_MU)
         notes.append("mu fallback: no satisfying assignment found by oracle")
 
     tracer = TraceWriter(trace) if trace is not None else None
-    preparer = Preparer(effective_cfg, rng, budget, tracer)
+    preparer = Preparer(cfg, np.random.default_rng(seed), budget, tracer)
+    if budget is None:
+        # Priced at the mu the run prepares f with, resolved here once and
+        # reused by the readout; a schedule has no one angle to resolve a mu
+        # at, so unless the caller gives one it is priced at the generic mu.
+        generic = cfg.is_scheduled and cfg.mu_source != "user"
+        est = theory_bounds(
+            theta_ro, f.n, max(f.m, 1), delta,
+            mu=_GENERIC_MU if generic else preparer.mu(f), readout=readout,
+        )
+        budget = preparer.budget = max(1000, math.ceil(10.0 * est.total_cost))
     readout_fn = readout_unique if readout == "unique" else readout_multiple
     assignment = None
     attempts = 0
@@ -722,7 +716,7 @@ def solve(
         while attempts < _MAX_READOUT_ATTEMPTS:
             attempts += 1
             try:
-                assignment = readout_fn(f, delta, rng, preparer=preparer)
+                assignment = readout_fn(f, delta, preparer)
                 break
             except ReadoutFailed as exc:
                 notes.append(f"readout attempt {attempts} failed: {exc}")
@@ -749,7 +743,7 @@ def solve(
         readout=readout,
         plan=plan,
         mu=mu_used,
-        mu_source=effective_cfg.mu_source,
+        mu_source=cfg.mu_source,
         cycles_per_attempt=cycles,
         restarts=preparer.restarts,
         preparations=preparer.preparations,

@@ -31,6 +31,7 @@ from .config import check_alloc
 from .encoding import (
     Unsatisfiable,
     _frame_change,
+    apply_check_inplace,
     check_angle,
     clause_projectors,
     dense_projector,
@@ -41,7 +42,7 @@ from .encoding import (
 )
 from .formula import Formula, clause_mask, count_solutions
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
-from .statevec import apply_check_inplace, product_operator, rotate_qubits_inplace
+from .statevec import product_operator, rotate_qubits_inplace
 
 _GROUND_TOL = 1e-10
 _UNIFORM_EXACT_M = 12  # largest clause count whose 2^m - 1 subsets are all solved

@@ -1,17 +1,11 @@
-"""Dense real state-vector engine and the clause-check kernel.
+"""Dense real state-vector engine.
 
 States are plain float64 arrays of length 2^n with variable 1 on the most
 significant bit, matching the assignment-string convention of
-:mod:`mdsat.formula`.  A clause check C = I - |u><u| is applied through the
-factorized rank-1 structure of its projector, in place, on any array of
-shape (2^n, *batch), visiting only the support patterns on which the
-projector's amplitude is nonzero (one of 2^k at theta = pi/2).  Those
-patterns, and the view that exposes them, are compiled once per
-:class:`mdsat.encoding.ClauseProjector`; a check with a single pattern of
-amplitude +-1 zeroes its slice and allocates nothing.  Dense
-operators (check products, clause projectors, Hamiltonians) are this same
-kernel applied to the identity; no Kronecker product or 2^n x 2^n matrix
-product is formed.
+:mod:`mdsat.formula`.  Clause checks go through the in-place kernel
+:func:`mdsat.encoding.apply_check_inplace`, which this module wraps with a
+numpy-style ``out=`` and applies to the identity for the dense check product;
+no Kronecker product or 2^n x 2^n matrix product is formed.
 """
 
 from __future__ import annotations
@@ -19,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import check_alloc
-from .encoding import ClauseProjector, clause_projectors
+from .encoding import ClauseProjector, apply_check_inplace, clause_projectors
 from .formula import Formula
 
 
@@ -46,37 +40,6 @@ def rotate_qubits_inplace(psi: np.ndarray, gates: dict[int, np.ndarray]) -> None
         b *= g[1, 1]
         b += ya
         a[...] = xa
-
-
-def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
-    """psi <- (I - |u><u|) psi for a C-contiguous ``psi`` of shape (2^n, *batch).
-
-    ``psi`` is viewed in the projector's compiled ``view_shape``, which
-    splits it into 2^k support slices psi_b (views), and only the compiled
-    ``patterns`` are visited: those with u_b != 0.0, since the others add
-    nothing to w and are left unchanged.  With u_b the amplitude of |u> on
-    the support pattern b, w = sum_b u_b psi_b and then psi_b -= u_b w.  A
-    check with one pattern and u_b = +-1 sets its slice to 0.0, which is bit
-    for bit what w and the subtraction give on a finite state; this covers
-    every check at theta = pi/2, and in the sparse frame every clause whose
-    literals all have their variable's majority sign.  Below pi/2 no
-    amplitude of a computational-basis projector is zero and every pattern is
-    visited; in the sparse frame every majority-sign literal halves the
-    patterns.
-    """
-    t = psi.reshape(proj.view_shape + psi.shape[1:])
-    patterns = proj.patterns
-    if len(patterns) == 1 and abs(patterns[0][1]) == 1.0:
-        t[patterns[0][0]] = 0.0
-        return
-    slices = [t[i] for i, _ in patterns]
-    amps = [a for _, a in patterns]
-    w = amps[0] * slices[0]
-    tmp = np.empty_like(w)
-    for a, s in zip(amps[1:], slices[1:]):
-        w += np.multiply(s, a, out=tmp)
-    for a, s in zip(amps, slices):
-        s -= np.multiply(w, a, out=tmp)
 
 
 def apply_check_unnormalized(

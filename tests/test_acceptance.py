@@ -237,12 +237,11 @@ def test_c10_unique_readout_guarantee():
     for inst in range(4):
         f = fm.generate("planted_unique", n, 34, 3, seed=1000 + inst)
         planted = next(iter(fm.brute_force_solutions(f)))
-        preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
-        for trial in range(50):
-            rng = np.random.default_rng([10, inst, trial])
+        preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng([10, inst]))
+        for _ in range(50):
             trials += 1
             try:
-                got = sv.readout_unique(f, delta, rng, preparer=preparer)
+                got = sv.readout_unique(f, delta, preparer)
                 if got != planted:
                     failures += 1
             except sv.ReadoutFailed:
@@ -261,12 +260,11 @@ def test_c11_multiple_readout_guarantee():
     trials = 0
     for inst in range(4):
         f = fm.random_satisfiable(rng_gen, n, 20, 3, min_solutions=2)
-        preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
-        for trial in range(50):
-            rng = np.random.default_rng([11, inst, trial])
+        preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng([11, inst]))
+        for _ in range(50):
             trials += 1
             try:
-                got = sv.readout_multiple(f, delta, rng, preparer=preparer)
+                got = sv.readout_multiple(f, delta, preparer)
                 assert fm.evaluate(f, got)
             except sv.ReadoutFailed:
                 failures += 1

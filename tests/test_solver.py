@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import io
 import itertools
 import math
 import time
@@ -413,10 +415,9 @@ class TestReadoutUnique:
         theta = 0.4 * np.pi
         hits = 0
         for trial in range(20):
-            rng = np.random.default_rng([trial, 5])
-            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
+            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng([trial, 5]))
             try:
-                a = sv.readout_unique(f, 0.1, rng, preparer=prep)
+                a = sv.readout_unique(f, 0.1, prep)
             except sv.ReadoutFailed:
                 continue
             assert a == planted
@@ -439,7 +440,7 @@ class _HighUniforms:
 
 def _assert_every_readout_fails(monkeypatch, f, theta, **solve_args):
     """solve() with every uniform draw at 0.999999 fails all 64 readouts on a
-    fix that leaves no solution."""
+    fix that leaves no solution; returns its report."""
     make_rng = np.random.default_rng
     monkeypatch.setattr(
         sv.np.random, "default_rng", lambda seed: _HighUniforms(make_rng(seed))
@@ -448,6 +449,7 @@ def _assert_every_readout_fails(monkeypatch, f, theta, **solve_args):
     assert report.status == "UNSAT" and report.readout_attempts == 64
     assert len(report.notes) == 64
     assert all("no satisfying assignment" in note for note in report.notes)
+    return report
 
 
 class TestReadoutMultiple:
@@ -460,9 +462,8 @@ class TestReadoutMultiple:
         f = fm.generate("planted_unique", 6, 20, 3, seed=12)
         planted = next(iter(fm.brute_force_solutions(f)))
         theta = 0.45 * np.pi
-        rng = np.random.default_rng(3)
-        prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
-        a = sv.readout_multiple(f, 0.1, rng, preparer=prep)
+        prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(3))
+        a = sv.readout_multiple(f, 0.1, prep)
         assert a == planted
 
     def test_multi_solution_membership(self):
@@ -470,9 +471,8 @@ class TestReadoutMultiple:
         theta = 0.4 * np.pi
         seen = set()
         for trial in range(12):
-            rng = np.random.default_rng(trial)
-            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
-            a = sv.readout_multiple(f, 0.1, rng, preparer=prep)
+            prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(trial))
+            a = sv.readout_multiple(f, 0.1, prep)
             assert a in {"01", "10", "11"}
             seen.add(a)
         assert seen  # at least one solution produced
@@ -484,10 +484,9 @@ class TestReadoutMultiple:
         f = fm.generate("planted_unique", 6, 26, 3, seed=0)
         assert next(iter(fm.brute_force_solutions(f)))[0] == "1"
         theta = 0.4 * np.pi
-        rng = _HighUniforms(np.random.default_rng(0))
-        prep = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng(0))
+        prep = sv.Preparer(sv.PrepConfig(theta=theta), _HighUniforms(np.random.default_rng(0)))
         with pytest.raises(sv.ReadoutFailed, match="no satisfying assignment"):
-            sv.readout_multiple(f, 0.1, rng, preparer=prep)
+            sv.readout_multiple(f, 0.1, prep)
         _assert_every_readout_fails(monkeypatch, f, theta)
 
     def test_fix_leaving_no_solution_fails_under_user_mu(self, monkeypatch):
@@ -495,11 +494,22 @@ class TestReadoutMultiple:
         f = fm.generate("planted_unique", 6, 26, 3, seed=0)
         _assert_every_readout_fails(monkeypatch, f, 0.4 * np.pi, mu_source="user", mu=0.6)
 
+    def test_trace_numbers_every_preparation(self, monkeypatch):
+        # failed readouts leave every preparation complete, so the trace's
+        # preparation column runs through all of them in order, with no gap;
+        # every solution sets variable 1, which the readout fixes FALSE
+        f = fm.formula_from_dimacs_codes(3, [[1, 2, 3], [1, -2, 3], [1, 2, -3], [1, -2, -3]])
+        trace = io.StringIO()
+        report = _assert_every_readout_fails(monkeypatch, f, 0.4 * np.pi, trace=trace)
+        rows = list(csv.reader(io.StringIO(trace.getvalue())))[1:]
+        column = [int(row[0]) for row in rows]
+        assert column == sorted(column)
+        assert sorted(set(column)) == list(range(report.preparations))
+
     def test_zero_occurrence_variable_fixed_false(self):
         f = fm.formula_from_dimacs_codes(3, [[2, 3]])  # variable 1 unused
-        rng = np.random.default_rng(0)
         prep = sv.Preparer(sv.PrepConfig(theta=0.4 * np.pi), np.random.default_rng(0))
-        a = sv.readout_multiple(f, 0.1, rng, preparer=prep)
+        a = sv.readout_multiple(f, 0.1, prep)
         assert a[0] == "0" and fm.evaluate(f, a)
 
 
@@ -566,6 +576,31 @@ class TestSolve:
             assert report.mu_source == "dl_bound" and report.mu == mu
             eps = params(theta, f.n, 0.1)[0]
             assert report.cycles_per_attempt == sv.cycles_required(theta, f.n, eps, mu)
+
+    @pytest.mark.parametrize("readout", ["unique", "multiple"])
+    def test_default_budget_priced_at_the_resolved_mu(self, readout):
+        f = fm.generate("planted_unique", 5, 20, 3, seed=3)
+        theta = 0.4 * np.pi
+        report = sv.solve(f, theta, readout=readout, seed=0)
+        assert report.mu_source == "empirical"
+        tb = sv.theory_bounds(theta, f.n, f.m, 0.1, mu=report.mu, readout=readout)
+        assert report.budget == max(1000, math.ceil(10 * tb.total_cost))
+
+    def test_dl_bound_default_budget_reaches_a_solution(self):
+        # the detectability-lemma mu is 0.99939 here, so one attempt runs
+        # thousands of cycles; a budget priced at mu = 0.5 (666,223
+        # measurements) ran out before the readout could finish
+        f = fm.generate("planted_unique", 4, 17, 3, seed=1)
+        report = sv.solve(f, 0.9 * np.pi / 2, mu_source="dl_bound", seed=7)
+        assert report.mu == pytest.approx(0.99939, abs=1e-5)
+        assert report.status == "SAT" and fm.evaluate(f, report.assignment)
+
+    def test_mu_refused_before_the_no_solution_fallback(self):
+        # the caller's configuration is checked first, so the generic user
+        # mu that the fallback substitutes does not hide a stray mu
+        f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
+        with pytest.raises(ValueError, match="mu is only used"):
+            sv.solve(f, 0.4 * np.pi, mu_source="empirical", mu=0.99)
 
     def test_budget_spent_on_a_readout_shot_counts_its_preparation(self):
         # P is the cost of the first preparation, its failed attempts
@@ -651,10 +686,10 @@ class TestTheoryBounds:
                 super().prepare(g, epsilon)
 
         cfg = sv.PrepConfig(theta=theta, mu_source="user", mu=mu)
-        preparer = RecordingPreparer(cfg, np.random.default_rng(0))
+        preparer = RecordingPreparer(cfg, np.random.default_rng(1))
         readout_fn = sv.readout_unique if readout == "unique" else sv.readout_multiple
         with contextlib.suppress(sv.ReadoutFailed):
-            readout_fn(f, delta, np.random.default_rng(1), preparer=preparer)
+            readout_fn(f, delta, preparer)
         tb = sv.theory_bounds(theta, f.n, f.m, delta, mu=mu, readout=readout)
         assert [eps for g, eps in calls if g == f] == [tb.epsilon] * math.ceil(tb.readout_cost)
         assert preparer.resolved[f] == (mu, tb.cycle_bound)

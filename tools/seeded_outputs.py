@@ -24,6 +24,9 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - ``solve --plan layered --theta-fraction 0.8`` with both readouts on
   unate_unique 8 seed 1 (one-literal clauses: the two constant k = 1
   patterns) and on random_ksat 8/20 k = 2 seed 5 (k = 2 PHF patterns);
+- ``solve --mu-source dl_bound --theta-fraction 0.9 --readout multiple`` on
+  planted_unique 4/17 seed 1, whose detectability-lemma mu of about 0.9994
+  sets both the cycle count and the default budget;
 - one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
   with two trials, ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact
   basis encoding) on planted_unique 6/26 seed 5 and on unate 6/14 seed 2
@@ -38,8 +41,7 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
-so no absolute path reaches an output.  ``--mu-source dl_bound`` is left
-out: under the default budget one such run can take minutes.
+so no absolute path reaches an output.
 
 The script exits 1 when a refusal does not exit 2 or prints to stdout, or
 when any other command exits 2, so that a change which makes every solve
@@ -129,6 +131,12 @@ def main(argv: list[str]) -> int:
             run(name, ["solve", f"{inst}.cnf", "--seed", "7", "--no-timing", "--report",
                        f"{name}.json", "--readout", readout, "--plan", "layered",
                        "--theta-fraction", "0.8"], codes)
+    run("gen-pu4-s1", ["gen", "planted_unique", "4", "-m", "17", "--seed", "1",
+                       "--out", "pu4-s1.cnf"], codes)
+    run("solve-pu4-s1-dl-bound", ["solve", "pu4-s1.cnf", "--seed", "7", "--no-timing",
+                                  "--report", "solve-pu4-s1-dl-bound.json", "--mu-source",
+                                  "dl_bound", "--theta-fraction", "0.9", "--readout", "multiple"],
+        codes)
     run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
                   "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
     sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
