@@ -6,7 +6,6 @@ guarantees exactly at small n.
 """
 
 from .formula import (
-    UNSAT,
     Clause,
     Formula,
     Literal,
@@ -31,7 +30,6 @@ from .solver import (
 )
 
 __all__ = [
-    "UNSAT",
     "Clause",
     "Formula",
     "Literal",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -31,9 +30,9 @@ from .encoding import Unsatisfiable
 SWEEP_SCHEMA = "mdsat-sweep/1"
 SPECTRAL_SCHEMA = "mdsat-spectral-sweep/1"
 # SpectralReport fields of a spectral row, in column order: all but the
-# instance and angle (theta, n, m, k) and the free-text notes.
+# instance and angle (theta, n, m, k).
 SPECTRAL_FIELDS = tuple(
-    fld.name for fld in fields(sp.SpectralReport) if fld.name not in {"theta", "n", "m", "k", "notes"}
+    fld.name for fld in fields(sp.SpectralReport) if fld.name not in {"theta", "n", "m", "k"}
 )
 
 
@@ -295,7 +294,7 @@ def cmd_spectral(args) -> int:
     thetas = _parse_theta_grid(args.thetas)
     if "sched" in thetas:
         raise ValueError("the 'sched' angle is for sweeps only")
-    with _create(args.out) as fh:
+    with _create(args.out, sys.stdout) as fh:
         rows = []
         for theta in thetas:
             base = {"file": args.file, "n": f.n, "m": f.m, "theta": theta}
@@ -312,10 +311,7 @@ def cmd_spectral(args) -> int:
                 d_sol = 0 if isinstance(exc, Unsatisfiable) else None
                 values = {**dict.fromkeys(SPECTRAL_FIELDS), "d_sol": d_sol}
                 rows.append({**base, "status": "error", **values, "error": str(exc)})
-        if fh is None:
-            print(json.dumps({"schema": SPECTRAL_SCHEMA, "rows": rows}, indent=2))
-        else:
-            _write_csv(fh, SPECTRAL_SCHEMA, rows)
+        _write_csv(fh, SPECTRAL_SCHEMA, rows)
     if args.out is not None:
         print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -326,7 +322,9 @@ def cmd_phf(args) -> int:
         rows = phfmod.density_algorithm(args.n, args.k)
         ok = phfmod.verify_phf(rows, args.n, args.k)
         fh.write(phfmod.save_phf(rows))
-    print(f"rows={rows.shape[0]} verified={str(ok).lower()}")
+    # the summary line goes to stderr when stdout carries the family
+    print(f"rows={rows.shape[0]} verified={str(ok).lower()}",
+          file=sys.stderr if args.out is None else sys.stdout)
     return 0 if ok else 1
 
 
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="spectral report over a theta grid")
     p.add_argument("file")
     p.add_argument("--thetas", default="0.1pi,0.25pi,0.4pi,0.5pi")
-    p.add_argument("--out", default=None, help="CSV output path (JSON to stdout otherwise)")
+    p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--no-uniform", action="store_true")
     p.add_argument("--no-friedrichs", action="store_true")
     p.set_defaults(fn=cmd_spectral)

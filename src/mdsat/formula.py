@@ -22,23 +22,6 @@ class TautologyError(DimacsError):
     """A clause contains a variable in both polarities."""
 
 
-class Unsat:
-    """Marker returned by :func:`propagate` when a clause becomes empty."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNSAT"
-
-
-UNSAT = Unsat()
-
-
 @dataclass(frozen=True, order=True)
 class Literal:
     var: int
@@ -205,12 +188,12 @@ def evaluate(f: Formula, assignment: str) -> bool:
     return all(c.satisfied_by(assignment) for c in f.clauses)
 
 
-def propagate(f: Formula, var: int, value: bool) -> Formula | Unsat:
+def propagate(f: Formula, var: int, value: bool) -> Formula | None:
     """Fix ``var`` to ``value`` and simplify.
 
     Satisfied clauses are discarded, false literals are deleted, and the
     remaining variables are renumbered (every index above ``var`` drops by
-    one).  Returns the UNSAT marker if a clause loses all its literals.
+    one).  Returns None if a clause loses all its literals.
     """
     if not 1 <= var <= f.n:
         raise ValueError(f"variable {var} out of range 1..{f.n}")
@@ -229,7 +212,7 @@ def propagate(f: Formula, var: int, value: bool) -> Formula | Unsat:
         if satisfied:
             continue
         if not lits:
-            return UNSAT
+            return None
         new_clauses.append(Clause(tuple(lits)))
     return Formula(n=f.n - 1, clauses=tuple(new_clauses), k=f.k)
 

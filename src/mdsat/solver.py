@@ -45,7 +45,7 @@ import numpy as np
 from . import spectral
 from .config import check_alloc
 from .encoding import _frame_change, check_angle, product_state, sparse_frame
-from .formula import UNSAT, Formula, assignment_from_index, count_solutions, evaluate, propagate
+from .formula import Formula, assignment_from_index, count_solutions, evaluate, propagate
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
     apply_check_unnormalized,
@@ -457,16 +457,20 @@ class Preparer:
 
 def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
     """(epsilon, copies) for the majority-vote readout of a unique solution;
-    the copy count is not rounded."""
+    the copy count is not rounded.  Raises ValueError for n < 1."""
     check_angle(theta)
+    if n < 1:
+        raise ValueError(f"readout needs n >= 1 variables, got n = {n}")
     eps = (1.0 - 1.0 / math.sqrt(2.0)) ** 2 / 8.0 * math.sin(theta) ** 2
     return eps, 2.0 * math.log(n / delta) / math.log(2.0 / (1.0 + math.cos(theta) ** 2))
 
 
 def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
     """(epsilon, shots-per-variable) for the variable-by-variable readout;
-    the shot count is not rounded."""
+    the shot count is not rounded.  Raises ValueError for n < 1."""
     check_angle(theta)
+    if n < 1:
+        raise ValueError(f"readout needs n >= 1 variables, got n = {n}")
     s2 = math.sin(theta) ** 2
     return s2 / 8.0, 8.0 * math.log(2.0 * n / delta) / s2
 
@@ -519,7 +523,7 @@ def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
         if not occurs:
             # Unconstrained variable: fixed FALSE by convention, no shots.
             nxt = propagate(cur, 1, False)
-            assert nxt is not UNSAT
+            assert nxt is not None
             bits.append("0")
             cur = nxt
             continue
@@ -536,7 +540,7 @@ def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
         nxt = propagate(cur, 1, value)
-        if nxt is UNSAT:
+        if nxt is None:
             raise ReadoutFailed(
                 f"fixing variable {len(bits) + 1} to {value} emptied a clause"
             )

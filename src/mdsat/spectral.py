@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ def gap_lower_bound(theta: float, n: int, k: int) -> float:
 class UniformGapEstimate:
     value: float
     exact: bool
-    subsets_checked: int
 
 
 def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
@@ -128,7 +127,7 @@ def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
     for subset in subsets:
         d = (1 << f.n) - int(np.count_nonzero(violates[list(subset)].any(axis=0)))
         best = min(best, _gap_above_kernel(sum(dense[i] for i in subset), d))
-    return UniformGapEstimate(value=best, exact=exact, subsets_checked=len(subsets))
+    return UniformGapEstimate(value=best, exact=exact)
 
 
 def _lanczos_max(matvec, dim: int) -> float:
@@ -254,7 +253,8 @@ def speed_of_convergence_bound(c: float, ell: int, r: int) -> float:
 
 def friedrichs_speed_slack(f: Formula, theta: float):
     """Minimum slack of the speed-of-convergence bound over r = 1..10 for
-    the layered cycle operator; returns (slack, c, ell).
+    the layered cycle operator; returns (slack, c, ell), with slack and c
+    None below two layers, where the Friedrichs angle is undefined.
 
     c is the generalized Friedrichs angle of the layer images M_i relative to
     the ground space M: with B the orthonormal bases of M_i intersect M-perp
@@ -266,7 +266,7 @@ def friedrichs_speed_slack(f: Formula, theta: float):
     layers = build_layers(f, theta)
     ell = len(layers)
     if ell < 2:
-        return math.inf, 0.0, ell
+        return None, None, ell
     check_alloc(40 << 2 * f.n, "Friedrichs angle and speed bound")  # five matrices
     p_gs = ground_space_projector(f, theta)
     images = -ell * p_gs
@@ -306,7 +306,6 @@ class SpectralReport:
     friedrichs_c: float | None = None
     layer_count: int | None = None
     speed_bound_slack: float | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 def spectral_report(
@@ -317,6 +316,7 @@ def spectral_report(
 ) -> SpectralReport:
     """Every quantity and slack for one (instance, theta); the uniform gap
     and the Friedrichs speed bound are the costly parts and can be skipped.
+    A skipped value is None, as are c and the speed slack below two layers.
 
     dl_slack = 1/sqrt(gap/g^2 + 1) - mu (the detectability-lemma bound is 0
     when g = 0) and qub_slack = mu - (1 - 4 gap); both must be >= -1e-9.
@@ -332,20 +332,12 @@ def spectral_report(
     bound = gap_lower_bound(theta, f.n, k_eff)
     uni = None
     uni_exact = None
-    notes = []
     if with_uniform:
         est = uniform_gap(f, theta)
         uni, uni_exact = est.value, est.exact
-        if not est.exact:
-            notes.append(f"uniform gap sampled over {est.subsets_checked} subsets")
-    c_val = None
-    layer_count = None
-    speed_slack = None
-    if with_friedrichs:
-        speed_slack, c_val, layer_count = friedrichs_speed_slack(f, theta)
-        if layer_count < 2:
-            speed_slack, c_val = None, None
-            notes.append("single layer: Friedrichs angle undefined")
+    speed_slack, c_val, layer_count = (
+        friedrichs_speed_slack(f, theta) if with_friedrichs else (None, None, None)
+    )
     return SpectralReport(
         theta=theta,
         n=f.n,
@@ -364,5 +356,4 @@ def spectral_report(
         friedrichs_c=c_val,
         layer_count=layer_count,
         speed_bound_slack=speed_slack,
-        notes=notes,
     )

@@ -19,7 +19,6 @@ from mdsat import phf
 from mdsat import solver as sv
 from mdsat import spectral as sp
 from mdsat import statevec as svec
-from mdsat.formula import UNSAT
 
 THETA_GRID_10 = [0.05 * np.pi * i for i in range(1, 11)]  # 0.05pi .. 0.5pi
 DL_THETAS = [0.1 * np.pi, 0.25 * np.pi, 0.4 * np.pi, 0.5 * np.pi]
@@ -292,7 +291,7 @@ def test_c12_uniform_gap_monotonicity():
             var = int(rng.integers(1, cur.n + 1))
             value = template[var - 1] == "1"
             nxt = fm.propagate(cur, var, value)
-            assert nxt is not UNSAT
+            assert nxt is not None
             cur = nxt
             if cur.m == 0 or cur.n == 0:
                 break

@@ -79,6 +79,16 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().out.strip() == "UNSAT"
 
+    @pytest.mark.parametrize("flags", [[], ["--readout", "unique"], ["--schedule", "cubic"]],
+                             ids=["multiple", "unique", "cubic"])
+    def test_no_variables_exit_two(self, flags, tmp_path, capsys):
+        cnf = tmp_path / "empty.cnf"
+        cnf.write_text("p cnf 0 0\n")
+        assert run(["solve", str(cnf), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "n = 0" in captured.err
+
     def test_parse_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 1 1\n1 -1 0\n")
@@ -283,6 +293,13 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+def _stdout_rows(capsys) -> list[dict]:
+    """The rows of a spectral CSV printed to stdout, below its schema line."""
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# schema=mdsat-spectral-sweep/1"
+    return list(csv.DictReader(lines[1:]))
+
+
 class TestSpectralCmd:
     def test_csv_rows(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
@@ -313,25 +330,36 @@ class TestSpectralCmd:
         rows = []
         for cnf in (sat, unsat):
             assert run(["spectral", str(cnf), "--thetas", "0.3pi", "--no-friedrichs"]) == 0
-            rows.extend(json.loads(capsys.readouterr().out)["rows"])
+            rows.extend(_stdout_rows(capsys))
         ok, err = rows
         assert ok["status"] == "ok" and err["status"] == "error"
         assert list(err) == list(ok)
-        assert err["d_sol"] == 0 and err["error"]
+        assert err["d_sol"] == "0" and err["error"]
         # a bad angle says nothing about the solution count
         assert run(["spectral", str(sat), "--thetas", "0.7pi,0.3pi", "--no-friedrichs"]) == 0
-        bad, good = json.loads(capsys.readouterr().out)["rows"]
+        bad, good = _stdout_rows(capsys)
         assert bad["status"] == "error" and "angle" in bad["error"]
-        assert list(bad) == list(ok) and bad["d_sol"] is None
+        assert list(bad) == list(ok) and bad["d_sol"] == ""
         assert good == ok
 
     def test_unate_mu_zero_column(self, tmp_path, capsys):
         cnf = tmp_path / "un.cnf"
         run(["gen", "unate", "5", "-m", "8", "--seed", "4", "--out", str(cnf)])
         assert run(["spectral", str(cnf), "--thetas", "0.3pi", "--no-friedrichs"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        row = data["rows"][0]
-        assert row["status"] == "ok" and abs(row["mu"]) < 1e-10
+        (row,) = _stdout_rows(capsys)
+        assert row["status"] == "ok" and abs(float(row["mu"])) < 1e-10
+
+    def test_stdout_rows_match_out_file(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+        argv = ["spectral", str(cnf), "--thetas", "0.3pi,0.7pi,0.5pi"]
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "s.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 3 rows to {out}\n"
+        # the CSV rows end in \r\n, so compare lines
+        assert printed.splitlines() == out.read_text().splitlines()
 
 
 class TestPhfCmd:
@@ -342,6 +370,12 @@ class TestPhfCmd:
         assert "verified=true" in printed
         rows = pc.load_phf(out.read_text())
         assert rows.shape[0] <= 19 and rows.shape[1] == 10
+
+    def test_stdout_carries_only_the_family(self, capsys):
+        assert run(["phf", "5", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == phf.save_phf(phf.density_algorithm(5, 3))
+        assert captured.err == "rows=4 verified=true\n"
 
 
 @pytest.mark.parametrize(

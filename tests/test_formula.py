@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mdsat import formula as fm
 from mdsat.config import CapExceeded
-from mdsat.formula import UNSAT, Clause, Formula, Literal
+from mdsat.formula import Clause, Formula, Literal
 
 
 def _formula(n, *clauses, k=3):
@@ -80,7 +80,7 @@ class TestPropagate:
     def test_satisfied_clause_discarded(self):
         f = _formula(6, [1, 4, -6])
         g = fm.propagate(f, 1, True)
-        assert g is not UNSAT and g.m == 0 and g.n == 5
+        assert g is not None and g.m == 0 and g.n == 5
 
     def test_literal_deleted(self):
         f = _formula(6, [1, 4, -6])
@@ -91,7 +91,7 @@ class TestPropagate:
 
     def test_empty_clause_is_unsat(self):
         f = _formula(1, [1])
-        assert fm.propagate(f, 1, False) is UNSAT
+        assert fm.propagate(f, 1, False) is None
 
     def test_consistency_with_evaluate(self):
         rng = np.random.default_rng(5)
@@ -104,7 +104,7 @@ class TestPropagate:
                         continue
                     reduced = a[: var - 1] + a[var:]
                     expected = fm.evaluate(f, a)
-                    got = False if g is UNSAT else fm.evaluate(g, reduced)
+                    got = False if g is None else fm.evaluate(g, reduced)
                     assert got == expected
 
 
@@ -221,7 +221,7 @@ def test_propagate_evaluate_property(f, data):
             continue
         reduced = a[: var - 1] + a[var:]
         expected = fm.evaluate(f, a)
-        got = False if g is UNSAT else fm.evaluate(g, reduced)
+        got = False if g is None else fm.evaluate(g, reduced)
         assert got == expected
 
 

@@ -698,6 +698,12 @@ class TestTheoryBounds:
         tb = sv.theory_bounds(0.4 * np.pi, 6, 12, 0.1, uniform_gap=0.2, g=3)
         assert tb.ln_inv_mu == pytest.approx(0.2 / 36)
 
+    @pytest.mark.parametrize("readout", ["unique", "multiple"])
+    def test_no_variables_refused(self, readout):
+        # the readout parameters take log(n / delta)
+        with pytest.raises(ValueError, match="n = 0"):
+            sv.theory_bounds(0.4 * np.pi, 0, 1, 0.1, mu=0.0, readout=readout)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             sv.theory_bounds(0.4, 6, 10, 0.1)  # neither mu nor gap

@@ -15,7 +15,6 @@ from mdsat import phf
 from mdsat import spectral as sp
 from mdsat import statevec as svec
 from mdsat.config import CapExceeded
-from mdsat.formula import UNSAT
 
 # The values the spectral-report benchmark checks mdsat against.
 SPECTRAL_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/spectral.json"
@@ -85,7 +84,7 @@ class TestUniformGap:
             pick = next(iter(sols))
             value = pick[0] == "1"
             nxt = fm.propagate(cur, 1, value)
-            assert nxt is not UNSAT
+            assert nxt is not None
             cur = nxt
             if cur.m == 0:
                 break
@@ -350,6 +349,13 @@ class TestSpectralReport:
         assert rep.gap_bound_slack >= -1e-9
         assert rep.dl_slack >= -1e-9 and rep.qub_slack >= -1e-9
         assert rep.uniform_gap is not None and rep.uniform_gap_exact
+
+    def test_single_layer_has_no_friedrichs_angle(self):
+        f = fm.parse_dimacs("p cnf 3 1\n1 0\n")
+        assert sp.friedrichs_speed_slack(f, 0.4 * np.pi) == (None, None, 1)
+        rep = sp.spectral_report(f, 0.4 * np.pi)
+        assert rep.layer_count == 1
+        assert rep.friedrichs_c is None and rep.speed_bound_slack is None
 
     def test_unsatisfiable_raises(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])

@@ -33,6 +33,9 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   (commuting checks, g = 0), the same ``spectral`` on planted_unique 6/26
   seed 5 under ``MDSAT_MEM_BYTES=524288`` (the gap and mu fit, the uniform
   gap is refused, so every row records the refusal), and ``phf 9 3``;
+- the first ``spectral`` run and ``phf 9 3`` once more without ``--out``,
+  which pins what each prints to stdout (the spectral CSV; the family
+  alone, its summary line on stderr);
 - three refusals, each of which must exit 2 with empty stdout:
   ``solve --report missing/r.json`` on planted_unique 9/39 seed 1, whose
   report directory does not exist, ``solve --budget 0`` on the same
@@ -154,6 +157,8 @@ def main(argv: list[str]) -> int:
         run("spectral-budget", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi,0.5pi",
                                 "--out", "spectral-budget.csv"], codes)
     run("phf", ["phf", "9", "3", "--out", "phf.txt"], codes)
+    run("spectral-stdout", ["spectral", "spectral.cnf", "--thetas", "0.25pi,0.4pi,0.5pi"], codes)
+    run("phf-stdout", ["phf", "9", "3"], codes)
     run("solve-missing-report", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing",
                                  "--report", "missing/r.json"], codes)
     run("solve-budget-0", ["solve", "pu9-s1.cnf", "--budget", "0"], codes)
