@@ -12,6 +12,8 @@ before anything reads its final state.  The failed attempts end at i.i.d.
 positions drawn from the first-failure distribution of the trajectory, so one
 multinomial draw gives how many attempts failed at each position, and with
 it their exact measurement cost, in time independent of the restart count.
+No more failed attempts are drawn than the measurement budget has left, the
+one rule that ends a run: a preparation it cannot pay for ends the run.
 A CSV trace needs the failures in order: it gets a uniformly random
 permutation of the drawn positions, which has the same law as drawing them
 one by one, taken from a generator spawned for the trace so that tracing
@@ -24,10 +26,10 @@ fixing for any number of solutions, prepare a state and measure it.  One
 :class:`Preparer` per run owns its configuration, its one generator (the
 readouts draw from it too) and its accounting: it spends every preparation
 and readout measurement against the run's budget, counts the completed
-preparations and their restarts, and records the convergence-rate input and
-cycle count it resolved for each formula, which :func:`solve` reports.  Each
-readout passes its own tolerance to every preparation and decides its own
-failure events.
+preparations and their restarts, and resolves each formula's
+convergence-rate input once, which :func:`solve` reports.  Each readout
+passes its own tolerance to every preparation and decides its own failure
+events.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ _MAX_READOUT_ATTEMPTS = 64
 _TINY = np.finfo(float).tiny  # smallest pass probability renormalized
 _NORM_DRIFT = 1e-10  # tolerated distance of a trajectory's final norm from 1
 _GENERIC_MU = 0.5  # for a schedule's default budget and formulas with no ground space
-
-
-class RestartsExhausted(RuntimeError):
-    """State preparation never survived a full run of cycles."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -103,12 +101,9 @@ class PrepConfig:
     theta: float | Schedule
     mu_source: str = "empirical"  # empirical | dl_bound | user
     mu: float | None = None  # given with mu_source="user" only
-    max_restarts: int = 1_000_000
     plan: str = "sequential"  # sequential | layered
 
     def __post_init__(self):
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be >= 1")
         if self.mu_source not in ("empirical", "dl_bound", "user"):
             raise ValueError(f"unknown mu_source {self.mu_source!r}")
         if self.mu_source != "user" and self.mu is not None:
@@ -142,9 +137,14 @@ def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
     check_angle(theta)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    return _cycles(theta, n, epsilon, _ln_inv_mu(mu))
+
+
+def _ln_inv_mu(mu: float) -> float:
+    """ln(1/mu) for a convergence rate in [0, 1); infinite at mu = 0."""
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"convergence rate must lie in [0, 1), got {mu}")
-    return _cycles(theta, n, epsilon, math.inf if mu <= _MU_ZERO else math.log(1.0 / mu))
+    return math.inf if mu <= _MU_ZERO else math.log(1.0 / mu)
 
 
 def _cycles(theta: float, n: int, epsilon: float, ln_inv_mu: float) -> int:
@@ -301,8 +301,8 @@ class TraceWriter:
 
     Sequential plans use the clause index as the check id, layered plans the
     layer index.  Only completed preparations are logged, each under the
-    index the :class:`Preparer` gives it, so a run cut short by the budget or
-    the restart allowance ends the trace at the previous preparation.
+    index the :class:`Preparer` gives it, so a run cut short by the budget
+    ends the trace at the previous preparation.
     """
 
     COLUMNS = ("preparation", "attempt", "cycle", "check", "outcome", "probability")
@@ -332,28 +332,29 @@ class TraceWriter:
 
 
 def _sample_restart_costs(
-    traj: Trajectory,
-    rng: np.random.Generator,
-    max_restarts: int,
-    trace_rng: np.random.Generator | None,
-):
-    """Sample the number of failed attempts and their measurement cost.
+    traj: Trajectory, rng: np.random.Generator, left: int | None
+) -> tuple[int, np.ndarray, int]:
+    """Sample the failed attempts that precede a successful one.
 
-    Returns (restarts, cost, fail_positions).  The cost covers the failed
-    attempts only, at most ``max_restarts`` of them; ``restarts`` reaching
-    ``max_restarts`` means the allowance ran out, which the caller raises.
-    The positions, in attempt order, are drawn only when ``trace_rng`` is
-    given and the allowance holds, and are None otherwise.
+    Returns (restarts, counts, cost): ``counts[j]`` failed attempts ended at
+    measurement j, and ``cost`` is their measurements.  Every failed attempt
+    costs at least one measurement, so at most ``left``, the budget that is
+    left (None: no budget), are drawn: a run could never pay for more.  A
+    success probability below 1e-12 is unobservable, so every attempt the
+    budget can pay for is taken to fail; with no budget, BudgetExhausted is
+    raised before anything is drawn.
     """
     length = traj.length
     if length == 0:
-        return 0, 0, []
+        return 0, np.zeros(0, dtype=np.int64), 0
     p_s = traj.success_probability
     if p_s >= _MIN_GEOMETRIC_P:
         restarts = int(rng.geometric(p_s)) - 1
+    elif left is None:
+        raise BudgetExhausted(f"success probability {p_s:.3g} is unobservable, with no budget")
     else:
-        restarts = max_restarts  # success is unobservable at desk scale
-    n_fail = min(restarts, max_restarts)
+        restarts = left
+    n_fail = restarts if left is None else min(restarts, left)
     pmf = traj.failure_pmf
     if n_fail and pmf is not None:
         counts = rng.multinomial(n_fail, pmf)
@@ -362,12 +363,7 @@ def _sample_restart_costs(
     # Python integers: n_fail * length can exceed int64.  The failing
     # measurement at position j is the (j+1)-th of its attempt.
     cost = sum(c * (pos + 1) for pos, c in enumerate(counts.tolist()))
-    if trace_rng is None or restarts >= max_restarts:
-        return restarts, cost, None
-    # Only a successful preparation is traced, and its trace lists every
-    # failure anyway, so the positions cost no more memory than the trace.
-    positions = trace_rng.permutation(np.repeat(np.arange(length), counts))
-    return restarts, cost, positions
+    return restarts, counts, cost
 
 
 class Preparer:
@@ -379,10 +375,9 @@ class Preparer:
     per distinct formula (and cycle count) and reused, Monte Carlo restart
     counts are sampled fresh on every call, and every measurement, the
     readouts' shots included, is counted by :meth:`spend` in ``used``
-    against ``budget`` (None: no limit).  ``preparations`` and ``restarts``
-    count the completed preparations, which the trace is numbered by, and
-    their failed attempts; ``resolved`` maps each formula to the (mu,
-    cycles) of its latest fixed-angle preparation.
+    against ``budget`` (None: no limit), the only rule that ends a run.
+    ``preparations`` and ``restarts`` count the completed preparations,
+    which the trace is numbered by, and their failed attempts.
     """
 
     def __init__(
@@ -399,7 +394,6 @@ class Preparer:
         self.trace = trace
         self.preparations = 0
         self.restarts = 0
-        self.resolved: dict[Formula, tuple[float, int]] = {}
         self._mus: dict[Formula, float] = {}
         # Orders the failures of a traced preparation; a stream of its own
         # keeps a traced run's draws identical to an untraced one's.
@@ -426,9 +420,7 @@ class Preparer:
         if self.cfg.is_scheduled:
             cycles = self.cfg.theta.c_q + 1
         else:
-            mu = self.mu(f)
-            cycles = cycles_required(self.cfg.theta, f.n, epsilon, mu)
-            self.resolved[f] = (mu, cycles)
+            cycles = cycles_required(self.cfg.theta, f.n, epsilon, self.mu(f))
         key = (f, cycles)
         if key not in self._trajectories:
             self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
@@ -436,18 +428,19 @@ class Preparer:
 
     def prepare(self, f: Formula, epsilon: float) -> None:
         """Spend and count one preparation of ``f``: its sampled failed
-        attempts, then (unless the restarts ran out) the successful one.  The
-        prepared state is :meth:`trajectory`'s final state."""
+        attempts, then the successful one.  A preparation the budget cannot
+        pay for raises BudgetExhausted, with the budget spent, and is neither
+        counted nor traced.  The prepared state is :meth:`trajectory`'s final
+        state."""
         traj = self.trajectory(f, epsilon)
-        max_restarts = self.cfg.max_restarts
-        restarts, cost, positions = _sample_restart_costs(
-            traj, self.rng, max_restarts, self._trace_rng
-        )
-        self.spend(cost)
-        if restarts >= max_restarts:
-            raise RestartsExhausted(f"no successful preparation within {max_restarts} restarts")
-        self.spend(traj.length)
+        left = None if self.budget is None else self.budget - self.used
+        restarts, counts, cost = _sample_restart_costs(traj, self.rng, left)
+        self.spend(cost + traj.length)
         if self.trace is not None:
+            # The failures in attempt order: the positions, repeated and
+            # permuted, are two int64 arrays of one entry per failure.
+            check_alloc(16 * restarts + 8 * traj.length, "trace failure positions")
+            positions = self._trace_rng.permutation(np.repeat(np.arange(traj.length), counts))
             for attempt, pos in enumerate(positions):
                 self.trace.emit_attempt(traj, self.preparations, attempt, int(pos))
             self.trace.emit_attempt(traj, self.preparations, restarts, None)
@@ -592,9 +585,7 @@ def theory_bounds(
     if readout not in ("unique", "multiple"):
         raise ValueError(f"unknown readout {readout!r}")
     if mu is not None:
-        if not 0.0 <= mu < 1.0:
-            raise ValueError("mu must lie in [0, 1)")
-        ln_inv_mu = math.inf if mu <= _MU_ZERO else math.log(1.0 / mu)
+        ln_inv_mu = _ln_inv_mu(mu)
     elif uniform_gap is not None:
         if g is None or g < 0:
             raise ValueError("the gap route needs the non-commutation degree g")
@@ -673,14 +664,18 @@ def solve(
 ) -> RunReport:
     """Run preparation plus readout until a verified assignment or exhaustion.
 
-    The UNSAT verdict is emitted when the measurement budget or the restart
-    allowance (ten times the inverse success-probability floor) runs out, or
+    The UNSAT verdict is emitted when the measurement budget runs out, or
     when 64 readout attempts fail, before any readout verifies.  The budget
     is at least 1; by default it is ten times :func:`theory_bounds` at the
     convergence rate the run resolves for ``f`` (the user's mu, or a generic
     0.5 under a schedule and for a formula with no satisfying assignment),
-    and at least 1000.  ``trace``, an open text stream, receives a CSV log of
-    every preparation measurement; the caller opens and closes it.
+    and at least 1000.  At a fixed angle the report gives that mu and the
+    cycle count of one attempt at the readout's tolerance whenever the run
+    resolved it, which it always has under the default budget; a run with
+    its own budget resolves no mu for ``f`` when the multiple readout finds
+    variable 1 in no clause, and its report gives None for both.
+    ``trace``, an open text stream, receives a CSV log of every preparation
+    measurement; the caller opens and closes it.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -690,10 +685,7 @@ def solve(
         raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
     theta_ro = readout_angle(theta)
-    floor = success_probability_floor(theta_ro, f.n)
-    max_restarts = max(1_000_000, math.ceil(10.0 * math.log(1.0 / delta) / max(floor, 1e-15)))
-    cfg = PrepConfig(theta=theta, mu_source=mu_source, mu=mu, max_restarts=max_restarts,
-                     plan=plan)
+    cfg = PrepConfig(theta=theta, mu_source=mu_source, mu=mu, plan=plan)
     notes: list[str] = []
     if not cfg.is_scheduled and cfg.mu_source != "user" and count_solutions(f) == 0:
         # No ground space to measure a convergence rate against; fall back to
@@ -725,11 +717,15 @@ def solve(
             except ReadoutFailed as exc:
                 notes.append(f"readout attempt {attempts} failed: {exc}")
                 continue
-    except (RestartsExhausted, BudgetExhausted) as exc:
+    except BudgetExhausted as exc:
         notes.append(str(exc))
-    # f is prepared at the readout's tolerance only, so its entry holds the
-    # cycle count of every attempt
-    mu_used, cycles = preparer.resolved.get(f, (None, None))
+    # f is prepared at the readout's tolerance only, so this is the cycle
+    # count of every attempt; a mu is never resolved for the report alone
+    mu_used = None if cfg.is_scheduled else preparer._mus.get(f)
+    cycles = None
+    if mu_used is not None:
+        params = unique_readout_parameters if readout == "unique" else multiple_readout_parameters
+        cycles = cycles_required(theta_ro, f.n, params(theta_ro, f.n, delta)[0], mu_used)
     verified = assignment is not None and evaluate(f, assignment)
     return RunReport(
         status="SAT" if verified else "UNSAT",

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import io
 import itertools
@@ -17,6 +16,7 @@ from mdsat import formula as fm
 from mdsat import solver as sv
 from mdsat import spectral as sp
 from mdsat import statevec as svec
+from mdsat.config import CapExceeded
 from mdsat.phf import build_layers
 
 
@@ -189,17 +189,16 @@ class TestPrepareState:
         sigma = math.sqrt(p_exact * (1 - p_exact) / attempts)
         assert abs(successes / attempts - p_exact) <= 4 * sigma
 
-        # The sampler's trace positions, over enough preparations for more
+        # The sampler's failure counts, over enough preparations for more
         # than 10^4 failed attempts.
         preparations = 20_000
-        sample_rng, trace_rng = np.random.default_rng(78), np.random.default_rng(79)
+        sample_rng = np.random.default_rng(78)
         sampled_fails = np.zeros(traj.length, dtype=np.int64)
         restarts = np.zeros(preparations)
         for i in range(preparations):
-            r, cost, positions = sv._sample_restart_costs(traj, sample_rng, 10**6, trace_rng)
-            positions = np.asarray(positions, dtype=np.int64)
-            assert positions.size == r and cost == int(np.sum(positions + 1))
-            np.add.at(sampled_fails, positions, 1)
+            r, counts, cost = sv._sample_restart_costs(traj, sample_rng, None)
+            assert counts.sum() == r and cost == int(counts @ np.arange(1, traj.length + 1))
+            sampled_fails += counts
             restarts[i] = r
         assert sampled_fails.sum() > 10**4
         mean = (1 - p_exact) / p_exact
@@ -257,30 +256,62 @@ class TestPrepareState:
             traced.restarts, traced.used
         )
 
-    def test_restarts_exhausted_on_unsat(self):
+    def test_budget_exhausted_on_unsat(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
-        cfg = sv.PrepConfig(
-            theta=np.pi / 2, max_restarts=50,
-            mu_source="user", mu=0.0,
-        )
-        with pytest.raises(sv.RestartsExhausted):
-            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, 0.01)
-
-    def test_unobservable_success_fails_fast(self):
-        # p_s = 0: the allowance of 10^12 restarts is drawn and charged at once
-        f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
-        cfg = sv.PrepConfig(
-            theta=np.pi / 2, max_restarts=10**12,
-            mu_source="user", mu=0.0,
-        )
-        start = time.perf_counter()
-        with pytest.raises(sv.RestartsExhausted):
-            sv.Preparer(cfg, np.random.default_rng(0)).prepare(f, 0.01)
-        assert time.perf_counter() - start < 1.0
-        preparer = sv.Preparer(cfg, np.random.default_rng(0), budget=10**6)
+        cfg = sv.PrepConfig(theta=np.pi / 2, mu_source="user", mu=0.0)
+        preparer = sv.Preparer(cfg, np.random.default_rng(0), budget=50)
         with pytest.raises(sv.BudgetExhausted):
             preparer.prepare(f, 0.01)
-        assert preparer.used == 10**6
+        assert (preparer.used, preparer.preparations) == (50, 0)
+
+    def test_unobservable_success_fails_fast(self):
+        # p_s = 0: a budget's worth of 10^12 failed attempts is drawn and
+        # charged at once
+        f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
+        cfg = sv.PrepConfig(theta=np.pi / 2, mu_source="user", mu=0.0)
+        start = time.perf_counter()
+        preparer = sv.Preparer(cfg, np.random.default_rng(0), budget=10**12)
+        with pytest.raises(sv.BudgetExhausted):
+            preparer.prepare(f, 0.01)
+        assert time.perf_counter() - start < 1.0
+        assert (preparer.used, preparer.preparations) == (10**12, 0)
+        # with no budget nothing bounds the attempts: it raises before any draw
+        unbounded = sv.Preparer(cfg, np.random.default_rng(0))
+        state = unbounded.rng.bit_generator.state
+        with pytest.raises(sv.BudgetExhausted):
+            unbounded.prepare(f, 0.01)
+        assert unbounded.rng.bit_generator.state == state and unbounded.used == 0
+
+    def test_preparation_cut_short_by_the_budget_is_not_traced(self):
+        # the budget pays for the first preparation and ends the second: the
+        # trace stops after the first, and tracing drew nothing from the
+        # run's generator
+        f = fm.generate("planted_unique", 6, 20, 3, seed=14)
+        cfg = sv.PrepConfig(theta=np.pi / 2)
+        first = sv.Preparer(cfg, np.random.default_rng(5))
+        first.prepare(f, 0.01)
+        fh = io.StringIO()
+        traced = sv.Preparer(cfg, np.random.default_rng(5), first.used + 1, sv.TraceWriter(fh))
+        untraced = sv.Preparer(cfg, np.random.default_rng(5), first.used + 1)
+        for preparer in (traced, untraced):
+            preparer.prepare(f, 0.01)
+            with pytest.raises(sv.BudgetExhausted):
+                preparer.prepare(f, 0.01)
+            assert (preparer.used, preparer.preparations) == (first.used + 1, 1)
+        rows = list(csv.reader(io.StringIO(fh.getvalue())))[1:]
+        assert len(rows) == first.used and {row[0] for row in rows} == {"0"}
+        assert traced.rng.bit_generator.state == untraced.rng.bit_generator.state
+
+    def test_trace_positions_refused_over_the_memory_budget(self, monkeypatch):
+        # the failure positions of a traced preparation are checked before
+        # they are drawn; the trajectory is built under the default budget
+        f = fm.generate("planted_unique", 6, 20, 3, seed=14)
+        cfg = sv.PrepConfig(theta=np.pi / 2)
+        preparer = sv.Preparer(cfg, np.random.default_rng(0), trace=sv.TraceWriter(io.StringIO()))
+        preparer.trajectory(f, 0.01)
+        monkeypatch.setenv("MDSAT_MEM_BYTES", "64")
+        with pytest.raises(CapExceeded, match="trace failure positions"):
+            preparer.prepare(f, 0.01)
 
 
 def _angles(cfg, cycles):
@@ -577,14 +608,26 @@ class TestSolve:
             eps = params(theta, f.n, 0.1)[0]
             assert report.cycles_per_attempt == sv.cycles_required(theta, f.n, eps, mu)
 
-    @pytest.mark.parametrize("readout", ["unique", "multiple"])
-    def test_default_budget_priced_at_the_resolved_mu(self, readout):
-        f = fm.generate("planted_unique", 5, 20, 3, seed=3)
+    @pytest.mark.parametrize(
+        "readout, f",
+        [
+            pytest.param("unique", fm.generate("planted_unique", 5, 20, 3, seed=3), id="unique"),
+            pytest.param(
+                "multiple", fm.generate("planted_unique", 5, 20, 3, seed=3), id="multiple"
+            ),
+            # variable 1 occurs in no clause, so the readout never prepares f
+            pytest.param(
+                "multiple", fm.formula_from_dimacs_codes(3, [[2, 3]]), id="multiple-var1-free"
+            ),
+        ],
+    )
+    def test_default_budget_priced_at_the_resolved_mu(self, readout, f):
         theta = 0.4 * np.pi
         report = sv.solve(f, theta, readout=readout, seed=0)
-        assert report.mu_source == "empirical"
+        assert report.status == "SAT" and report.mu_source == "empirical"
         tb = sv.theory_bounds(theta, f.n, f.m, 0.1, mu=report.mu, readout=readout)
         assert report.budget == max(1000, math.ceil(10 * tb.total_cost))
+        assert report.cycles_per_attempt == tb.cycle_bound
 
     def test_dl_bound_default_budget_reaches_a_solution(self):
         # the detectability-lemma mu is 0.99939 here, so one attempt runs
@@ -672,10 +715,10 @@ class TestTheoryBounds:
             assert tb.prep_cost * floor == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("readout", ["unique", "multiple"])
-    def test_readout_spends_what_the_bound_counts(self, readout):
-        # the readout prepares f ceil(readout_cost) times (the multiple
-        # readout: for its first variable), at tolerance epsilon and the
-        # bound's cycle count
+    def test_readout_spends_what_the_bound_counts(self, readout, monkeypatch):
+        # each readout attempt prepares f ceil(readout_cost) times (the
+        # multiple readout: for its first variable), at tolerance epsilon and
+        # the bound's cycle count
         f = fm.generate("planted_unique", 5, 20, 3, seed=3)
         theta, delta, mu = 0.4 * np.pi, 0.1, 0.6
         calls = []
@@ -685,14 +728,13 @@ class TestTheoryBounds:
                 calls.append((g, epsilon))
                 super().prepare(g, epsilon)
 
-        cfg = sv.PrepConfig(theta=theta, mu_source="user", mu=mu)
-        preparer = RecordingPreparer(cfg, np.random.default_rng(1))
-        readout_fn = sv.readout_unique if readout == "unique" else sv.readout_multiple
-        with contextlib.suppress(sv.ReadoutFailed):
-            readout_fn(f, delta, preparer)
+        monkeypatch.setattr(sv, "Preparer", RecordingPreparer)
+        report = sv.solve(f, theta, delta, readout=readout, mu_source="user", mu=mu, seed=1)
+        assert report.status == "SAT"
         tb = sv.theory_bounds(theta, f.n, f.m, delta, mu=mu, readout=readout)
-        assert [eps for g, eps in calls if g == f] == [tb.epsilon] * math.ceil(tb.readout_cost)
-        assert preparer.resolved[f] == (mu, tb.cycle_bound)
+        per_attempt = [tb.epsilon] * math.ceil(tb.readout_cost)
+        assert [eps for g, eps in calls if g == f] == per_attempt * report.readout_attempts
+        assert (report.mu, report.cycles_per_attempt) == (mu, tb.cycle_bound)
 
     def test_gap_route(self):
         tb = sv.theory_bounds(0.4 * np.pi, 6, 12, 0.1, uniform_gap=0.2, g=3)
@@ -709,3 +751,5 @@ class TestTheoryBounds:
             sv.theory_bounds(0.4, 6, 10, 0.1)  # neither mu nor gap
         with pytest.raises(ValueError):
             sv.theory_bounds(0.4, 6, 10, 0.1, uniform_gap=0.1)  # missing g
+        with pytest.raises(ValueError, match="convergence rate"):
+            sv.theory_bounds(0.4, 6, 10, 0.1, mu=1.0)

@@ -27,12 +27,19 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - ``solve --mu-source dl_bound --theta-fraction 0.9 --readout multiple`` on
   planted_unique 4/17 seed 1, whose detectability-lemma mu of about 0.9994
   sets both the cycle count and the default budget;
-- one ``--trace`` run, a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi
-  with two trials, ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact
-  basis encoding) on planted_unique 6/26 seed 5 and on unate 6/14 seed 2
-  (commuting checks, g = 0), the same ``spectral`` on planted_unique 6/26
-  seed 5 under ``MDSAT_MEM_BYTES=524288`` (the gap and mu fit, the uniform
-  gap is refused, so every row records the refusal), and ``phf 9 3``;
+- ``solve --readout multiple --theta-fraction 0.8`` on a 5-variable formula
+  that this script writes, in which variable 1 occurs in no clause: the
+  readout never prepares the whole formula, and the report still gives the
+  mu and cycle count the run resolved for it;
+- two ``--trace`` runs: planted_unique 9/39 seed 1 at 0.8, and random_ksat
+  6/40 seed 4 at pi/2, whose preparations all fail until the measurement
+  budget is spent, so its trace holds the header alone;
+- a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi with two trials,
+  ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact basis encoding) on
+  planted_unique 6/26 seed 5 and on unate 6/14 seed 2 (commuting checks,
+  g = 0), the same ``spectral`` on planted_unique 6/26 seed 5 under
+  ``MDSAT_MEM_BYTES=524288`` (the gap and mu fit, the uniform gap is
+  refused, so every row records the refusal), and ``phf 9 3``;
 - the first ``spectral`` run and ``phf 9 3`` once more without ``--out``,
   which pins what each prints to stdout (the spectral CSV; the family
   alone, its summary line on stderr);
@@ -140,8 +147,15 @@ def main(argv: list[str]) -> int:
                                   "--report", "solve-pu4-s1-dl-bound.json", "--mu-source",
                                   "dl_bound", "--theta-fraction", "0.9", "--readout", "multiple"],
         codes)
+    Path("free1.cnf").write_text("p cnf 5 4\n2 3 -4 0\n-2 4 5 0\n2 3 -5 0\n-3 -4 5 0\n",
+                                 encoding="utf-8")
+    run("solve-free1-multiple", ["solve", "free1.cnf", "--seed", "7", "--no-timing", "--report",
+                                 "solve-free1-multiple.json", "--readout", "multiple",
+                                 "--theta-fraction", "0.8"], codes)
     run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
                   "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
+    run("trace-rk6-s4", ["solve", "rk6-s4.cnf", "--seed", "7", "--no-timing", "--report",
+                         "trace-rk6-s4.json", "--trace", "trace-rk6-s4.csv"], codes)
     sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
              "trials": "2", "seed": "3", "out": "sweep.csv"}
     run("sweep", ["sweep"] + [a for k, v in sweep.items() for a in ("--set", f"{k}={v}")], codes)
