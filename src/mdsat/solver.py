@@ -61,7 +61,12 @@ from .statevec import (
 _MU_ZERO = 1e-12
 _MIN_GEOMETRIC_P = 1e-12
 _MAX_READOUT_ATTEMPTS = 64
-_TINY = np.finfo(float).tiny  # smallest pass probability renormalized
+# A trajectory raises on a positive pass probability or squared norm below
+# _TINY, the smallest normal float, and renormalizes at once when its squared
+# norm falls below _SQRT_TINY, so that no amplitude that matters goes
+# subnormal before the end of the cycle.
+_TINY = np.finfo(float).tiny
+_SQRT_TINY = math.sqrt(_TINY)
 _NORM_DRIFT = 1e-10  # tolerated distance of a trajectory's final norm from 1
 _GENERIC_MU = 0.5  # for a schedule's default budget and formulas with no ground space
 
@@ -222,9 +227,12 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     are planned once: the layer grouping does not depend on the angle.
 
     Every check acts in place on one state buffer, through
-    ``apply_check_unnormalized(psi, proj, out=psi)``, and each step is
-    renormalized in place by dividing by sqrt(p), so a step allocates no
-    state vector.
+    ``apply_check_unnormalized(psi, proj, out=psi)``, so a step allocates no
+    state vector.  The state is left unnormalized within a cycle: each step
+    takes its squared norm by one dot product and records p as the ratio of
+    that norm to the one before the step.  The state is divided by its norm
+    in place once, at the end of each cycle, and earlier only when its
+    squared norm falls below sqrt of the smallest normal float.
 
     The state evolves in the sparse frame of :func:`sparse_frame`, built once
     per angle, where most clause-projector factors are exact basis vectors
@@ -234,10 +242,10 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     probabilities do not depend on the frame.  At theta = pi/2 every frame is
     the identity and nothing is rotated.
 
-    A pass probability that is not finite, or positive but below the
-    smallest normal float, raises FloatingPointError instead of being
-    renormalized, as does the final state of a live trajectory whose norm
-    is off 1 by more than 1e-10.
+    A pass probability that is not finite, or a step that leaves a pass
+    probability or squared norm positive but below the smallest normal float,
+    raises FloatingPointError instead of being renormalized, as does the
+    final state of a live trajectory whose norm is off 1 by more than 1e-10.
     """
     # The state, plus the check kernel's two half-state temporaries (w and
     # its scratch, at k = 1) or the frame rotation's two half-state buffers:
@@ -265,22 +273,30 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
             new_bases, projs = sparse_frame(f, angle)
             rotate_qubits_inplace(psi, _frame_change(bases, new_bases))
             bases, last_angle = new_bases, angle
+        norm2 = 1.0  # squared norm of psi
         for step in steps:
             if dead:
                 probs.append(0.0)
                 continue
             for ci in step:
                 psi = apply_check_unnormalized(psi, projs[ci], out=psi)
-            p = float(np.dot(psi, psi))
-            if not math.isfinite(p) or 0.0 < p < _TINY:
+            after = float(np.dot(psi, psi))
+            p = after / norm2
+            if not math.isfinite(p) or 0.0 < min(p, after) < _TINY:
                 raise FloatingPointError(
-                    f"pass probability {p!r} at measurement {len(probs)} cannot be renormalized"
+                    f"pass probability {p!r} (squared norm {after!r}) at measurement "
+                    f"{len(probs)} cannot be renormalized"
                 )
             probs.append(min(p, 1.0))
             if p == 0.0:
                 dead = True
                 continue
-            np.divide(psi, math.sqrt(p), out=psi)
+            norm2 = after
+            if norm2 < _SQRT_TINY:
+                np.divide(psi, math.sqrt(norm2), out=psi)
+                norm2 = 1.0
+        if not dead:
+            np.divide(psi, math.sqrt(norm2), out=psi)
     if dead:
         psi = None
     else:

@@ -32,14 +32,15 @@ from mdsat.statevec import apply_check_unnormalized, product_operator
 _RENORM_DRIFT = 1e-9
 
 
-def kron_projector(proj: ClauseProjector) -> np.ndarray:
-    """The 2^n x 2^n projector |u><u| (x) I as an explicit Kronecker chain."""
-    factor_at = dict(zip(proj.support, proj.factors))
+def kron_projector(proj: ClauseProjector, dtype=np.float64) -> np.ndarray:
+    """The 2^n x 2^n projector |u><u| (x) I as an explicit Kronecker chain,
+    built in ``dtype`` from the projector's float64 factors."""
+    factor_at = {q: np.asarray(u, dtype) for q, u in zip(proj.support, proj.factors)}
     blocks = [
-        np.outer(factor_at[q], factor_at[q]) if q in factor_at else np.eye(2)
+        np.outer(factor_at[q], factor_at[q]) if q in factor_at else np.eye(2, dtype=dtype)
         for q in range(1, proj.n + 1)
     ]
-    return reduce(np.kron, blocks, np.array([[1.0]]))
+    return reduce(np.kron, blocks, np.ones((1, 1), dtype))
 
 
 def apply_check_reference(psi: np.ndarray, proj: ClauseProjector) -> None:

@@ -344,17 +344,23 @@ def _kron_trajectory(f, cfg, cycles):
 
 def _computational_trajectory(f, cfg, cycles):
     """The same evolution through the check kernel on computational-basis
-    projectors, with the trajectory's own arithmetic."""
+    projectors, with the trajectory's own arithmetic: p is the ratio of the
+    squared norms after and before a step, and the state is renormalized at
+    the end of each cycle, or as soon as its squared norm falls below
+    sqrt(tiny)."""
     psi, probs = svec.plus_state(f.n), []
     for angle in _angles(cfg, cycles):
         projs = enc.clause_projectors(f, angle)
+        norm2 = 1.0
         for step in _steps(f, cfg.plan):
-            out = psi
             for ci in step:
-                out = svec.apply_check_unnormalized(out, projs[ci])
-            p = float(np.dot(out, out))
-            probs.append(min(p, 1.0))
-            psi = np.divide(out, math.sqrt(p), out=out)
+                psi = svec.apply_check_unnormalized(psi, projs[ci])
+            after = float(np.dot(psi, psi))
+            probs.append(min(after / norm2, 1.0))
+            norm2 = after
+            if norm2 < sv._SQRT_TINY:
+                psi, norm2 = psi / math.sqrt(norm2), 1.0
+        psi = psi / math.sqrt(norm2)
     return np.array(probs), psi
 
 
@@ -394,6 +400,74 @@ class TestTrajectoryMatchesOracle:
             assert np.array_equal(traj.final_state, final)
 
 
+def _longdouble_trajectory(f, cfg, cycles):
+    """(pass probabilities, final state) of the all-pass evolution from the
+    oracle's Kronecker-chain checks I - P, in np.longdouble, renormalized
+    after every step."""
+    ld = np.longdouble
+    psi, probs = np.full(1 << f.n, 1 / np.sqrt(ld(1 << f.n))), []
+    for angle in _angles(cfg, cycles):
+        projs = enc.clause_projectors(f, angle)
+        for step in _steps(f, cfg.plan):
+            for ci in step:
+                psi = psi - oracle.kron_projector(projs[ci], ld) @ psi
+            probs.append(psi @ psi)
+            psi = psi / np.sqrt(probs[-1])
+    return np.array(probs), psi
+
+
+def _longdouble_errors(f, cfg, cycles):
+    """(max |dp|, max relative error of 1 - p over the steps whose 1 - p is
+    at least 1e-9, max |d psi_final|, min p) of ``allpass_trajectory``
+    against :func:`_longdouble_trajectory`."""
+    traj = sv.allpass_trajectory(f, cfg, cycles)
+    exact, final = _longdouble_trajectory(f, cfg, cycles)
+    probs = traj.step_pass_probs.astype(np.longdouble)
+    fail = 1 - exact
+    resolved = fail >= 1e-9
+    rel = np.abs((1 - probs)[resolved] - fail[resolved]) / fail[resolved]
+    return (
+        float(np.abs(probs - exact).max()),
+        float(rel.max(initial=0.0)),
+        float(np.abs(traj.final_state - final).max()),
+        float(exact.min()),
+    )
+
+
+_LONGDOUBLE_FORMULAS = {
+    "pu8": lambda: fm.generate("planted_unique", 8, 34, 3, seed=1),
+    "pu10": lambda: fm.generate("planted_unique", 10, 43, 3, seed=1),
+    # the checks of x1 and not x1 overlap by cos(theta), so at 0.49 pi one
+    # follows the other with p near cos(theta)^2 = 9.9e-4
+    "small-p": lambda: fm.formula_from_dimacs_codes(
+        4, [[1], [-1], [2, 3], [-2, 4], [1, -3, 4], [-1, -4]]
+    ),
+}
+_LONGDOUBLE_CASES = [
+    *[("pu8", theta, plan, 3) for theta in (0.1, 0.25, 0.4, 0.5) for plan in ("sequential", "layered")],
+    ("pu8", "cubic", "sequential", 4),
+    ("pu10", 0.4, "layered", 1),
+    *[("small-p", 0.49, plan, 3) for plan in ("sequential", "layered")],
+]
+
+
+class TestTrajectoryMatchesLongdouble:
+    """The float64 trajectory against the dense checks in np.longdouble: p to
+    1e-12 absolute, 1 - p to 1e-6 relative wherever it is at least 1e-9, and
+    the final state to 1e-12."""
+
+    @pytest.mark.parametrize("name, theta, plan, cycles", _LONGDOUBLE_CASES)
+    def test_pass_probabilities(self, name, theta, plan, cycles):
+        if theta == "cubic":
+            theta = sv.Schedule(c_q=cycles - 1, theta_init=0.25 * np.pi)
+        else:
+            theta *= np.pi
+        f = _LONGDOUBLE_FORMULAS[name]()
+        dp, rel, dpsi, min_p = _longdouble_errors(f, sv.PrepConfig(theta=theta, plan=plan), cycles)
+        assert dp <= 1e-12 and rel <= 1e-6 and dpsi <= 1e-12
+        assert name != "small-p" or min_p < 1e-3
+
+
 class TestTrajectoryNumerics:
     f = fm.formula_from_dimacs_codes(3, [[1, 2], [-2, 3], [1, -3]])
     cfg = sv.PrepConfig(theta=0.4 * np.pi)
@@ -409,6 +483,20 @@ class TestTrajectoryNumerics:
         )
         with pytest.raises(FloatingPointError, match="pass probability"):
             sv.allpass_trajectory(self.f, self.cfg, 2)
+
+    def test_small_norm_renormalizes_early(self, monkeypatch):
+        # every check's output scaled by 1e-100 leaves a squared norm near
+        # 1e-200 after each step, below sqrt(tiny): the state is divided by
+        # its norm at once, and each p is 1e-200 times the unscaled one
+        plain = sv.allpass_trajectory(self.f, self.cfg, 2)
+        check = sv.apply_check_unnormalized
+        monkeypatch.setattr(
+            sv, "apply_check_unnormalized", lambda psi, p, out=None: check(psi, p, out=out) * 1e-100
+        )
+        scaled = sv.allpass_trajectory(self.f, self.cfg, 2)
+        rel = np.abs(scaled.step_pass_probs / (plain.step_pass_probs * 1e-200) - 1.0)
+        assert rel.max() <= 1e-12
+        assert np.abs(scaled.final_state - plain.final_state).max() <= 1e-15
 
     def test_dead_trajectory_keeps_no_state(self):
         # x1 and not x1: the second check of the first cycle passes with
