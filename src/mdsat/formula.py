@@ -239,23 +239,52 @@ def clause_mask(c: Clause, n: int) -> tuple[int, int]:
     return mask, forbidden
 
 
+# Clauses applied to the candidates between two compactions.  A compaction
+# costs about one pass over the candidates, like a clause, so a block of a few
+# clauses keeps it cheap while the candidates still shrink fast: at m = 4.3n
+# with k = 3, each block of four clauses leaves about 59% of them.
+_BLOCK = 4
+
+
 def solution_indices(f: Formula) -> np.ndarray:
     """Sorted basis indices (int64) of all satisfying assignments (exhaustive).
 
     Enumerates on int32 indices, half the memory traffic of int64, so n is
-    limited to 31 whatever the memory budget.
+    limited to 31 whatever the memory budget.  The clauses are applied in
+    blocks of ``_BLOCK`` to the candidates still alive.  After each block the
+    candidates are compacted to its survivors, and the loop stops as soon as
+    none are left.  So the work is a few passes over 2^n indices instead of
+    m, and an unsatisfiable formula often ends after a few blocks.
+
+    Peak memory is 10 bytes per assignment, in the first block: the
+    candidates, a masked copy and two bool arrays.  The work arrays are freed
+    before each compaction, and more than 2^(n-1) survivors are widened to
+    int64 through a bool mask rather than by a copy, which would hold 12
+    bytes per survivor.
     """
-    if f.n > 31:
-        raise CapExceeded(f"brute-force enumeration of n={f.n}: int32 indices stop at n=31")
-    check_alloc(10 << f.n, "brute-force enumeration")  # 2 int32 and 2 bool arrays
-    idx = np.arange(1 << f.n, dtype=np.int32)
-    ok = np.ones(idx.shape, dtype=bool)
-    tmp = np.empty_like(idx)
-    for c in f.clauses:
-        mask, forbidden = clause_mask(c, f.n)
-        np.bitwise_and(idx, mask, out=tmp)
-        ok &= tmp != forbidden
-    del idx, tmp
+    n = f.n
+    if n > 31:
+        raise CapExceeded(f"brute-force enumeration of n={n}: int32 indices stop at n=31")
+    check_alloc(10 << n, "brute-force enumeration")  # 2 int32 and 2 bool arrays
+    cand = np.arange(1 << n, dtype=np.int32)
+    for start in range(0, f.m, _BLOCK):
+        tmp = np.empty_like(cand)
+        keep = np.ones(cand.shape, dtype=bool)
+        hit = np.empty_like(keep)
+        for c in f.clauses[start : start + _BLOCK]:
+            mask, forbidden = clause_mask(c, n)
+            np.bitwise_and(cand, mask, out=tmp)
+            keep &= np.not_equal(tmp, forbidden, out=hit)
+        del tmp, hit
+        cand = cand[keep]
+        del keep
+        if not cand.size:
+            break
+    if 2 * cand.size <= 1 << n:
+        return cand.astype(np.int64)
+    ok = np.zeros(1 << n, dtype=bool)
+    ok[cand] = True
+    del cand
     return np.flatnonzero(ok)  # position i holds index i
 
 

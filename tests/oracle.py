@@ -10,7 +10,10 @@ projector, independently of the Lanczos eigensolver of
 ``mdsat.spectral.convergence_rate``.  ``apply_check_reference`` is the check
 kernel without its compiled patterns or its zeroing branch: it enumerates
 the support patterns on every call and always computes w and subtracts, so
-``mdsat.statevec.apply_check_inplace`` must match it bit for bit.  The rest
+``mdsat.statevec.apply_check_inplace`` must match it bit for bit.
+``solution_indices_reference`` tests every clause against all 2^n
+assignments, one clause at a time, with no compaction or early exit, so
+``mdsat.formula.solution_indices`` must return the same array.  The rest
 is the naive
 per-measurement simulator: one projective clause (or layer) check at a time,
 with explicit branch probabilities and renormalized post-measurement states.
@@ -26,6 +29,7 @@ from functools import reduce
 import numpy as np
 
 from mdsat.encoding import ClauseProjector, ground_space_projector
+from mdsat.formula import Formula, clause_mask
 from mdsat.phf import Layer
 from mdsat.statevec import apply_check_unnormalized, product_operator
 
@@ -64,6 +68,18 @@ def apply_check_reference(psi: np.ndarray, proj: ClauseProjector) -> None:
         w += np.multiply(s, a, out=tmp)
     for a, s in zip(amps, slices):
         s -= np.multiply(w, a, out=tmp)
+
+
+def solution_indices_reference(f: Formula) -> np.ndarray:
+    """Sorted int64 indices of the assignments that violate no clause."""
+    idx = np.arange(1 << f.n, dtype=np.int32)
+    ok = np.ones(idx.shape, dtype=bool)
+    tmp = np.empty_like(idx)
+    for c in f.clauses:
+        mask, forbidden = clause_mask(c, f.n)
+        np.bitwise_and(idx, mask, out=tmp)
+        ok &= tmp != forbidden
+    return np.flatnonzero(ok)
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

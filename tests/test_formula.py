@@ -1,6 +1,8 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
+import oracle
 import paper_checks as pc
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,58 @@ class TestBruteForce:
             fm.solution_indices(_formula(32, [1]))
 
 
+class TestSolutionIndicesEdges:
+    def test_no_clauses_gives_every_index(self):
+        for n in (1, 5):
+            got = fm.solution_indices(_formula(n))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.arange(1 << n))
+
+    def test_contradiction_exits_after_first_block(self, monkeypatch):
+        f = _formula(6, [1], [-1], [2, 3], [-4, 5], [1, 6], [-2, -6], [3, 4, 5], [-5])
+        masks = []
+        real = fm.clause_mask
+        monkeypatch.setattr(fm, "clause_mask", lambda c, n: masks.append(c) or real(c, n))
+        got = fm.solution_indices(f)
+        assert got.dtype == np.int64 and got.size == 0
+        assert len(masks) == fm._BLOCK < f.m  # no clause after the first block is read
+
+    def test_one_variable(self):
+        for codes, expected in (((), [0, 1]), (([1],), [1]), (([-1],), [0]), (([1], [-1]), [])):
+            got = fm.solution_indices(_formula(1, *codes))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected), codes
+
+
+class TestSolutionIndicesMemory:
+    """The enumeration holds no more than the 10 bytes per assignment that
+    it reserves with check_alloc; 64 KiB covers Python objects."""
+
+    N = 16
+
+    def _peak(self, f):
+        tracemalloc.start()
+        try:
+            fm.solution_indices(f)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            _formula(N),
+            _formula(N, [1]),
+            _formula(N, [1, -2, 3]),
+            _formula(N, [1, -2, 3, 4, -5, 6, 7, 8], k=8),
+            fm.generate("planted_unique", N, 69, 3, seed=1),
+        ],
+        ids=["no-clauses", "one-literal", "three-literal", "eight-literal", "planted_unique-16-69"],
+    )
+    def test_peak_within_reserved_bytes(self, f):
+        assert self._peak(f) <= (10 << self.N) + (64 << 10)
+
+
 class TestUnate:
     def test_polarity_detection(self):
         assert pc.is_unate(_formula(3, [1, 2], [2, -3]))
@@ -231,3 +285,14 @@ def test_brute_force_property(f):
     assert fm.brute_force_solutions(f) == {
         a for a in pc.all_assignments(f.n) if fm.evaluate(f, a)
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(max_n=10, max_m=40))
+def test_solution_indices_matches_oracle(f):
+    # m up to 40 runs several blocks, and m is often not a multiple of a block
+    got = fm.solution_indices(f)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle.solution_indices_reference(f))
+    by_evaluate = [i for i, a in enumerate(pc.all_assignments(f.n)) if fm.evaluate(f, a)]
+    assert np.array_equal(got, by_evaluate)
