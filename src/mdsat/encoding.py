@@ -76,12 +76,23 @@ def single_qubit_states(theta: float):
 class ClauseProjector:
     """Rank-1 projector |u><u| on ``support`` tensored with identity.
 
-    ``view_shape`` and ``patterns`` are compiled once, at construction, for
-    their one reader, the check kernel :func:`apply_check_inplace`.  A state
-    of length 2^n reshaped to ``view_shape`` (any batch axes appended) gives
-    each support qubit its own length-2 axis.  ``patterns`` lists, in lexicographic order
-    of the support bits b, the index of the slice psi_b in that view and the
-    amplitude u_b = prod_q u_q[b_q] of every pattern with u_b != 0.0.
+    ``view_shape``, ``patterns`` and ``loop_order`` are compiled once, at
+    construction, for their one reader, the check kernel
+    :func:`apply_check_inplace`.  A state of length 2^n reshaped to
+    ``view_shape`` (any batch axes appended) gives each support qubit its own
+    length-2 axis.  ``patterns`` lists, in lexicographic order of the support
+    bits b, the index of the slice psi_b in that view and the amplitude
+    u_b = prod_q u_q[b_q] of every pattern with u_b != 0.0.
+
+    A pattern slice of a 1-D state has k + 1 free axes, the last one its
+    contiguous run of D = 2^(n - support[-1]) amplitudes; numpy runs one
+    inner loop per run.  ``loop_order`` is the permutation of those axes
+    that moves the long axis (at least 16 entries) of smallest stride to the
+    end, so that the inner loop runs along it instead.  It is set only for
+    checks with more than one pattern whose runs are short (D = 2 or 4) and
+    that have such an axis; otherwise it is None.  Runs of 1 are merged by
+    numpy into one strided axis already, and runs of 8 or more measured
+    slower reordered.
     """
 
     n: int
@@ -89,6 +100,7 @@ class ClauseProjector:
     factors: tuple[np.ndarray, ...]  # one unit 2-vector per support qubit
     view_shape: tuple[int, ...] = field(init=False, repr=False)
     patterns: tuple[tuple[tuple, float], ...] = field(init=False, repr=False)
+    loop_order: tuple[int, ...] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         shape, prev = [], 0
@@ -104,8 +116,16 @@ class ClauseProjector:
                 a *= float(u[b])
             if a != 0.0:
                 patterns.append((tuple(x for b in bits for x in (slice(None), b)), a))
+        free = shape[::2]  # the axes of a pattern slice; the last is its run
+        loop_order = None
+        if len(patterns) > 1 and free[-1] in (2, 4):
+            long = [j for j, size in enumerate(free[:-1]) if size >= 16]
+            if long:
+                inner = long[-1]  # axes further right have smaller strides
+                loop_order = tuple(j for j in range(len(free)) if j != inner) + (inner,)
         object.__setattr__(self, "view_shape", tuple(shape))
         object.__setattr__(self, "patterns", tuple(patterns))
+        object.__setattr__(self, "loop_order", loop_order)
 
     @property
     def width(self) -> int:
@@ -127,6 +147,13 @@ def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
     amplitude of a computational-basis projector is zero and every pattern is
     visited; in the sparse frame every majority-sign literal halves the
     patterns.
+
+    On a 1-D state the slices are transposed by the compiled ``loop_order``
+    when it is set, and every ufunc iterates them in that C order, with w
+    and its scratch contiguous in it, so the inner loops run along a long
+    axis rather than along runs of 2 or 4.  Each element sees the same
+    operations in the same order, so the result is the same bit for bit.
+    A batch ends in long contiguous axes already and keeps the memory order.
     """
     t = psi.reshape(proj.view_shape + psi.shape[1:])
     patterns = proj.patterns
@@ -134,13 +161,15 @@ def apply_check_inplace(psi: np.ndarray, proj: ClauseProjector) -> None:
         t[patterns[0][0]] = 0.0
         return
     slices = [t[i] for i, _ in patterns]
+    if psi.ndim == 1 and proj.loop_order is not None:
+        slices = [s.transpose(proj.loop_order) for s in slices]
     amps = [a for _, a in patterns]
-    w = amps[0] * slices[0]
+    w = np.multiply(amps[0], slices[0], order="C")
     tmp = np.empty_like(w)
     for a, s in zip(amps[1:], slices[1:]):
-        w += np.multiply(s, a, out=tmp)
+        w += np.multiply(s, a, out=tmp, order="C")
     for a, s in zip(amps, slices):
-        s -= np.multiply(w, a, out=tmp)
+        np.subtract(s, np.multiply(w, a, out=tmp, order="C"), out=s, order="C")
 
 
 def clause_projector(clause: Clause, theta: float, n: int) -> ClauseProjector:

@@ -43,9 +43,14 @@ def density_row_bound(n: int, k: int) -> int:
 def density_algorithm(n: int, k: int) -> np.ndarray:
     """Greedy density construction of an (N, n, k)-perfect hash family.
 
-    Returns an N x n integer array over {1..k}.  Argmax ties over candidate
-    symbols break toward the smallest symbol; the termination condition is
-    checked after each completed row.
+    Returns an N x n integer array over {1..k}.  The argmax over candidate
+    symbols compares float sums of the chi values, and a symbol replaces the
+    best so far only when its sum is strictly greater, so ties are decided
+    on the float scores, toward the smallest symbol.  Rounding can order
+    two symbols differently from their exact rational scores, so the family
+    can differ from one built on exact scores: at k = 3 it does for n = 14
+    and n = 16.  The termination condition is checked after each completed
+    row.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import check_alloc
-from .encoding import ClauseProjector, apply_check_inplace, clause_projectors
+from .encoding import ClauseProjector, apply_check_inplace, clause_projector
 from .formula import Formula
 
 
@@ -93,11 +93,11 @@ def product_operator(f: Formula, theta: float, order=None) -> np.ndarray:
     """Dense product of clause checks, ``order[0]`` acting first.
 
     At theta = pi/2 all checks commute and the product equals the
-    ground-space projector.
+    ground-space projector.  Only the projectors of the clauses in ``order``
+    are built.
     """
     check_alloc(16 << 2 * f.n, "dense check product")  # and the kernel's scratch
-    projs = clause_projectors(f, theta)
     t = np.eye(1 << f.n)
     for i in range(f.m) if order is None else order:
-        apply_check_inplace(t, projs[i])
+        apply_check_inplace(t, clause_projector(f.clauses[i], theta, f.n))
     return t

@@ -8,8 +8,9 @@ route), independently of the projector-sum route of
 mu from a dense SVD of the assembled check product minus the ground-space
 projector, independently of the Lanczos eigensolver of
 ``mdsat.spectral.convergence_rate``.  ``apply_check_reference`` is the check
-kernel without its compiled patterns or its zeroing branch: it enumerates
-the support patterns on every call and always computes w and subtracts, so
+kernel without its compiled patterns, its loop order or its zeroing branch:
+it enumerates the support patterns on every call, iterates the slices in
+memory order and always computes w and subtracts, so
 ``mdsat.statevec.apply_check_inplace`` must match it bit for bit.
 ``solution_indices_reference`` tests every clause against all 2^n
 assignments, one clause at a time, with no compaction or early exit, so

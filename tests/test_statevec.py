@@ -420,3 +420,40 @@ class TestKernelMatchesReference:
         assert _same_bits(other, want) and _same_bits(psi, before)
         assert svec.apply_check_unnormalized(psi, proj, out=psi) is psi
         assert _same_bits(psi, want)
+
+
+class TestKernelLoopOrder:
+    """Pattern slices whose contiguous runs are 2 or 4 amplitudes long are
+    iterated along a long axis (the compiled ``loop_order``) on 1-D states,
+    with the same bits as the reference."""
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    @pytest.mark.parametrize("theta", [0.25 * np.pi, 0.4 * np.pi])
+    def test_reordered_checks_match_reference(self, n, theta):
+        f = fm.generate("random_ksat", n, 40, 3, n)
+        _, frame_projs = enc.sparse_frame(f, theta)
+        computational_projs = enc.clause_projectors(f, theta)
+        for projs in (frame_projs, computational_projs):
+            assert any(p.loop_order is not None for p in projs)
+        rng = np.random.default_rng(n)
+        for proj in frame_projs + computational_projs:
+            for x in (rng.standard_normal(1 << n), rng.standard_normal((1 << n, 3))):
+                assert _same_bits(*_kernel_and_reference(x, proj))
+
+    def test_compiled_only_for_short_runs_with_a_long_axis(self):
+        generic = (np.array([0.6, 0.8]), np.array([0.8, -0.6]))
+        basis = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        cases = {  # (n, support): loop_order of the generic and of the basis factors
+            (14, (1, 13)): ((0, 2, 1), None),  # runs of 2, the middle axis has 2^11 entries
+            (14, (1, 12)): ((0, 2, 1), None),  # runs of 4
+            (14, (6, 12)): ((0, 2, 1), None),  # two long axes: the one of smaller stride
+            (14, (1, 14)): (None, None),  # runs of 1
+            (14, (1, 11)): (None, None),  # runs of 8
+            (8, (4, 7)): (None, None),  # runs of 2, no other axis of 16 or more
+        }
+        rng = np.random.default_rng(0)
+        for (n, support), (want_generic, want_basis) in cases.items():
+            for factors, want in ((generic, want_generic), (basis, want_basis)):
+                proj = enc.ClauseProjector(n=n, support=support, factors=factors)
+                assert proj.loop_order == want, (support, factors)
+                assert _same_bits(*_kernel_and_reference(rng.standard_normal(1 << n), proj))
