@@ -109,8 +109,9 @@ class ClauseProjector:
             prev = q
         shape.append(1 << (self.n - prev))
         patterns = []
-        for code in range(1 << self.width):  # the first support bit is the most significant
-            bits = [(code >> (self.width - 1 - j)) & 1 for j in range(self.width)]
+        k = len(self.support)
+        for code in range(1 << k):  # the first support bit is the most significant
+            bits = [(code >> (k - 1 - j)) & 1 for j in range(k)]
             a = 1.0
             for u, b in zip(self.factors, bits):
                 a *= float(u[b])

@@ -246,6 +246,40 @@ def clause_mask(c: Clause, n: int) -> tuple[int, int]:
 _BLOCK = 4
 
 
+def _survivors(n: int, steps):
+    """Yield the sorted int32 indices of all 2^n assignments, then, after
+    each step of ``steps``, a sequence of non-empty clause sequences, those
+    that violate no clause so far; stop after the first empty result.
+
+    Each step masks the candidates still alive with each of its clauses,
+    then compacts them to the survivors.  Its work arrays (a masked copy and
+    two bool arrays) are freed before the compaction, so the peak is 10
+    bytes per candidate, in the first step.  The indices are int32, half the
+    memory traffic of int64, so n is limited to 31 whatever the memory
+    budget."""
+    if n > 31:
+        raise CapExceeded(f"enumeration of n={n}: int32 indices stop at n=31")
+    cand = np.arange(1 << n, dtype=np.int32)
+    yield cand
+    for step in steps:
+        if not cand.size:
+            return
+        tmp = np.empty_like(cand)
+        keep = np.empty(cand.shape, dtype=bool)
+        hit = np.empty_like(keep)
+        for i, c in enumerate(step):
+            mask, forbidden = clause_mask(c, n)
+            np.bitwise_and(cand, mask, out=tmp)
+            if i:
+                keep &= np.not_equal(tmp, forbidden, out=hit)
+            else:
+                np.not_equal(tmp, forbidden, out=keep)
+        del tmp, hit
+        cand = cand[keep]
+        del keep
+        yield cand
+
+
 def solution_indices(f: Formula) -> np.ndarray:
     """Sorted basis indices (int64) of all satisfying assignments (exhaustive).
 
@@ -263,23 +297,10 @@ def solution_indices(f: Formula) -> np.ndarray:
     bytes per survivor.
     """
     n = f.n
-    if n > 31:
-        raise CapExceeded(f"brute-force enumeration of n={n}: int32 indices stop at n=31")
     check_alloc(10 << n, "brute-force enumeration")  # 2 int32 and 2 bool arrays
-    cand = np.arange(1 << n, dtype=np.int32)
-    for start in range(0, f.m, _BLOCK):
-        tmp = np.empty_like(cand)
-        keep = np.ones(cand.shape, dtype=bool)
-        hit = np.empty_like(keep)
-        for c in f.clauses[start : start + _BLOCK]:
-            mask, forbidden = clause_mask(c, n)
-            np.bitwise_and(cand, mask, out=tmp)
-            keep &= np.not_equal(tmp, forbidden, out=hit)
-        del tmp, hit
-        cand = cand[keep]
-        del keep
-        if not cand.size:
-            break
+    blocks = [f.clauses[start : start + _BLOCK] for start in range(0, f.m, _BLOCK)]
+    for cand in _survivors(n, blocks):
+        pass
     if 2 * cand.size <= 1 << n:
         return cand.astype(np.int64)
     ok = np.zeros(1 << n, dtype=bool)

@@ -8,10 +8,17 @@ precomputed once, and the restart count follows a geometric law in the
 cumulative pass probability.  The trajectory runs in the per-qubit sparse
 frame of :func:`mdsat.encoding.sparse_frame`, where the check kernel skips
 most support patterns, and is rotated back to the computational basis
-before anything reads its final state.  The failed attempts end at i.i.d.
-positions drawn from the first-failure distribution of the trajectory, so one
-multinomial draw gives how many attempts failed at each position, and with
-it their exact measurement cost, in time independent of the restart count.
+before anything reads its final state.  At a fixed theta = pi/2, the
+unrotated baseline, every check projects onto the assignments that satisfy
+its clause, so the trajectory is counted instead of evolved: each pass
+probability is the correctly rounded ratio of two survivor counts, the
+survivors compacted step by step as :func:`mdsat.formula.solution_indices`
+compacts them, and the final state, uniform over the solutions, is built
+once; its peak is at most 12 bytes per amplitude against the 16 of the
+checks.  The failed attempts end at i.i.d. positions drawn from the
+first-failure distribution of the trajectory, so one multinomial draw gives
+how many attempts failed at each position, and with it their exact
+measurement cost, in time independent of the restart count.
 No more failed attempts are drawn than the measurement budget has left, the
 one rule that ends a run: a preparation it cannot pay for ends the run.
 A CSV trace needs the failures in order: it gets a uniformly random
@@ -47,7 +54,14 @@ import numpy as np
 from . import spectral
 from .config import check_alloc
 from .encoding import _frame_change, check_angle, product_state, sparse_frame
-from .formula import Formula, assignment_from_index, count_solutions, evaluate, propagate
+from .formula import (
+    Formula,
+    _survivors,
+    assignment_from_index,
+    count_solutions,
+    evaluate,
+    propagate,
+)
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
     apply_check_unnormalized,
@@ -226,7 +240,21 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     trajectory is dead: its ``final_state`` is None.  The measurement steps
     are planned once: the layer grouping does not depend on the angle.
 
-    Every check acts in place on one state buffer, through
+    At a fixed theta = pi/2 every check is the projector onto the
+    assignments that satisfy its clause, so the state after j steps is the
+    uniform superposition over S_j, the assignments that satisfy every
+    clause checked so far, and p_j = |S_j|/|S_{j-1}|.  That route counts
+    instead of evolving: it compacts int32 candidates step by step, a
+    layered step after all of its members, records each p as the correctly
+    rounded ratio of two survivor counts, and builds the final state once,
+    as the indicator of the survivors over sqrt of their count.  It is the
+    same dense state, with the same pass probabilities, that the checks
+    below produce, there up to the rounding of their squared norms.  Its
+    peak is 10 bytes per assignment while counting (candidates, a masked
+    copy, two bool arrays), then the state beside the int32 survivors, at
+    most 12 and a 64 KiB cast buffer; its indices limit it to n <= 31.
+
+    Every other run applies the checks in place on one state buffer, through
     ``apply_check_unnormalized(psi, proj, out=psi)``, so a step allocates no
     state vector.  The state is left unnormalized within a cycle: each step
     takes its squared norm by one dot product and records p as the ratio of
@@ -239,14 +267,17 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     and the check kernel skips their zero patterns.  It starts as the product
     of B_q|+>, turns by B_q(new) B_q(old)^T on each qubit when the angle
     changes, and is rotated back to the computational basis at the end; pass
-    probabilities do not depend on the frame.  At theta = pi/2 every frame is
-    the identity and nothing is rotated.
+    probabilities do not depend on the frame.  A schedule that reaches
+    theta = pi/2 stays on this route, where that frame is the identity.
 
     A pass probability that is not finite, or a step that leaves a pass
     probability or squared norm positive but below the smallest normal float,
     raises FloatingPointError instead of being renormalized, as does the
     final state of a live trajectory whose norm is off 1 by more than 1e-10.
     """
+    steps = _plan_steps(f, cfg.plan)
+    if not cfg.is_scheduled and cfg.theta == math.pi / 2:
+        return _survivor_trajectory(f, steps, cycles)
     # The state, plus the check kernel's two half-state temporaries (w and
     # its scratch, at k = 1) or the frame rotation's two half-state buffers:
     # 2 state vectors.  numpy's ufunc iteration buffers (64 KiB per strided
@@ -254,7 +285,6 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     # tracemalloc at n = 8..18; 256 KiB covers it.
     check_alloc((16 << f.n) + (256 << 10), "state preparation")
     probs: list[float] = []
-    steps = _plan_steps(f, cfg.plan)
     dead = False
     angles = (
         [schedule_angle(cfg.theta, c) for c in range(cycles)]
@@ -304,6 +334,32 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
         norm = math.sqrt(float(np.dot(psi, psi)))
         if not abs(norm - 1.0) <= _NORM_DRIFT:
             raise FloatingPointError(f"final state has norm {norm!r}, not 1")
+    return Trajectory(
+        final_state=psi,
+        step_pass_probs=np.array(probs),
+        steps_per_cycle=len(steps),
+        cycles=cycles,
+    )
+
+
+def _survivor_trajectory(f: Formula, steps: list[list[int]], cycles: int) -> Trajectory:
+    """The theta = pi/2 trajectory of :func:`allpass_trajectory`, from
+    survivor counts."""
+    # 10 bytes per assignment while counting, then 8 for the state beside at
+    # most 4 for the survivors, allocated after the work arrays are freed;
+    # scattering into the state casts the int32 survivors to intp through a
+    # 64 KiB buffer
+    check_alloc((12 << f.n) + (64 << 10), "state preparation")
+    clause_steps = [[f.clauses[i] for i in step] for step in steps]
+    counts = []
+    for cand in _survivors(f.n, clause_steps * cycles):
+        counts.append(cand.size)
+    probs = [after / before for before, after in zip(counts, counts[1:])]
+    probs += [0.0] * (len(steps) * cycles - len(probs))
+    psi = None
+    if cand.size:
+        psi = np.zeros(1 << f.n)
+        psi[cand] = 1.0 / math.sqrt(cand.size)
     return Trajectory(
         final_state=psi,
         step_pass_probs=np.array(probs),

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import oracle
@@ -385,6 +386,32 @@ def _trajectory_case(draw):
     return f, sv.PrepConfig(theta=theta, plan=plan), cycles
 
 
+def _survivor_reference(f, plan, cycles):
+    """(pass probabilities, final state) of the all-pass evolution at
+    theta = pi/2 from exact counts: p_j = |S_j|/|S_(j-1)|, correctly rounded
+    from Python ints, with S_j the assignments that satisfy the clauses of
+    the first j steps (by the oracle on that prefix; 0 once a count is 0),
+    and the final state indicator(S)/sqrt(|S|), None when S is empty."""
+    counts, done = [1 << f.n], set()
+    for step in _steps(f, plan) * cycles:
+        done.update(step)
+        prefix = fm.Formula(n=f.n, clauses=tuple(f.clauses[i] for i in sorted(done)), k=f.k)
+        sols = oracle.solution_indices_reference(prefix)
+        counts.append(sols.size)
+    probs = [after / before if before else 0.0 for before, after in zip(counts, counts[1:])]
+    if counts[-1] == 0:
+        return np.array(probs), None
+    final = np.zeros(1 << f.n)
+    final[sols if counts[1:] else np.arange(1 << f.n)] = 1.0 / math.sqrt(counts[-1])
+    return np.array(probs), final
+
+
+def _ulps(a, b):
+    """Largest distance between two float arrays in units of the last place
+    of the larger magnitude."""
+    return float((np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))).max(initial=0.0))
+
+
 class TestTrajectoryMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(_trajectory_case())
@@ -395,9 +422,87 @@ class TestTrajectoryMatchesOracle:
         assert np.abs(traj.step_pass_probs - probs).max() <= 1e-12
         assert np.abs(traj.final_state - final).max() <= 1e-12
         if all(angle == np.pi / 2 for angle in _angles(cfg, cycles)):
-            probs, final = _computational_trajectory(f, cfg, cycles)
-            assert np.array_equal(traj.step_pass_probs, probs)
-            assert np.array_equal(traj.final_state, final)
+            # A fixed pi/2 counts survivors and must equal the exact counts
+            # bit for bit; a schedule runs the checks and must equal their
+            # arithmetic.  Each route is within 4 ulp of the other reference.
+            exact = _survivor_reference(f, cfg.plan, cycles)
+            checks = _computational_trajectory(f, cfg, cycles)
+            same, near = (checks, exact) if cfg.is_scheduled else (exact, checks)
+            assert np.array_equal(traj.step_pass_probs, same[0])
+            assert np.array_equal(traj.final_state, same[1])
+            assert _ulps(traj.step_pass_probs, near[0]) <= 4
+            assert _ulps(traj.final_state, near[1]) <= 4
+
+
+@st.composite
+def _unrotated_case(draw):
+    """(formula, plan, cycles): random 3-SAT (fewer literals below n = 3) on
+    n <= 10, satisfiable or drawn by random_ksat with up to 5n clauses, so
+    often unsatisfiable, either plan and 1 to 4 cycles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 5 * n))
+    if draw(st.booleans()):
+        f = fm.random_satisfiable(rng, n, m, min(3, n))
+    else:
+        f = fm.generate("random_ksat", n, m, min(3, n), seed=int(rng.integers(2**32)))
+    return f, draw(st.sampled_from(["sequential", "layered"])), draw(st.integers(1, 4))
+
+
+class TestUnrotatedSurvivorTrajectory:
+    """At a fixed theta = pi/2 the trajectory counts survivors: its pass
+    probabilities are the exact count ratios, it dies where the checks die,
+    and its final state reads out as the state the checks produce."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_unrotated_case())
+    def test_matches_counts_and_checks(self, case):
+        f, plan, cycles = case
+        traj = sv.allpass_trajectory(f, sv.PrepConfig(theta=np.pi / 2, plan=plan), cycles)
+        probs, final = _survivor_reference(f, plan, cycles)
+        assert np.array_equal(traj.step_pass_probs, probs)
+        # the state-vector route runs for a schedule, here one fixed at pi/2
+        schedule = sv.Schedule(c_q=4, theta_init=np.pi / 2)
+        checked = sv.allpass_trajectory(f, sv.PrepConfig(theta=schedule, plan=plan), cycles)
+        assert np.array_equal(traj.step_pass_probs == 0.0, checked.step_pass_probs == 0.0)
+        d_sol = fm.count_solutions(f)
+        expected = d_sol / 2**f.n
+        assert abs(traj.success_probability - expected) <= 1e-14 * expected
+        if d_sol == 0:
+            assert traj.final_state is None and checked.final_state is None
+            return
+        _, state = _computational_trajectory(f, sv.PrepConfig(theta=np.pi / 2, plan=plan), cycles)
+        assert np.abs(traj.final_state - state).max() <= 1e-15
+        assert np.abs(svec.basis_cdf(traj.final_state) - svec.basis_cdf(state)).max() <= 1e-15
+        for q in range(1, f.n + 1):
+            assert abs(svec.prob_one(traj.final_state, q) - svec.prob_one(state, q)) <= 1e-15
+
+    N = 16
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            fm.Formula(n=N, clauses=(), k=3),
+            fm.generate("planted_unique", N, 69, 3, seed=1),
+            fm.generate("random_ksat", N, 120, 3, seed=1),
+        ],
+        ids=["no-clauses", "planted_unique-16-69", "random_ksat-16-120"],
+    )
+    @pytest.mark.parametrize("plan", ["sequential", "layered"])
+    def test_peak_within_reserved_bytes(self, f, plan, monkeypatch):
+        # the counting arrays, then the state beside the survivors, stay
+        # within what the route reserves; 64 KiB covers Python objects
+        reserved = []
+        monkeypatch.setattr(sv, "check_alloc", lambda nbytes, what: reserved.append(nbytes))
+        cfg = sv.PrepConfig(theta=np.pi / 2, plan=plan)
+        tracemalloc.start()
+        try:
+            sv.allpass_trajectory(f, cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reserved == [(12 << self.N) + (64 << 10)]
+        assert peak <= reserved[0] + (64 << 10)
 
 
 def _longdouble_trajectory(f, cfg, cycles):

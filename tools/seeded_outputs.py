@@ -31,9 +31,10 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   that this script writes, in which variable 1 occurs in no clause: the
   readout never prepares the whole formula, and the report still gives the
   mu and cycle count the run resolved for it;
-- two ``--trace`` runs: planted_unique 9/39 seed 1 at 0.8, and random_ksat
-  6/40 seed 4 at pi/2, whose preparations all fail until the measurement
-  budget is spent, so its trace holds the header alone;
+- three ``--trace`` runs: planted_unique 9/39 seed 1 at 0.8 and at the
+  default pi/2, where the trajectory is counted rather than evolved, and
+  random_ksat 6/40 seed 4 at pi/2, whose preparations all fail until the
+  measurement budget is spent, so its trace holds the header alone;
 - a sweep over planted_unique n=6..9 at 0.5pi and 0.4pi with two trials,
   ``spectral`` at 0.25pi, 0.4pi and 0.5pi (the exact basis encoding) on
   planted_unique 6/26 seed 5 and on unate 6/14 seed 2 (commuting checks,
@@ -154,6 +155,8 @@ def main(argv: list[str]) -> int:
                                  "--theta-fraction", "0.8"], codes)
     run("trace", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report", "trace.json",
                   "--theta-fraction", "0.8", "--trace", "trace.csv"], codes)
+    run("trace-pi2", ["solve", "pu9-s1.cnf", "--seed", "7", "--no-timing", "--report",
+                      "trace-pi2.json", "--trace", "trace-pi2.csv"], codes)
     run("trace-rk6-s4", ["solve", "rk6-s4.cnf", "--seed", "7", "--no-timing", "--report",
                          "trace-rk6-s4.json", "--trace", "trace-rk6-s4.csv"], codes)
     sweep = {"kind": "planted_unique", "n": "6..9", "m_per_n": "4.3", "thetas": "0.5pi,0.4pi",
