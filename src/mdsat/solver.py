@@ -35,8 +35,8 @@ readouts draw from it too) and its accounting: it spends every preparation
 and readout measurement against the run's budget, counts the completed
 preparations and their restarts, and resolves each formula's
 convergence-rate input once, which :func:`solve` reports.  Each readout
-passes its own tolerance to every preparation and decides its own failure
-events.
+fetches a formula's trajectory at its own tolerance once, prepares every
+copy or shot from it, and decides its own failure events.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .formula import (
     count_solutions,
     evaluate,
     propagate,
+    solution_indices,
 )
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
@@ -212,7 +213,7 @@ class Trajectory:
     def length(self) -> int:
         return self.step_pass_probs.size
 
-    @property
+    @cached_property
     def success_probability(self) -> float:
         return float(np.prod(self.step_pass_probs))
 
@@ -498,13 +499,12 @@ class Preparer:
             self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
         return self._trajectories[key]
 
-    def prepare(self, f: Formula, epsilon: float) -> None:
-        """Spend and count one preparation of ``f``: its sampled failed
-        attempts, then the successful one.  A preparation the budget cannot
-        pay for raises BudgetExhausted, with the budget spent, and is neither
-        counted nor traced.  The prepared state is :meth:`trajectory`'s final
-        state."""
-        traj = self.trajectory(f, epsilon)
+    def prepare(self, traj: Trajectory) -> None:
+        """Spend and count one preparation along ``traj``, a formula's
+        :meth:`trajectory`, whose final state is the prepared state: its
+        sampled failed attempts, then the successful one.  A preparation the
+        budget cannot pay for raises BudgetExhausted, with the budget spent,
+        and is neither counted nor traced."""
         left = None if self.budget is None else self.budget - self.used
         restarts, counts, cost = _sample_restart_costs(traj, self.rng, left)
         self.spend(cost + traj.length)
@@ -542,22 +542,21 @@ def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[flo
 
 def readout_unique(f: Formula, delta: float, preparer: Preparer) -> str:
     """Majority-vote readout at the preparer's readout angle; requires the
-    caller's promise of a unique solution.  Each copy is one preparation and
-    one full basis readout, drawn from the preparer's generator through a CDF
-    built once per call and read as an assignment string by
+    caller's promise of a unique solution.  Each copy is one preparation of
+    the formula's trajectory, fetched once, and one full basis readout of its
+    final state, drawn from the preparer's generator through a CDF built once
+    per call and read as an assignment string by
     :func:`mdsat.formula.assignment_from_index`.  The returned assignment is
     verified against the formula."""
     theta = readout_angle(preparer.cfg.theta)
     eps, copies = unique_readout_parameters(theta, f.n, delta)
-    # Every copy prepares the same cached trajectory, so its final state and
-    # readout distribution are the same for all of them.  A dead trajectory
-    # has no final state, and its first preparation raises before any copy
-    # is read.
-    state = preparer.trajectory(f, eps).final_state
-    cdf = None if state is None else basis_cdf(state)
+    # A dead trajectory has no final state, and its first preparation raises
+    # before any copy is read.
+    traj = preparer.trajectory(f, eps)
+    cdf = None if traj.final_state is None else basis_cdf(traj.final_state)
     votes = np.zeros(f.n, dtype=np.int64)
     for _ in range(math.ceil(copies)):
-        preparer.prepare(f, eps)
+        preparer.prepare(traj)
         preparer.spend(f.n)
         outcome = assignment_from_index(int(sample_basis(cdf, preparer.rng, 1)[0]), f.n)
         votes += [1 if bit == "1" else -1 for bit in outcome]  # +1 on |1>, -1 on |0>
@@ -570,51 +569,48 @@ def readout_unique(f: Formula, delta: float, preparer: Preparer) -> str:
 def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
     """Variable-by-variable readout, at the preparer's readout angle, for
     instances with any number of solutions.  Fixes each variable from a Z
-    estimate on the current first qubit, its shots drawn from the preparer's
-    generator, propagates, and re-encodes the shrunken formula.  A wrong fix
-    is the readout's failure event, which the readout detects itself
-    whatever the convergence-rate source: the
-    propagation hits an empty clause, or the shrunken formula has no
-    satisfying assignment left to prepare (checked by brute force before it
-    is prepared)."""
+    estimate on the current first qubit, propagates, and re-encodes the
+    shrunken formula.  The shots of one variable all prepare the current
+    formula's trajectory, fetched once, and draw from the preparer's
+    generator.  A wrong fix is the readout's failure event, which the
+    readout detects itself whatever the convergence-rate source: the
+    variables fixed so far leave no satisfying assignment, as they do when
+    a fix empties a clause.  The solutions are enumerated once per call and
+    filtered on each fixed bit (8 bytes per solution held), so the check
+    enumerates nothing of its own."""
     theta = readout_angle(preparer.cfg.theta)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
     shots = math.ceil(shots)
     sin_t = math.sin(theta)
+    sols = solution_indices(f)  # of cur, on its n variables
     bits: list[str] = []
     cur = f
     for _ in range(f.n):
-        occurs = any(l.var == 1 for c in cur.clauses for l in c.literals)
-        if not occurs:
+        top = 1 << (cur.n - 1)  # variable 1's bit
+        if not any(l.var == 1 for c in cur.clauses for l in c.literals):
             # Unconstrained variable: fixed FALSE by convention, no shots.
-            nxt = propagate(cur, 1, False)
-            assert nxt is not None
+            sols = sols[sols < top]
             bits.append("0")
-            cur = nxt
+            cur = propagate(cur, 1, False)
             continue
-        # Every shot prepares the same cached trajectory, so its final state
-        # and readout probability are the same for all of them.  A dead
-        # trajectory has no final state, and its first preparation raises.
-        state = preparer.trajectory(cur, eps).final_state
-        p1 = None if state is None else prob_one(state, 1)
+        # A dead trajectory has no final state, and its first preparation
+        # raises.
+        traj = preparer.trajectory(cur, eps)
+        p1 = None if traj.final_state is None else prob_one(traj.final_state, 1)
         total = 0
         for _ in range(shots):
-            preparer.prepare(cur, eps)
+            preparer.prepare(traj)
             preparer.spend(1)
             total += 1 if preparer.rng.random() < p1 else -1
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
-        nxt = propagate(cur, 1, value)
-        if nxt is None:
-            raise ReadoutFailed(
-                f"fixing variable {len(bits) + 1} to {value} emptied a clause"
-            )
-        if count_solutions(nxt) == 0:
+        sols = sols[(sols >= top) == value] & (top - 1)
+        if not sols.size:
             raise ReadoutFailed(
                 f"variables 1..{len(bits) + 1} as fixed leave no satisfying assignment"
             )
         bits.append("1" if value else "0")
-        cur = nxt
+        cur = propagate(cur, 1, value)
     assignment = "".join(bits)
     if not evaluate(f, assignment):
         raise ReadoutFailed("assembled assignment does not satisfy the formula")

@@ -195,7 +195,13 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     """
     if f.n <= _ASSEMBLE_MAX_N:
         check_alloc(24 << 2 * f.n, "assembled mu operator")
-        a = product_operator(f, theta, order) - ground_space_projector(f, theta)
+        # The projector first, so that nothing of this function is held
+        # while its QR runs; then the product and its kernel scratch beside
+        # it, the difference taken in place.
+        g = ground_space_projector(f, theta)
+        a = product_operator(f, theta, order)
+        np.subtract(a, g, out=a)
+        del g
 
         def normal_matvec(v: np.ndarray) -> np.ndarray:
             return a.T @ (a @ v)

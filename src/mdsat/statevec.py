@@ -71,15 +71,18 @@ def prob_one(psi: np.ndarray, qubit: int) -> float:
 def basis_cdf(psi: np.ndarray) -> np.ndarray:
     """Normalized cumulative distribution of a full computational-basis
     readout of ``psi``, built as ``Generator.choice`` builds it from
-    p = psi^2 / |psi|^2.  A state whose squared norm is not finite and
-    positive raises FloatingPointError."""
+    p = psi^2 / |psi|^2, but in place in the one array of p: 8 bytes per
+    amplitude.  A state whose squared norm is not finite and positive raises
+    FloatingPointError."""
+    check_alloc(8 * psi.size, "readout distribution")
     p = psi * psi
     total = p.sum()
     if not (np.isfinite(total) and total > 0.0):
         raise FloatingPointError(f"state has squared norm {total!r}")
-    cdf = (p / total).cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    np.divide(p, total, out=p)
+    np.cumsum(p, out=p)
+    p /= p[-1]
+    return p
 
 
 def sample_basis(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -45,6 +45,7 @@ REFUSALS = {
     "brute-force enumeration": lambda: (fm.solution_indices, _formula("random_ksat", 24, 10, 1)),
     "plus state": lambda: (svec.plus_state, 24),
     "product state": lambda: (enc.product_state, [np.array([0.6, 0.8])] * 24),
+    "readout distribution": lambda: (svec.basis_cdf, np.ones(1 << 22)),
     "state preparation": lambda: (
         sv.allpass_trajectory, _formula("random_ksat", 26, 20, 1),
         sv.PrepConfig(theta=THETA, mu_source="user", mu=0.5), 1,

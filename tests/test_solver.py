@@ -145,7 +145,7 @@ class TestPrepareState:
         a = sv.Preparer(cfg, np.random.default_rng(42))
         b = sv.Preparer(cfg, np.random.default_rng(42))
         for prep in (a, b):
-            prep.prepare(f, 0.01)
+            prep.prepare(prep.trajectory(f, 0.01))
         assert (a.restarts, a.used) == (b.restarts, b.used)
 
     def test_monte_carlo_matches_naive_simulation(self):
@@ -240,7 +240,7 @@ class TestPrepareState:
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
             traced = sv.Preparer(cfg, np.random.default_rng(6), trace=sv.TraceWriter(fh))
-            traced.prepare(f, 0.01)
+            traced.prepare(traced.trajectory(f, 0.01))
         lines = path.read_text().splitlines()
         assert lines[0] == "preparation,attempt,cycle,check,outcome,probability"
         rows = [line.split(",") for line in lines[1:]]
@@ -252,7 +252,7 @@ class TestPrepareState:
         assert all(r[4] == "pass" for r in final)
         # ordering the traced failures draws nothing from the run's generator
         untraced = sv.Preparer(cfg, np.random.default_rng(6))
-        untraced.prepare(f, 0.01)
+        untraced.prepare(untraced.trajectory(f, 0.01))
         assert (untraced.restarts, untraced.used) == (
             traced.restarts, traced.used
         )
@@ -262,7 +262,7 @@ class TestPrepareState:
         cfg = sv.PrepConfig(theta=np.pi / 2, mu_source="user", mu=0.0)
         preparer = sv.Preparer(cfg, np.random.default_rng(0), budget=50)
         with pytest.raises(sv.BudgetExhausted):
-            preparer.prepare(f, 0.01)
+            preparer.prepare(preparer.trajectory(f, 0.01))
         assert (preparer.used, preparer.preparations) == (50, 0)
 
     def test_unobservable_success_fails_fast(self):
@@ -273,14 +273,14 @@ class TestPrepareState:
         start = time.perf_counter()
         preparer = sv.Preparer(cfg, np.random.default_rng(0), budget=10**12)
         with pytest.raises(sv.BudgetExhausted):
-            preparer.prepare(f, 0.01)
+            preparer.prepare(preparer.trajectory(f, 0.01))
         assert time.perf_counter() - start < 1.0
         assert (preparer.used, preparer.preparations) == (10**12, 0)
         # with no budget nothing bounds the attempts: it raises before any draw
         unbounded = sv.Preparer(cfg, np.random.default_rng(0))
         state = unbounded.rng.bit_generator.state
         with pytest.raises(sv.BudgetExhausted):
-            unbounded.prepare(f, 0.01)
+            unbounded.prepare(unbounded.trajectory(f, 0.01))
         assert unbounded.rng.bit_generator.state == state and unbounded.used == 0
 
     def test_preparation_cut_short_by_the_budget_is_not_traced(self):
@@ -290,14 +290,14 @@ class TestPrepareState:
         f = fm.generate("planted_unique", 6, 20, 3, seed=14)
         cfg = sv.PrepConfig(theta=np.pi / 2)
         first = sv.Preparer(cfg, np.random.default_rng(5))
-        first.prepare(f, 0.01)
+        first.prepare(first.trajectory(f, 0.01))
         fh = io.StringIO()
         traced = sv.Preparer(cfg, np.random.default_rng(5), first.used + 1, sv.TraceWriter(fh))
         untraced = sv.Preparer(cfg, np.random.default_rng(5), first.used + 1)
         for preparer in (traced, untraced):
-            preparer.prepare(f, 0.01)
+            preparer.prepare(preparer.trajectory(f, 0.01))
             with pytest.raises(sv.BudgetExhausted):
-                preparer.prepare(f, 0.01)
+                preparer.prepare(preparer.trajectory(f, 0.01))
             assert (preparer.used, preparer.preparations) == (first.used + 1, 1)
         rows = list(csv.reader(io.StringIO(fh.getvalue())))[1:]
         assert len(rows) == first.used and {row[0] for row in rows} == {"0"}
@@ -312,7 +312,7 @@ class TestPrepareState:
         preparer.trajectory(f, 0.01)
         monkeypatch.setenv("MDSAT_MEM_BYTES", "64")
         with pytest.raises(CapExceeded, match="trace failure positions"):
-            preparer.prepare(f, 0.01)
+            preparer.prepare(preparer.trajectory(f, 0.01))
 
 
 def _angles(cfg, cycles):
@@ -662,6 +662,24 @@ class _HighUniforms:
         return getattr(self._rng, name)
 
 
+def _recording_preparer(lookups, prepared):
+    """A Preparer that appends (formula, epsilon, trajectory) to ``lookups``
+    on every trajectory lookup, and the trajectory to ``prepared`` on every
+    preparation."""
+
+    class RecordingPreparer(sv.Preparer):
+        def trajectory(self, g, epsilon):
+            traj = super().trajectory(g, epsilon)
+            lookups.append((g, epsilon, traj))
+            return traj
+
+        def prepare(self, traj):
+            prepared.append(traj)
+            super().prepare(traj)
+
+    return RecordingPreparer
+
+
 def _assert_every_readout_fails(monkeypatch, f, theta, **solve_args):
     """solve() with every uniform draw at 0.999999 fails all 64 readouts on a
     fix that leaves no solution; returns its report."""
@@ -717,6 +735,48 @@ class TestReadoutMultiple:
         # a user mu enumerates no solutions, so only the readout can tell
         f = fm.generate("planted_unique", 6, 26, 3, seed=0)
         _assert_every_readout_fails(monkeypatch, f, 0.4 * np.pi, mu_source="user", mu=0.6)
+
+    def test_fix_emptying_a_clause_leaves_no_solution(self, monkeypatch):
+        # Every shot reads -1, so variable 1 is fixed FALSE, which empties
+        # the unit clause x1: one more fix that leaves no solution.  The
+        # default budget of this small formula pays for fewer than 64
+        # attempts.
+        f = fm.formula_from_dimacs_codes(3, [[1], [2, 3], [-2, -3]])
+        theta = 0.4 * np.pi
+        prep = sv.Preparer(sv.PrepConfig(theta=theta), _HighUniforms(np.random.default_rng(0)))
+        with pytest.raises(sv.ReadoutFailed, match="variables 1..1 as fixed leave no satisfying"):
+            sv.readout_multiple(f, 0.1, prep)
+        _assert_every_readout_fails(monkeypatch, f, theta, budget=10**6)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [sv.PrepConfig(theta=np.pi / 2), sv.PrepConfig(theta=0.4 * np.pi, mu_source="user", mu=0.6)],
+        ids=["pi/2", "0.4pi"],
+    )
+    def test_one_enumeration_and_one_lookup_per_formula(self, cfg, monkeypatch):
+        # an attempt enumerates f's solutions once and filters them on every
+        # fix, and fetches the trajectory of each formula it prepares once,
+        # for all of that formula's shots
+        f = fm.generate("random_ksat", 7, 12, 3, seed=2)
+        enumerated = []
+        enumerate_solutions = fm.solution_indices
+
+        def counting_solution_indices(g):
+            enumerated.append(g)
+            return enumerate_solutions(g)
+
+        monkeypatch.setattr(fm, "solution_indices", counting_solution_indices)
+        monkeypatch.setattr(sv, "solution_indices", counting_solution_indices)
+        lookups, prepared = [], []
+        prep = _recording_preparer(lookups, prepared)(cfg, np.random.default_rng(0))
+        assert fm.evaluate(f, sv.readout_multiple(f, 0.1, prep))
+        assert enumerated == [f]
+        formulas = [g for g, _, _ in lookups]
+        assert len(formulas) > 1 and len(set(formulas)) == len(formulas)
+        shots = math.ceil(sv.multiple_readout_parameters(sv.readout_angle(cfg.theta), f.n, 0.1)[1])
+        assert len(prepared) == shots * len(lookups)
+        for _, _, traj in lookups:
+            assert sum(1 for t in prepared if t is traj) == shots
 
     def test_trace_numbers_every_preparation(self, monkeypatch):
         # failed readouts leave every preparation complete, so the trace's
@@ -845,7 +905,7 @@ class TestSolve:
         # measurements exhausts it.
         f = fm.generate("planted_unique", 6, 20, 3, seed=14)
         first = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
-        first.prepare(f, sv.unique_readout_parameters(np.pi / 2, f.n, 0.1)[0])
+        first.prepare(first.trajectory(f, sv.unique_readout_parameters(np.pi / 2, f.n, 0.1)[0]))
         spent = first.used
         report = sv.solve(f, np.pi / 2, readout="unique", budget=spent + 1, seed=0)
         assert report.status == "UNSAT" and report.measurements == spent + 1
@@ -909,24 +969,22 @@ class TestTheoryBounds:
 
     @pytest.mark.parametrize("readout", ["unique", "multiple"])
     def test_readout_spends_what_the_bound_counts(self, readout, monkeypatch):
-        # each readout attempt prepares f ceil(readout_cost) times (the
-        # multiple readout: for its first variable), at tolerance epsilon and
-        # the bound's cycle count
+        # each readout attempt fetches f's trajectory once, at tolerance
+        # epsilon and the bound's cycle count, and prepares it
+        # ceil(readout_cost) times (the multiple readout: for its first
+        # variable)
         f = fm.generate("planted_unique", 5, 20, 3, seed=3)
         theta, delta, mu = 0.4 * np.pi, 0.1, 0.6
-        calls = []
-
-        class RecordingPreparer(sv.Preparer):
-            def prepare(self, g, epsilon):
-                calls.append((g, epsilon))
-                super().prepare(g, epsilon)
-
-        monkeypatch.setattr(sv, "Preparer", RecordingPreparer)
+        lookups, prepared = [], []
+        monkeypatch.setattr(sv, "Preparer", _recording_preparer(lookups, prepared))
         report = sv.solve(f, theta, delta, readout=readout, mu_source="user", mu=mu, seed=1)
         assert report.status == "SAT"
         tb = sv.theory_bounds(theta, f.n, f.m, delta, mu=mu, readout=readout)
-        per_attempt = [tb.epsilon] * math.ceil(tb.readout_cost)
-        assert [eps for g, eps in calls if g == f] == per_attempt * report.readout_attempts
+        of_f = [(eps, traj) for g, eps, traj in lookups if g == f]
+        assert [eps for eps, _ in of_f] == [tb.epsilon] * report.readout_attempts
+        assert {traj.cycles for _, traj in of_f} == {tb.cycle_bound}
+        count = sum(1 for traj in prepared if traj is of_f[0][1])
+        assert count == math.ceil(tb.readout_cost) * report.readout_attempts
         assert (report.mu, report.cycles_per_attempt) == (mu, tb.cycle_bound)
 
     def test_gap_route(self):

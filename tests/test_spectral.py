@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,26 @@ class TestConvergenceRate:
             for r in range(1, 11):
                 power = t @ power
                 assert np.linalg.norm(power - p_gs, 2) <= mu**r + 1e-9
+
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_assembled_peak_within_its_phases(self, m):
+        # The ground-space projector is built while this function holds
+        # nothing of its own, then the product and its scratch beside it:
+        # the peak is the larger of the projector's own and 24 * 4^n.
+        # random_ksat 9/1 and 9/2 seed 1 have 448 and 392 solutions.
+        f = fm.generate("random_ksat", 9, m, 3, seed=1)
+        theta = 0.4 * np.pi
+        tracemalloc.start()
+        try:
+            enc.ground_space_projector(f, theta)
+            projector_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sp.convergence_rate(f, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(projector_peak, 24 << 2 * f.n) + (64 << 10)
 
 
 # Below this both sides read mu as zero: Lanczos resolves mu^2 to 1e-13, and

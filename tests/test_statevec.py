@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -230,6 +231,25 @@ class TestSampling:
                     assert np.array_equal(got, want)
                 assert ours.bit_generator.state == theirs.bit_generator.state
                 assert not np.any(psi[svec.sample_basis(cdf, ours, 2000)] == 0.0)
+
+    @pytest.mark.parametrize("n", [5, 12, 18])
+    def test_basis_cdf_in_place_within_its_check(self, n, monkeypatch):
+        # the CDF is built in the one array of p, bit for bit the CDF of
+        # (p / total).cumsum() / its last entry; 64 KiB covers Python objects
+        psi = np.random.default_rng(n).standard_normal(1 << n)
+        p = psi * psi
+        want = (p / p.sum()).cumsum()
+        want /= want[-1]
+        reserved = []
+        monkeypatch.setattr(svec, "check_alloc", lambda nbytes, what: reserved.append(nbytes))
+        tracemalloc.start()
+        try:
+            got = svec.basis_cdf(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert reserved == [8 << n] and peak <= reserved[0] + (64 << 10)
 
     def test_basis_cdf_rejects_degenerate_state(self):
         for bad in (np.zeros(4), np.array([np.nan, 1.0, 0.0, 0.0]), np.full(4, 1e300)):
