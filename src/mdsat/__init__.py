@@ -10,7 +10,6 @@ from .formula import (
     Formula,
     Literal,
     brute_force_solutions,
-    count_solutions,
     evaluate,
     generate,
     parse_dimacs,
@@ -38,7 +37,6 @@ __all__ = [
     "RunReport",
     "Schedule",
     "brute_force_solutions",
-    "count_solutions",
     "cycles_required",
     "evaluate",
     "generate",

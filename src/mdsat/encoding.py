@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_alloc
-from .formula import Clause, Formula, count_solutions, solution_indices
+from .formula import Clause, Formula
 
 
 class Unsatisfiable(ValueError):
@@ -285,10 +285,11 @@ def ground_space_basis(f: Formula, theta: float) -> np.ndarray:
     """Orthonormal basis Q (2^n x d_sol) of the span of the rotated solution
     states: the QR factor of the states side by side.
 
-    Its width equals the number of satisfying assignments (the rotation
-    preserves the ground-space dimension for theta in (0, pi/2])."""
+    Its width equals the number of satisfying assignments, read from
+    :attr:`Formula.solutions` (the rotation preserves the ground-space
+    dimension for theta in (0, pi/2])."""
     check_angle(theta)
-    sols = solution_indices(f)
+    sols = f.solutions
     if sols.size == 0:
         raise Unsatisfiable("formula has no satisfying assignment")
     check_alloc(sols.size * 40 << f.n, "ground-space basis")  # states, QR copies, Q
@@ -302,6 +303,6 @@ def ground_space_basis(f: Formula, theta: float) -> np.ndarray:
 def ground_space_projector(f: Formula, theta: float) -> np.ndarray:
     """Dense orthogonal projector Q Q^T onto the span of the rotated solution
     states (:func:`ground_space_basis`), formed while Q is held."""
-    check_alloc((5 * count_solutions(f) + (1 << f.n)) * 8 << f.n, "ground-space projector")
+    check_alloc((5 * f.solutions.size + (1 << f.n)) * 8 << f.n, "ground-space projector")
     q = ground_space_basis(f, theta)
     return q @ q.T

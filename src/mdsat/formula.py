@@ -8,6 +8,7 @@ string equals the big-endian binary expansion of its basis-state index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,14 @@ class Formula:
     @property
     def m(self) -> int:
         return len(self.clauses)
+
+    @cached_property
+    def solutions(self) -> np.ndarray:
+        """The read-only :func:`solution_indices` of this formula, enumerated
+        on first read and held while it lives; a budget refusal caches nothing."""
+        sols = solution_indices(self)
+        sols.setflags(write=False)
+        return sols
 
     def max_width(self) -> int:
         return max((c.width for c in self.clauses), default=0)
@@ -311,11 +320,7 @@ def solution_indices(f: Formula) -> np.ndarray:
 
 def brute_force_solutions(f: Formula) -> set[str]:
     """Exact solution set; its size is the ground-space dimension d_sol."""
-    return {assignment_from_index(int(i), f.n) for i in solution_indices(f)}
-
-
-def count_solutions(f: Formula) -> int:
-    return int(solution_indices(f).size)
+    return {assignment_from_index(int(i), f.n) for i in f.solutions}
 
 
 # Attempt cap of the rejection loops in planted_unique and random_satisfiable.
@@ -431,6 +436,6 @@ def random_satisfiable(
     for _ in range(_MAX_ATTEMPTS):
         clauses = tuple(_random_clause(rng, n, k) for _ in range(m))
         f = Formula(n=n, clauses=clauses, k=k)
-        if count_solutions(f) >= min_solutions:
+        if f.solutions.size >= min_solutions:
             return f
     raise GenerationError(f"no satisfiable instance found (n={n}, m={m}, k={k})")

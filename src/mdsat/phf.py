@@ -150,10 +150,7 @@ def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
     """
     if f.m == 0:
         return []
-    width = f.max_width()
-    k_eff = max(1, min(f.n, max(f.k, width)))
-    if width > k_eff:
-        raise ValueError(f"clause width {width} exceeds effective k {k_eff}")
+    k_eff = max(1, min(f.n, f.k))
     patterns = candidate_patterns(f.n, k_eff)
     members: dict[int, list[int]] = {}
     for ci, c in enumerate(f.clauses):

@@ -58,10 +58,8 @@ from .formula import (
     Formula,
     _survivors,
     assignment_from_index,
-    count_solutions,
     evaluate,
     propagate,
-    solution_indices,
 )
 from .phf import build_layers, layered_order, noncommuting_degree
 from .statevec import (
@@ -575,14 +573,14 @@ def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
     generator.  A wrong fix is the readout's failure event, which the
     readout detects itself whatever the convergence-rate source: the
     variables fixed so far leave no satisfying assignment, as they do when
-    a fix empties a clause.  The solutions are enumerated once per call and
-    filtered on each fixed bit (8 bytes per solution held), so the check
-    enumerates nothing of its own."""
+    a fix empties a clause.  Every attempt filters ``f.solutions``, the
+    formula's set enumerated once, on each fixed bit (8 bytes per solution
+    held), so the check enumerates nothing of its own."""
     theta = readout_angle(preparer.cfg.theta)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
     shots = math.ceil(shots)
     sin_t = math.sin(theta)
-    sols = solution_indices(f)  # of cur, on its n variables
+    sols = f.solutions  # of cur, on its n variables
     bits: list[str] = []
     cur = f
     for _ in range(f.n):
@@ -755,7 +753,7 @@ def solve(
     theta_ro = readout_angle(theta)
     cfg = PrepConfig(theta=theta, mu_source=mu_source, mu=mu, plan=plan)
     notes: list[str] = []
-    if not cfg.is_scheduled and cfg.mu_source != "user" and count_solutions(f) == 0:
+    if not cfg.is_scheduled and cfg.mu_source != "user" and f.solutions.size == 0:
         # No ground space to measure a convergence rate against; fall back to
         # a generic user rate so the run can exhaust its budget honestly.
         cfg = replace(cfg, mu_source="user", mu=_GENERIC_MU)

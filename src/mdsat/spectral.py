@@ -40,7 +40,7 @@ from .encoding import (
     hamiltonian_matrix,
     sparse_frame,
 )
-from .formula import Formula, clause_mask, count_solutions
+from .formula import Formula, clause_mask
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
 from .statevec import product_operator, rotate_qubits_inplace
 
@@ -75,7 +75,7 @@ def spectral_gap(f: Formula, theta: float) -> float:
     """Smallest nonzero eigenvalue of H(theta); its kernel dimension is the
     brute-force solution count."""
     check_angle(theta)
-    d_sol = count_solutions(f)
+    d_sol = f.solutions.size
     if d_sol == 0:
         raise Unsatisfiable("no zero-energy state: formula is unsatisfiable")
     check_alloc(24 << 2 * f.n, "spectral gap")  # as hamiltonian_matrix
@@ -106,7 +106,7 @@ def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
     check_angle(theta)
     if f.m == 0:
         raise ValueError("uniform gap undefined for an empty clause list")
-    if count_solutions(f) == 0:
+    if f.solutions.size == 0:
         raise Unsatisfiable("uniform gap requires a satisfiable formula")
     # m projectors, a sum, its copy; violation rows twice, indices, a temporary
     check_alloc(((f.m + 2) * 8 << 2 * f.n) + ((2 * f.m + 16) << f.n), "uniform gap")
@@ -185,8 +185,9 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     _ASSEMBLE_MAX_N, A is assembled densely (the check kernel applied to the
     identity; three 2^n x 2^n matrices); above it, A applies the checks to one
     vector at a time (A^T: the checks in reverse order, then I - Q Q^T), and
-    building Q (five vectors per solution), then the Lanczos basis and a
-    restart's Ritz vectors are the peak.  That route runs in the sparse frame
+    building Q (five vectors per solution of the formula's one enumerated
+    set, :attr:`Formula.solutions`), then the Lanczos basis and a restart's
+    Ritz vectors are the peak.  That route runs in the sparse frame
     of :func:`mdsat.encoding.sparse_frame`, with Q rotated into it in place;
     the frame is orthogonal, so mu is the same in both.
 
@@ -207,7 +208,7 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
             return a.T @ (a @ v)
 
     else:
-        vectors = 5 * count_solutions(f) + _LANCZOS_BASIS + _LANCZOS_KEEP + 3
+        vectors = 5 * f.solutions.size + _LANCZOS_BASIS + _LANCZOS_KEEP + 3
         check_alloc(vectors * 8 << f.n, "Lanczos basis and ground-space basis")
         bases, projs = sparse_frame(f, theta)
         q = ground_space_basis(f, theta)
@@ -327,7 +328,7 @@ def spectral_report(
     dl_slack = 1/sqrt(gap/g^2 + 1) - mu (the detectability-lemma bound is 0
     when g = 0) and qub_slack = mu - (1 - 4 gap); both must be >= -1e-9.
     """
-    d_sol = count_solutions(f)
+    d_sol = f.solutions.size
     if d_sol == 0:
         raise Unsatisfiable("spectral report requires a satisfiable formula")
     k_eff = f.max_width()

@@ -15,6 +15,22 @@ def _pinned_memory_budget():
         yield
 
 
+@pytest.fixture
+def enumerated(monkeypatch):
+    """The formulas that mdsat.formula.solution_indices enumerates during the
+    test, in call order.  Build the formulas inside the test: one shared with
+    other tests may arrive with its solutions already cached."""
+    calls = []
+    enumerate_solutions = fm.solution_indices
+
+    def counting_solution_indices(g):
+        calls.append(g)
+        return enumerate_solutions(g)
+
+    monkeypatch.setattr(fm, "solution_indices", counting_solution_indices)
+    return calls
+
+
 def pytest_runtest_logreport(report):
     # One visible pass/fail line per acceptance criterion.
     if report.when == "call" and "test_acceptance" in report.nodeid:

@@ -72,7 +72,7 @@ def test_c03_unrotated_exactness():
         prep = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
         traj = prep.trajectory(f, 0.01)
         assert traj.cycles == 1
-        assert abs(traj.success_probability - fm.count_solutions(f) / 2**n) <= 1e-10
+        assert abs(traj.success_probability - f.solutions.size / 2**n) <= 1e-10
     assert time.perf_counter() - start < 60.0
 
 

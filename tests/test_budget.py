@@ -30,7 +30,7 @@ def _rk16():
     """random_ksat 16/30 seed 1: 1,002 solutions, a ground-space basis of
     about 1 GiB."""
     f = _formula("random_ksat", 16, 30, 1)
-    assert fm.count_solutions(f) == 1002
+    assert f.solutions.size == 1002
     return f
 
 

@@ -184,7 +184,7 @@ class TestHamiltonian:
         for f in small_instances[:6]:
             h = enc.hamiltonian_matrix(f, theta)
             eigs = np.linalg.eigvalsh(h)
-            d = fm.count_solutions(f)
+            d = f.solutions.size
             assert eigs[d - 1] < 1e-10
             assert (eigs[:d] > -1e-10).all()
             if d < eigs.size:
@@ -210,7 +210,7 @@ class TestGroundSpaceProjector:
             p = enc.ground_space_projector(f, theta)
             assert np.abs(p @ p - p).max() < 1e-10
             assert np.abs(p - p.T).max() < 1e-10
-            assert abs(np.trace(p) - fm.count_solutions(f)) < 1e-8
+            assert abs(np.trace(p) - f.solutions.size) < 1e-8
 
     def test_unique_solution_rank_one(self):
         f = fm.generate("planted_unique", 5, 15, 3, seed=4)

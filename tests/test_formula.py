@@ -217,7 +217,7 @@ class TestGenerate:
         f = fm.generate("unate_unique", 5, seed=3)
         assert f.m == 5 and f.k == 1
         assert all(c.width == 1 for c in f.clauses)
-        assert fm.count_solutions(f) == 1
+        assert f.solutions.size == 1
 
     def test_unate_unique_takes_only_its_own_m_and_k(self):
         assert fm.generate("unate_unique", 5, m=5, k=1, seed=3) == fm.generate("unate_unique", 5, seed=3)
@@ -231,7 +231,7 @@ class TestGenerate:
 
     def test_planted_unique(self):
         f = fm.generate("planted_unique", 6, 18, 3, seed=2)
-        assert fm.count_solutions(f) == 1
+        assert f.solutions.size == 1
 
     def test_planted_unique_pinned(self):
         # each of these adds clauses that kill spurious solutions
@@ -296,3 +296,19 @@ def test_solution_indices_matches_oracle(f):
     assert np.array_equal(got, oracle.solution_indices_reference(f))
     by_evaluate = [i for i, a in enumerate(pc.all_assignments(f.n)) if fm.evaluate(f, a)]
     assert np.array_equal(got, by_evaluate)
+    # the formula's own set: the same array, computed once, read-only
+    sols = f.solutions
+    assert np.array_equal(sols, oracle.solution_indices_reference(f))
+    assert f.solutions is sols
+    with pytest.raises(ValueError, match="read-only"):
+        sols[:1] = 0
+
+
+def test_refused_solutions_are_not_cached(monkeypatch):
+    # 10 bytes per enumerated assignment: n = 10 needs 10 KiB
+    f = _formula(10, [1])
+    monkeypatch.setenv("MDSAT_MEM_BYTES", str((10 << 10) - 1))
+    with pytest.raises(CapExceeded, match="brute-force enumeration needs 10240 bytes"):
+        f.solutions
+    monkeypatch.setenv("MDSAT_MEM_BYTES", str(10 << 10))
+    assert f.solutions.size == 512

@@ -96,7 +96,7 @@ class TestPrepareState:
             prep = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
             traj = prep.trajectory(f, 0.01)
             assert traj.cycles == 1
-            expected = fm.count_solutions(f) / 2**f.n
+            expected = f.solutions.size / 2**f.n
             assert abs(traj.success_probability - expected) < 1e-12
 
     def test_unate_one_cycle_full_fidelity(self):
@@ -465,7 +465,7 @@ class TestUnrotatedSurvivorTrajectory:
         schedule = sv.Schedule(c_q=4, theta_init=np.pi / 2)
         checked = sv.allpass_trajectory(f, sv.PrepConfig(theta=schedule, plan=plan), cycles)
         assert np.array_equal(traj.step_pass_probs == 0.0, checked.step_pass_probs == 0.0)
-        d_sol = fm.count_solutions(f)
+        d_sol = f.solutions.size
         expected = d_sol / 2**f.n
         assert abs(traj.success_probability - expected) <= 1e-14 * expected
         if d_sol == 0:
@@ -753,20 +753,11 @@ class TestReadoutMultiple:
         [sv.PrepConfig(theta=np.pi / 2), sv.PrepConfig(theta=0.4 * np.pi, mu_source="user", mu=0.6)],
         ids=["pi/2", "0.4pi"],
     )
-    def test_one_enumeration_and_one_lookup_per_formula(self, cfg, monkeypatch):
+    def test_one_enumeration_and_one_lookup_per_formula(self, cfg, enumerated):
         # an attempt enumerates f's solutions once and filters them on every
         # fix, and fetches the trajectory of each formula it prepares once,
         # for all of that formula's shots
         f = fm.generate("random_ksat", 7, 12, 3, seed=2)
-        enumerated = []
-        enumerate_solutions = fm.solution_indices
-
-        def counting_solution_indices(g):
-            enumerated.append(g)
-            return enumerate_solutions(g)
-
-        monkeypatch.setattr(fm, "solution_indices", counting_solution_indices)
-        monkeypatch.setattr(sv, "solution_indices", counting_solution_indices)
         lookups, prepared = [], []
         prep = _recording_preparer(lookups, prepared)(cfg, np.random.default_rng(0))
         assert fm.evaluate(f, sv.readout_multiple(f, 0.1, prep))
@@ -777,6 +768,13 @@ class TestReadoutMultiple:
         assert len(prepared) == shots * len(lookups)
         for _, _, traj in lookups:
             assert sum(1 for t in prepared if t is traj) == shots
+
+    def test_one_enumeration_across_failed_attempts(self, monkeypatch, enumerated):
+        # solve's no-solution check, mu's ground space and all 64 readout
+        # attempts read the one solution set of f, in which variable 1 is TRUE
+        f = fm.formula_from_dimacs_codes(3, [[1, 2, 3], [1, -2, 3], [1, 2, -3], [1, -2, -3]])
+        _assert_every_readout_fails(monkeypatch, f, 0.4 * np.pi)
+        assert len(enumerated) == 1 and enumerated[0] is f
 
     def test_trace_numbers_every_preparation(self, monkeypatch):
         # failed readouts leave every preparation complete, so the trace's

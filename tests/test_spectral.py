@@ -52,7 +52,7 @@ class TestSpectralGap:
     def test_unate_pi_half_gap_at_least_one(self):
         for seed in range(4):
             f = fm.generate("unate", 6, 9, 3, seed)
-            if fm.count_solutions(f) == 0:
+            if f.solutions.size == 0:
                 continue
             assert sp.spectral_gap(f, np.pi / 2) >= 1.0 - 1e-10
 
@@ -109,7 +109,7 @@ class TestConvergenceRate:
 
     def test_unate_is_zero(self, monkeypatch):
         f = fm.generate("unate", 6, 10, 3, seed=1)
-        assert fm.count_solutions(f) > 0
+        assert f.solutions.size > 0
         for assemble_max_n in (sp._ASSEMBLE_MAX_N, 0):
             monkeypatch.setattr(sp, "_ASSEMBLE_MAX_N", assemble_max_n)
             assert sp.convergence_rate(f, 0.3 * np.pi) < 1e-12
@@ -366,7 +366,7 @@ class TestSpectralReport:
     def test_report_fields_and_json(self):
         f = fm.random_satisfiable(np.random.default_rng(1), 5, 8, 3)
         rep = sp.spectral_report(f, 0.3 * np.pi)
-        assert rep.d_sol == fm.count_solutions(f)
+        assert rep.d_sol == f.solutions.size
         assert rep.gap_bound_slack >= -1e-9
         assert rep.dl_slack >= -1e-9 and rep.qub_slack >= -1e-9
         assert rep.uniform_gap is not None and rep.uniform_gap_exact
@@ -382,3 +382,11 @@ class TestSpectralReport:
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
         with pytest.raises(enc.Unsatisfiable):
             sp.spectral_report(f, 0.3)
+
+    def test_one_enumeration_across_angles(self, enumerated):
+        # d_sol, the gap's kernel, the uniform gap's check and P_GS of mu all
+        # read the one solution set of f, at every angle
+        f = fm.generate("random_ksat", 5, 8, 3, seed=1)  # 7 solutions
+        for theta in (0.25 * np.pi, 0.4 * np.pi, 0.5 * np.pi):
+            sp.spectral_report(f, theta)
+        assert len(enumerated) == 1 and enumerated[0] is f
