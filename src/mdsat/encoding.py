@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_alloc
-from .formula import Clause, Formula
+from .formula import Clause, Formula, assignment_from_index
 
 
 class Unsatisfiable(ValueError):
@@ -294,7 +294,7 @@ def ground_space_basis(f: Formula, theta: float) -> np.ndarray:
         raise Unsatisfiable("formula has no satisfying assignment")
     check_alloc(sols.size * 40 << f.n, "ground-space basis")  # states, QR copies, Q
     cols = np.column_stack(
-        [theta_string_state(format(int(s), f"0{f.n}b"), theta) for s in sols]
+        [theta_string_state(assignment_from_index(int(s), f.n), theta) for s in sols]
     )
     q, _ = np.linalg.qr(cols)
     return q

@@ -116,8 +116,9 @@ class Formula:
 
     @cached_property
     def solutions(self) -> np.ndarray:
-        """The read-only :func:`solution_indices` of this formula, enumerated
-        on first read and held while it lives; a budget refusal caches nothing."""
+        """The read-only :func:`solution_indices` of this formula, held while
+        it lives: inherited from :func:`propagate` or the planted generator,
+        else enumerated on first read; a budget refusal caches nothing."""
         sols = solution_indices(self)
         sols.setflags(write=False)
         return sols
@@ -202,7 +203,8 @@ def propagate(f: Formula, var: int, value: bool) -> Formula | None:
 
     Satisfied clauses are discarded, false literals are deleted, and the
     remaining variables are renumbered (every index above ``var`` drops by
-    one).  Returns None if a clause loses all its literals.
+    one).  Returns None if a clause loses all its literals.  If ``f`` holds
+    its solution set, the result inherits the filtered set, not enumerated.
     """
     if not 1 <= var <= f.n:
         raise ValueError(f"variable {var} out of range 1..{f.n}")
@@ -223,7 +225,19 @@ def propagate(f: Formula, var: int, value: bool) -> Formula | None:
         if not lits:
             return None
         new_clauses.append(Clause(tuple(lits)))
-    return Formula(n=f.n - 1, clauses=tuple(new_clauses), k=f.k)
+    g = Formula(n=f.n - 1, clauses=tuple(new_clauses), k=f.k)
+    if "solutions" in vars(f):
+        bit = f.n - var  # the bits above it shift down by one
+        sols = f.solutions[((f.solutions >> bit) & 1) == value]
+        _hold_solutions(g, ((sols >> (bit + 1)) << bit) | (sols & ((1 << bit) - 1)))
+    return g
+
+
+def _hold_solutions(f: Formula, sols: np.ndarray) -> Formula:
+    """Hold ``sols``, read-only, where the ``f.solutions`` property caches."""
+    sols.setflags(write=False)
+    vars(f)["solutions"] = sols
+    return f
 
 
 def assignment_from_index(index: int, n: int) -> str:
@@ -404,7 +418,7 @@ def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -
     for _ in range(_MAX_ATTEMPTS):
         if sols.size == 1:
             assert int(sols[0]) == plant_idx
-            return Formula(n=n, clauses=tuple(clauses), k=k)
+            return _hold_solutions(Formula(n=n, clauses=tuple(clauses), k=k), sols)
         # Kill the first spurious solution with a clause the plant satisfies.
         spurious = assignment_from_index(int(sols[sols != plant_idx][0]), n)
         diff = [i + 1 for i in range(n) if spurious[i] != plant[i]]

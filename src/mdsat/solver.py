@@ -573,21 +573,18 @@ def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
     generator.  A wrong fix is the readout's failure event, which the
     readout detects itself whatever the convergence-rate source: the
     variables fixed so far leave no satisfying assignment, as they do when
-    a fix empties a clause.  Every attempt filters ``f.solutions``, the
-    formula's set enumerated once, on each fixed bit (8 bytes per solution
-    held), so the check enumerates nothing of its own."""
+    a fix empties a clause.  Reduced formulas inherit their solution sets
+    from ``f``'s, read before the first fix: neither check nor μ enumerates."""
     theta = readout_angle(preparer.cfg.theta)
     eps, shots = multiple_readout_parameters(theta, f.n, delta)
     shots = math.ceil(shots)
     sin_t = math.sin(theta)
-    sols = f.solutions  # of cur, on its n variables
+    f.solutions  # enumerated once, for every attempt
     bits: list[str] = []
     cur = f
     for _ in range(f.n):
-        top = 1 << (cur.n - 1)  # variable 1's bit
         if not any(l.var == 1 for c in cur.clauses for l in c.literals):
             # Unconstrained variable: fixed FALSE by convention, no shots.
-            sols = sols[sols < top]
             bits.append("0")
             cur = propagate(cur, 1, False)
             continue
@@ -602,13 +599,12 @@ def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
             total += 1 if preparer.rng.random() < p1 else -1
         p_hat = total / shots
         value = abs(p_hat + sin_t) > abs(p_hat - sin_t)  # TRUE iff -sin ruled out
-        sols = sols[(sols >= top) == value] & (top - 1)
-        if not sols.size:
+        cur = propagate(cur, 1, value)
+        if cur is None or cur.solutions.size == 0:
             raise ReadoutFailed(
                 f"variables 1..{len(bits) + 1} as fixed leave no satisfying assignment"
             )
         bits.append("1" if value else "0")
-        cur = propagate(cur, 1, value)
     assignment = "".join(bits)
     if not evaluate(f, assignment):
         raise ReadoutFailed("assembled assignment does not satisfy the formula")

@@ -228,6 +228,15 @@ class TestGroundSpaceProjector:
             diag[int(s, 2)] = 1.0
         assert np.abs(p - np.diag(diag)).max() < 1e-10
 
+    def test_no_variables(self):
+        # the empty assignment's state is the scalar 1, and mu has nothing to
+        # contract
+        from mdsat.spectral import convergence_rate
+
+        f = Formula(0, (), 0)
+        assert np.array_equal(enc.ground_space_basis(f, 0.4 * np.pi), [[1.0]])
+        assert convergence_rate(f, 0.4 * np.pi) == 0.0
+
     def test_unsatisfiable_raises(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
         with pytest.raises(enc.Unsatisfiable):

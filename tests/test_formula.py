@@ -229,9 +229,13 @@ class TestGenerate:
         f = fm.generate("random_ksat", 6, seed=1)
         assert (f.m, f.k) == (0, 3)
 
-    def test_planted_unique(self):
+    def test_planted_unique(self, enumerated):
+        # the generator hands on the one solution its filtering left
         f = fm.generate("planted_unique", 6, 18, 3, seed=2)
+        calls = len(enumerated)
         assert f.solutions.size == 1
+        assert len(enumerated) == calls
+        assert np.array_equal(f.solutions, oracle.solution_indices_reference(f))
 
     def test_planted_unique_pinned(self):
         # each of these adds clauses that kill spurious solutions
@@ -277,6 +281,21 @@ def test_propagate_evaluate_property(f, data):
         expected = fm.evaluate(f, a)
         got = False if g is None else fm.evaluate(g, reduced)
         assert got == expected
+    # f holds no set, so neither does its child
+    assert g is None or "solutions" not in vars(g)
+    # once f holds its set, the child inherits its own before any read
+    f.solutions
+    g = fm.propagate(f, var, value)
+    emptied = any(
+        all(l.var == var and l.negated == value for l in c.literals) for c in f.clauses
+    )
+    assert (g is None) == emptied
+    if g is not None:
+        held = vars(g)["solutions"]
+        assert np.array_equal(held, oracle.solution_indices_reference(g))
+        assert g.solutions is held
+        with pytest.raises(ValueError, match="read-only"):
+            held[:1] = 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -750,13 +750,18 @@ class TestReadoutMultiple:
 
     @pytest.mark.parametrize(
         "cfg",
-        [sv.PrepConfig(theta=np.pi / 2), sv.PrepConfig(theta=0.4 * np.pi, mu_source="user", mu=0.6)],
-        ids=["pi/2", "0.4pi"],
+        [
+            sv.PrepConfig(theta=np.pi / 2),
+            sv.PrepConfig(theta=0.4 * np.pi, mu_source="user", mu=0.6),
+            sv.PrepConfig(theta=0.4 * np.pi),
+        ],
+        ids=["pi/2", "0.4pi", "0.4pi-empirical-mu"],
     )
     def test_one_enumeration_and_one_lookup_per_formula(self, cfg, enumerated):
-        # an attempt enumerates f's solutions once and filters them on every
-        # fix, and fetches the trajectory of each formula it prepares once,
-        # for all of that formula's shots
+        # an attempt enumerates f's solutions once, and every formula it
+        # reduces to inherits its set, μ's ground space included; it fetches
+        # the trajectory of each formula it prepares once, for all of that
+        # formula's shots
         f = fm.generate("random_ksat", 7, 12, 3, seed=2)
         lookups, prepared = [], []
         prep = _recording_preparer(lookups, prepared)(cfg, np.random.default_rng(0))
