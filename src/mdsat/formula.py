@@ -262,6 +262,14 @@ def clause_mask(c: Clause, n: int) -> tuple[int, int]:
     return mask, forbidden
 
 
+def violation_rows(f: Formula) -> np.ndarray:
+    """(m, 2^n) bool array whose row i marks the assignments, by basis
+    index, that violate clause i."""
+    idx = np.arange(1 << f.n)
+    masks = [clause_mask(c, f.n) for c in f.clauses]
+    return np.array([(idx & mask) == forbidden for mask, forbidden in masks])
+
+
 # Clauses applied to the candidates between two compactions.  A compaction
 # costs about one pass over the candidates, like a clause, so a block of a few
 # clauses keeps it cheap while the candidates still shrink fast: at m = 4.3n
@@ -337,7 +345,7 @@ def brute_force_solutions(f: Formula) -> set[str]:
     return {assignment_from_index(int(i), f.n) for i in f.solutions}
 
 
-# Attempt cap of the rejection loops in planted_unique and random_satisfiable.
+# Attempt cap of planted_unique's rejection loop.
 _MAX_ATTEMPTS = 10_000
 
 
@@ -437,19 +445,3 @@ def _generate_planted_unique(rng: np.random.Generator, n: int, m: int, k: int) -
         f"planted_unique(n={n}, m={m}, k={k}) not unique after {_MAX_ATTEMPTS} attempts"
     )
 
-
-def random_satisfiable(
-    rng: np.random.Generator,
-    n: int,
-    m: int,
-    k: int = 3,
-    min_solutions: int = 1,
-) -> Formula:
-    """Rejection-sample a random k-SAT instance with at least
-    ``min_solutions`` satisfying assignments (oracle-checked)."""
-    for _ in range(_MAX_ATTEMPTS):
-        clauses = tuple(_random_clause(rng, n, k) for _ in range(m))
-        f = Formula(n=n, clauses=clauses, k=k)
-        if f.solutions.size >= min_solutions:
-            return f
-    raise GenerationError(f"no satisfiable instance found (n={n}, m={m}, k={k})")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import Formula, clause_mask
+from .formula import Formula, assignment_to_index, clause_mask
 
 
 # Largest C(n, k) the greedy construction enumerates.
@@ -134,7 +134,7 @@ def candidate_patterns(n: int, k: int) -> list[int]:
     patterns = []
     for row in rows:
         for bits in itertools.product("01", repeat=k):
-            patterns.append(int("".join(bits[sym - 1] for sym in row), 2))
+            patterns.append(assignment_to_index("".join(bits[sym - 1] for sym in row)))
     return patterns
 
 

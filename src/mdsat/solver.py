@@ -151,11 +151,16 @@ def readout_angle(theta: float | Schedule) -> float:
 
 def cycles_required(theta: float, n: int, epsilon: float, mu: float) -> int:
     """Cycle count guaranteeing ||P_GS psi_out|| >= 1 - epsilon when ``mu``
-    upper-bounds the true convergence rate."""
+    upper-bounds the true convergence rate: ceil(ln(1/(epsilon cos^n(theta/2)))
+    / ln(1/mu)), at least 1, and 1 at mu = 0."""
     check_angle(theta)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    return _cycles(theta, n, epsilon, _ln_inv_mu(mu))
+    ln_inv_mu = _ln_inv_mu(mu)
+    if math.isinf(ln_inv_mu):
+        return 1
+    target = math.log(1.0 / (epsilon * math.cos(theta / 2) ** n))
+    return max(1, math.ceil(target / ln_inv_mu))
 
 
 def _ln_inv_mu(mu: float) -> float:
@@ -165,16 +170,14 @@ def _ln_inv_mu(mu: float) -> float:
     return math.inf if mu <= _MU_ZERO else math.log(1.0 / mu)
 
 
-def _cycles(theta: float, n: int, epsilon: float, ln_inv_mu: float) -> int:
-    """The cycle bound r* from ln(1/mu); one cycle when it is infinite."""
-    if math.isinf(ln_inv_mu):
-        return 1
-    target = math.log(1.0 / (epsilon * math.cos(theta / 2) ** n))
-    return max(1, math.ceil(target / ln_inv_mu))
-
-
 def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
-    """Convergence-rate input for the cycle bound, per the configured policy."""
+    """Convergence-rate input for the cycle bound, per the configured policy:
+    the user's mu, the empirical mu, or under ``dl_bound`` 1 - gap/(4 g^2)
+    from the spectral gap and the non-commutation degree g (0 when g = 0).
+    The last is not the detectability-lemma bound 1/sqrt(1 + gap/g^2) that
+    :func:`mdsat.spectral.spectral_report`'s ``dl_slack`` reads, an upper
+    bound on the true mu: it lies at or above that bound only while
+    gap/g^2 <= 1.438."""
     if cfg.mu_source == "user":
         return cfg.mu
     theta = cfg.fixed_theta()
@@ -234,10 +237,12 @@ def _plan_steps(f: Formula, plan: str) -> list[list[int]]:
 
 def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     """Evolve |+>^n through ``cycles`` all-pass cycles, recording the pass
-    probability of every measurement.  Once a pass probability hits exactly
-    zero the remaining entries are zero, the state stops evolving, and the
-    trajectory is dead: its ``final_state`` is None.  The measurement steps
-    are planned once: the layer grouping does not depend on the angle.
+    probability of every measurement.  Both walks below return their pass
+    probabilities and final state, and stop at the first pass probability of
+    exactly zero with no final state; this function pads the remaining
+    entries with zeros and builds the trajectory, which is then dead: its
+    ``final_state`` is None.  The measurement steps are planned once: the
+    layer grouping does not depend on the angle.
 
     At a fixed theta = pi/2 every check is the projector onto the
     assignments that satisfy its clause, so the state after j steps is the
@@ -276,7 +281,45 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     """
     steps = _plan_steps(f, cfg.plan)
     if not cfg.is_scheduled and cfg.theta == math.pi / 2:
-        return _survivor_trajectory(f, steps, cycles)
+        probs, psi = _survivor_walk(f, steps, cycles)
+    else:
+        probs, psi = _check_walk(f, cfg, steps, cycles)
+    probs += [0.0] * (len(steps) * cycles - len(probs))
+    return Trajectory(
+        final_state=psi,
+        step_pass_probs=np.array(probs),
+        steps_per_cycle=len(steps),
+        cycles=cycles,
+    )
+
+
+def _survivor_walk(
+    f: Formula, steps: list[list[int]], cycles: int
+) -> tuple[list[float], np.ndarray | None]:
+    """The theta = pi/2 walk of :func:`allpass_trajectory`, from survivor
+    counts: (pass probabilities, final state), cut at the first zero."""
+    # 10 bytes per assignment while counting, then 8 for the state beside at
+    # most 4 for the survivors, allocated after the work arrays are freed;
+    # scattering into the state casts the int32 survivors to intp through a
+    # 64 KiB buffer
+    check_alloc((12 << f.n) + (64 << 10), "state preparation")
+    clause_steps = [[f.clauses[i] for i in step] for step in steps]
+    counts = []
+    for cand in _survivors(f.n, clause_steps * cycles):
+        counts.append(cand.size)
+    probs = [after / before for before, after in zip(counts, counts[1:])]
+    if not cand.size:
+        return probs, None
+    psi = np.zeros(1 << f.n)
+    psi[cand] = 1.0 / math.sqrt(cand.size)
+    return probs, psi
+
+
+def _check_walk(
+    f: Formula, cfg: PrepConfig, steps: list[list[int]], cycles: int
+) -> tuple[list[float], np.ndarray | None]:
+    """The checked walk of :func:`allpass_trajectory` in the sparse frame:
+    (pass probabilities, final state), cut at the first zero."""
     # The state, plus the check kernel's two half-state temporaries (w and
     # its scratch, at k = 1) or the frame rotation's two half-state buffers:
     # 2 state vectors.  numpy's ufunc iteration buffers (64 KiB per strided
@@ -284,7 +327,6 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     # tracemalloc at n = 8..18; 256 KiB covers it.
     check_alloc((16 << f.n) + (256 << 10), "state preparation")
     probs: list[float] = []
-    dead = False
     angles = (
         [schedule_angle(cfg.theta, c) for c in range(cycles)]
         if cfg.is_scheduled
@@ -304,9 +346,6 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
             bases, last_angle = new_bases, angle
         norm2 = 1.0  # squared norm of psi
         for step in steps:
-            if dead:
-                probs.append(0.0)
-                continue
             for ci in step:
                 psi = apply_check_unnormalized(psi, projs[ci], out=psi)
             after = float(np.dot(psi, psi))
@@ -318,53 +357,17 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
                 )
             probs.append(min(p, 1.0))
             if p == 0.0:
-                dead = True
-                continue
+                return probs, None
             norm2 = after
             if norm2 < _SQRT_TINY:
                 np.divide(psi, math.sqrt(norm2), out=psi)
                 norm2 = 1.0
-        if not dead:
-            np.divide(psi, math.sqrt(norm2), out=psi)
-    if dead:
-        psi = None
-    else:
-        rotate_qubits_inplace(psi, _frame_change(bases, (None,) * f.n))
-        norm = math.sqrt(float(np.dot(psi, psi)))
-        if not abs(norm - 1.0) <= _NORM_DRIFT:
-            raise FloatingPointError(f"final state has norm {norm!r}, not 1")
-    return Trajectory(
-        final_state=psi,
-        step_pass_probs=np.array(probs),
-        steps_per_cycle=len(steps),
-        cycles=cycles,
-    )
-
-
-def _survivor_trajectory(f: Formula, steps: list[list[int]], cycles: int) -> Trajectory:
-    """The theta = pi/2 trajectory of :func:`allpass_trajectory`, from
-    survivor counts."""
-    # 10 bytes per assignment while counting, then 8 for the state beside at
-    # most 4 for the survivors, allocated after the work arrays are freed;
-    # scattering into the state casts the int32 survivors to intp through a
-    # 64 KiB buffer
-    check_alloc((12 << f.n) + (64 << 10), "state preparation")
-    clause_steps = [[f.clauses[i] for i in step] for step in steps]
-    counts = []
-    for cand in _survivors(f.n, clause_steps * cycles):
-        counts.append(cand.size)
-    probs = [after / before for before, after in zip(counts, counts[1:])]
-    probs += [0.0] * (len(steps) * cycles - len(probs))
-    psi = None
-    if cand.size:
-        psi = np.zeros(1 << f.n)
-        psi[cand] = 1.0 / math.sqrt(cand.size)
-    return Trajectory(
-        final_state=psi,
-        step_pass_probs=np.array(probs),
-        steps_per_cycle=len(steps),
-        cycles=cycles,
-    )
+        np.divide(psi, math.sqrt(norm2), out=psi)
+    rotate_qubits_inplace(psi, _frame_change(bases, (None,) * f.n))
+    norm = math.sqrt(float(np.dot(psi, psi)))
+    if not abs(norm - 1.0) <= _NORM_DRIFT:
+        raise FloatingPointError(f"final state has norm {norm!r}, not 1")
+    return probs, psi
 
 
 class TraceWriter:
@@ -621,7 +624,6 @@ class BoundReport:
     prep_cost: float
     readout_cost: float
     total_cost: float
-    unrotated_cost: float
 
 
 def theory_bounds(
@@ -629,47 +631,36 @@ def theory_bounds(
     n: int,
     m: int,
     delta: float,
-    mu: float | None = None,
-    uniform_gap: float | None = None,
-    g: int | None = None,
-    d_sol: int = 1,
+    mu: float,
     readout: str = "multiple",
 ) -> BoundReport:
-    """Evaluate the preparation/readout cost bounds with constants as stated.
+    """Evaluate the preparation/readout cost bounds with constants as stated,
+    at the convergence rate ``mu``.
 
-    ``mu`` or (``uniform_gap``, ``g``) selects how ln(1/mu) is bounded; the
-    gap route uses ln(1/mu) >= gap / (4 g^2).  The other factors come from
-    the functions the run calls: the readout parameters, the cycle bound of
-    :func:`cycles_required` and :func:`success_probability_floor`.
+    Every factor comes from a function the run calls: the readout
+    parameters, the cycle bound of :func:`cycles_required` and
+    :func:`success_probability_floor`.  The paper's worst case bounds
+    ln(1/mu) below by gap / (4 g^2), from the uniform gap and the
+    non-commutation degree g; that bound is
+    ``theory_bounds(..., mu=math.exp(-gap / (4 * g**2)))`` to rounding, and
+    the one at mu = 0 when g = 0.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if readout not in ("unique", "multiple"):
         raise ValueError(f"unknown readout {readout!r}")
-    if mu is not None:
-        ln_inv_mu = _ln_inv_mu(mu)
-    elif uniform_gap is not None:
-        if g is None or g < 0:
-            raise ValueError("the gap route needs the non-commutation degree g")
-        if uniform_gap <= 0:
-            raise ValueError("uniform gap must be positive")
-        ln_inv_mu = math.inf if g == 0 else uniform_gap / (4.0 * g**2)
-    else:
-        raise ValueError("supply mu or uniform_gap")
     parameters = unique_readout_parameters if readout == "unique" else multiple_readout_parameters
     epsilon, readout_cost = parameters(theta, n, delta)
-    cycle_bound = _cycles(theta, n, epsilon, ln_inv_mu)
+    cycle_bound = cycles_required(theta, n, epsilon, mu)
     amplification = 1.0 / success_probability_floor(theta, n)
     prep_cost = m * cycle_bound * math.log(1.0 / delta) * amplification
-    unrotated = m * math.log(1.0 / delta) * (2.0**n / d_sol)
     return BoundReport(
-        ln_inv_mu=ln_inv_mu,
+        ln_inv_mu=_ln_inv_mu(mu),
         epsilon=epsilon,
         cycle_bound=cycle_bound,
         prep_cost=prep_cost,
         readout_cost=readout_cost,
         total_cost=prep_cost * readout_cost,
-        unrotated_cost=unrotated,
     )
 
 

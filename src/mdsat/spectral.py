@@ -40,7 +40,7 @@ from .encoding import (
     hamiltonian_matrix,
     sparse_frame,
 )
-from .formula import Formula, clause_mask
+from .formula import Formula, violation_rows
 from .phf import Layer, build_layers, layered_order, noncommuting_degree
 from .statevec import product_operator, rotate_qubits_inplace
 
@@ -111,9 +111,7 @@ def uniform_gap(f: Formula, theta: float) -> UniformGapEstimate:
     # m projectors, a sum, its copy; violation rows twice, indices, a temporary
     check_alloc(((f.m + 2) * 8 << 2 * f.n) + ((2 * f.m + 16) << f.n), "uniform gap")
     dense = [dense_projector(p) for p in clause_projectors(f, theta)]
-    idx = np.arange(1 << f.n)
-    masks = [clause_mask(c, f.n) for c in f.clauses]
-    violates = np.array([(idx & mask) == forbidden for mask, forbidden in masks])
+    violates = violation_rows(f)
     exact = f.m <= _UNIFORM_EXACT_M
     if exact:
         subsets = [s for r in range(1, f.m + 1) for s in itertools.combinations(range(f.m), r)]

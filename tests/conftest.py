@@ -1,4 +1,5 @@
 import numpy as np
+import oracle
 import pytest
 
 from mdsat import formula as fm
@@ -54,7 +55,7 @@ def satisfiable_instances(count, n_lo, n_hi, m_factor, k=3, seed=0, min_solution
     for _ in range(count):
         n = int(rng.integers(n_lo, n_hi + 1))
         m = max(1, round(m_factor * n))
-        out.append(fm.random_satisfiable(rng, n, m, k, min_solutions=min_solutions))
+        out.append(oracle.random_satisfiable(rng, n, m, k, min_solutions=min_solutions))
     return out
 
 

@@ -5,8 +5,10 @@ independently of the factorized check kernel.  ``friedrichs_angle`` takes the
 generalized Friedrichs angle from orthonormal subspace bases (the block-Gram
 route), independently of the projector-sum route of
 ``mdsat.spectral.friedrichs_speed_slack``.  ``dense_convergence_rate`` takes
-mu from a dense SVD of the assembled check product minus the ground-space
-projector, independently of the Lanczos eigensolver of
+mu from a dense SVD of the check product minus the ground-space projector,
+both built here (the product by ``apply_check_reference``, the projector
+from an SVD basis of the rotated solution states), independently of the
+assembled operators and the Lanczos eigensolver of
 ``mdsat.spectral.convergence_rate``.  ``apply_check_reference`` is the check
 kernel without its compiled patterns, its loop order or its zeroing branch:
 it enumerates the support patterns on every call, iterates the slices in
@@ -14,8 +16,9 @@ memory order and always computes w and subtracts, so
 ``mdsat.statevec.apply_check_inplace`` must match it bit for bit.
 ``solution_indices_reference`` tests every clause against all 2^n
 assignments, one clause at a time, with no compaction or early exit, so
-``mdsat.formula.solution_indices`` must return the same array.  The rest
-is the naive
+``mdsat.formula.solution_indices`` must return the same array.
+``random_satisfiable`` rejection-samples the random satisfiable instances
+the tests draw.  The rest is the naive
 per-measurement simulator: one projective clause (or layer) check at a time,
 with explicit branch probabilities and renormalized post-measurement states.
 """
@@ -29,10 +32,17 @@ from functools import reduce
 
 import numpy as np
 
-from mdsat.encoding import ClauseProjector, ground_space_projector
-from mdsat.formula import Formula, clause_mask
+from mdsat.encoding import ClauseProjector, clause_projectors, theta_string_state
+from mdsat.formula import (
+    _MAX_ATTEMPTS,
+    Formula,
+    GenerationError,
+    _random_clause,
+    assignment_from_index,
+    clause_mask,
+)
 from mdsat.phf import Layer
-from mdsat.statevec import apply_check_unnormalized, product_operator
+from mdsat.statevec import apply_check_unnormalized
 
 _RENORM_DRIFT = 1e-9
 
@@ -83,6 +93,23 @@ def solution_indices_reference(f: Formula) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
+def random_satisfiable(
+    rng: np.random.Generator,
+    n: int,
+    m: int,
+    k: int = 3,
+    min_solutions: int = 1,
+) -> Formula:
+    """Rejection-sample a random k-SAT instance with at least
+    ``min_solutions`` satisfying assignments (oracle-checked)."""
+    for _ in range(_MAX_ATTEMPTS):
+        clauses = tuple(_random_clause(rng, n, k) for _ in range(m))
+        f = Formula(n=n, clauses=clauses, k=k)
+        if f.solutions.size >= min_solutions:
+            return f
+    raise GenerationError(f"no satisfiable instance found (n={n}, m={m}, k={k})")
+
+
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ b - b @ a, 2))
 
@@ -110,9 +137,20 @@ def friedrichs_angle(subspace_bases, ambient_dim: int) -> float:
 
 
 def dense_convergence_rate(f, theta: float, order=None) -> float:
-    """mu = ||prod C_i - P_GS||_2 by a dense SVD."""
-    t = product_operator(f, theta, order)
-    return float(np.linalg.norm(t - ground_space_projector(f, theta), 2))
+    """mu = ||prod C_i - P_GS||_2 by a dense SVD.  The product applies
+    ``apply_check_reference`` to the identity, ``order[0]`` first; P_GS is
+    U U^T for the left singular vectors U of the rotated solution states of
+    ``solution_indices_reference`` side by side."""
+    projs = clause_projectors(f, theta)
+    t = np.eye(1 << f.n)
+    for i in range(f.m) if order is None else order:
+        apply_check_reference(t, projs[i])
+    states = [
+        theta_string_state(assignment_from_index(int(s), f.n), theta)
+        for s in solution_indices_reference(f)
+    ]
+    u = np.linalg.svd(np.column_stack(states), full_matrices=False)[0]
+    return float(np.linalg.norm(t - u @ u.T, 2))
 
 
 def apply_projector(psi: np.ndarray, proj: ClauseProjector) -> np.ndarray:

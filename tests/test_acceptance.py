@@ -68,7 +68,7 @@ def test_c03_unrotated_exactness():
     rng = np.random.default_rng(303)
     for i in range(50):
         n = 4 + i % 9  # 4..12
-        f = fm.random_satisfiable(rng, n, round(2.5 * n), 3)
+        f = oracle.random_satisfiable(rng, n, round(2.5 * n), 3)
         prep = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
         traj = prep.trajectory(f, 0.01)
         assert traj.cycles == 1
@@ -88,7 +88,7 @@ def dl_sweep():
     start = time.perf_counter()
     for i in range(100):
         n = 4 + i % 5  # 4..8
-        f = fm.random_satisfiable(rng, n, round(2.5 * n), 3)
+        f = oracle.random_satisfiable(rng, n, round(2.5 * n), 3)
         for theta in DL_THETAS:
             res = sp.spectral_report(f, theta, with_uniform=False, with_friedrichs=False)
             results.append((f, theta, res))
@@ -120,7 +120,7 @@ def test_c06_cycle_bound_end_to_end():
     rng = np.random.default_rng(606)
     for i in range(8):
         n = 4 + i % 5
-        f = fm.random_satisfiable(rng, n, 2 * n, 3)
+        f = oracle.random_satisfiable(rng, n, 2 * n, 3)
         for theta in (0.3 * np.pi, 0.45 * np.pi):
             mu = sp.convergence_rate(f, theta)
             p_gs = enc.ground_space_projector(f, theta)
@@ -140,7 +140,7 @@ def test_c07_success_probability_floor():
     for i in range(50):
         n = 4 + i % 5
         theta = THETA_GRID_10[i % 10]
-        f = fm.random_satisfiable(rng, n, 2 * n, 3)
+        f = oracle.random_satisfiable(rng, n, 2 * n, 3)
         floor = sv.success_probability_floor(theta, n)
         projs = enc.clause_projectors(f, theta)
         psi = svec.plus_state(n)
@@ -188,7 +188,7 @@ def test_c09_layer_soundness():
     rng = np.random.default_rng(909)
     for i in range(6):
         n = 5 + i % 4  # 5..8
-        f = fm.random_satisfiable(rng, n, 2 * n, 3)
+        f = oracle.random_satisfiable(rng, n, 2 * n, 3)
         theta = 0.35 * np.pi
         layers = phf.build_layers(f, theta)
         dense = [oracle.kron_projector(p) for p in enc.clause_projectors(f, theta)]
@@ -258,7 +258,7 @@ def test_c11_multiple_readout_guarantee():
     failures = 0
     trials = 0
     for inst in range(4):
-        f = fm.random_satisfiable(rng_gen, n, 20, 3, min_solutions=2)
+        f = oracle.random_satisfiable(rng_gen, n, 20, 3, min_solutions=2)
         preparer = sv.Preparer(sv.PrepConfig(theta=theta), np.random.default_rng([11, inst]))
         for _ in range(50):
             trials += 1
@@ -282,7 +282,7 @@ def test_c12_uniform_gap_monotonicity():
     for i in range(20):
         n = 5 + i % 2
         m = 6 + i % 3  # m <= 8
-        f = fm.random_satisfiable(rng, n, m, 3)
+        f = oracle.random_satisfiable(rng, n, m, 3)
         uni = sp.uniform_gap(f, theta).value
         cur = f
         while cur.n > 0 and cur.m > 0:
@@ -365,7 +365,7 @@ def test_c15_friedrichs_machinery():
     checked = 0
     while checked < 20:
         n = 5 + int(rng.integers(0, 2))
-        f = fm.random_satisfiable(rng, n, 2 * n, 3)
+        f = oracle.random_satisfiable(rng, n, 2 * n, 3)
         slack, c, ell = sp.friedrichs_speed_slack(f, 0.3 * np.pi)
         if ell < 2:
             continue

@@ -191,7 +191,7 @@ class TestHamiltonian:
                 assert eigs[d] > 1e-10
 
     def test_annihilates_exactly_solutions(self):
-        f = fm.random_satisfiable(np.random.default_rng(3), 5, 10, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(3), 5, 10, 3)
         theta = 0.35 * np.pi
         h = enc.hamiltonian_matrix(f, theta)
         for a in pc.all_assignments(5):
@@ -221,7 +221,7 @@ class TestGroundSpaceProjector:
         assert np.abs(p - np.outer(state, state)).max() < 1e-10
 
     def test_pi_half_diagonal_indicator(self):
-        f = fm.random_satisfiable(np.random.default_rng(8), 4, 6, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(8), 4, 6, 3)
         p = enc.ground_space_projector(f, np.pi / 2)
         diag = np.zeros(16)
         for s in fm.brute_force_solutions(f):

@@ -97,7 +97,7 @@ class TestPropagate:
 
     def test_consistency_with_evaluate(self):
         rng = np.random.default_rng(5)
-        f = fm.random_satisfiable(rng, 5, 8, 3)
+        f = oracle.random_satisfiable(rng, 5, 8, 3)
         for var in (1, 3, 5):
             for value in (False, True):
                 g = fm.propagate(f, var, value)

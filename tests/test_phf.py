@@ -267,7 +267,7 @@ class TestLayerMeasurement:
             assert np.abs(s1 - s2).max() < 1e-12
 
     def test_ground_state_passes(self):
-        f = fm.random_satisfiable(np.random.default_rng(4), 5, 10, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(4), 5, 10, 3)
         s = next(iter(fm.brute_force_solutions(f)))
         psi = enc.theta_string_state(s, self.theta)
         projs = enc.clause_projectors(f, self.theta)

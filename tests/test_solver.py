@@ -84,7 +84,7 @@ class TestResolveMu:
         rng = np.random.default_rng(19)
         for _ in range(30):
             n = int(rng.integers(2, 7))
-            f = fm.random_satisfiable(rng, n, int(rng.integers(1, 4 * n)), min(3, n))
+            f = oracle.random_satisfiable(rng, n, int(rng.integers(1, 4 * n)), min(3, n))
             for theta in (0.2 * np.pi, 0.3 * np.pi, 0.4 * np.pi, 0.45 * np.pi):
                 cfg = sv.PrepConfig(theta=theta, mu_source="dl_bound")
                 assert sv.resolve_mu(f, cfg) >= sp.convergence_rate(f, theta) - 1e-12
@@ -140,7 +140,7 @@ class TestPrepareState:
                 assert trace_dist <= math.sqrt(2 * eps) + 1e-12
 
     def test_monte_carlo_counts_are_deterministic_per_seed(self):
-        f = fm.random_satisfiable(np.random.default_rng(1), 5, 10, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(1), 5, 10, 3)
         cfg = sv.PrepConfig(theta=0.4 * np.pi)
         a = sv.Preparer(cfg, np.random.default_rng(42))
         b = sv.Preparer(cfg, np.random.default_rng(42))
@@ -153,7 +153,7 @@ class TestPrepareState:
         success probability, and its first-failure positions and restart
         counts follow the law the multinomial sampler draws from."""
         rng = np.random.default_rng(2024)
-        f = fm.random_satisfiable(rng, 4, 6, 3)
+        f = oracle.random_satisfiable(rng, 4, 6, 3)
         theta, eps = 0.45 * np.pi, 0.25
         mu = sp.convergence_rate(f, theta)
         r_star = sv.cycles_required(theta, f.n, eps, mu)
@@ -235,7 +235,7 @@ class TestPrepareState:
             assert abs(lay.success_probability - cum) < 1e-10
 
     def test_prepare_state_wrapper_and_trace(self, tmp_path):
-        f = fm.random_satisfiable(np.random.default_rng(1), 4, 7, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(1), 4, 7, 3)
         cfg = sv.PrepConfig(theta=0.4 * np.pi)
         path = tmp_path / "trace.csv"
         with open(path, "w", newline="") as fh:
@@ -372,7 +372,7 @@ def _trajectory_case(draw):
     fixed angle or a cubic schedule starting from it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 9))
-    f = fm.random_satisfiable(rng, n, draw(st.integers(1, 3 * n)), min(3, n))
+    f = oracle.random_satisfiable(rng, n, draw(st.integers(1, 3 * n)), min(3, n))
     theta = draw(
         st.one_of(
             st.just(np.pi / 2),
@@ -443,7 +443,7 @@ def _unrotated_case(draw):
     n = draw(st.integers(1, 10))
     m = draw(st.integers(1, 5 * n))
     if draw(st.booleans()):
-        f = fm.random_satisfiable(rng, n, m, min(3, n))
+        f = oracle.random_satisfiable(rng, n, m, min(3, n))
     else:
         f = fm.generate("random_ksat", n, m, min(3, n), seed=int(rng.integers(2**32)))
     return f, draw(st.sampled_from(["sequential", "layered"])), draw(st.integers(1, 4))
@@ -802,7 +802,7 @@ class TestReadoutMultiple:
 
 class TestSolve:
     def test_satisfiable_random(self):
-        f = fm.random_satisfiable(np.random.default_rng(31), 8, 24, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(31), 8, 24, 3)
         report = sv.solve(f, 0.45 * np.pi, delta=0.1, seed=11)
         assert report.status == "SAT" and report.verified
         assert fm.evaluate(f, report.assignment)
@@ -831,7 +831,7 @@ class TestSolve:
         assert report.preparations == 0
 
     def test_seed_determinism(self):
-        f = fm.random_satisfiable(np.random.default_rng(8), 6, 14, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(8), 6, 14, 3)
         r1 = sv.solve(f, 0.4 * np.pi, seed=123)
         r2 = sv.solve(f, 0.4 * np.pi, seed=123)
         assert r1.to_json(include_timing=False) == r2.to_json(include_timing=False)
@@ -843,7 +843,7 @@ class TestSolve:
         assert report.status == "SAT" and report.assignment == planted
 
     def test_schedule_mode(self):
-        f = fm.random_satisfiable(np.random.default_rng(40), 5, 10, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(40), 5, 10, 3)
         schedule = sv.Schedule(theta_init=0.47 * np.pi / 2, c_q=12)
         report = sv.solve(f, schedule, seed=9)
         assert report.status == "SAT"
@@ -916,7 +916,7 @@ class TestSolve:
         assert report.cycles_per_attempt == 1
 
     def test_layered_plan(self):
-        f = fm.random_satisfiable(np.random.default_rng(50), 6, 12, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(50), 6, 12, 3)
         report = sv.solve(f, 0.4 * np.pi, plan="layered", seed=4)
         assert report.status == "SAT" and fm.evaluate(f, report.assignment)
 
@@ -938,12 +938,6 @@ class TestSolve:
 
 
 class TestTheoryBounds:
-    def test_unrotated_expression(self):
-        tb = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, mu=0.0, d_sol=1)
-        assert tb.unrotated_cost == pytest.approx(30 * math.log(10) * 2**8)
-        tb4 = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, mu=0.0, d_sol=4)
-        assert tb4.unrotated_cost == pytest.approx(tb.unrotated_cost / 4)
-
     def test_unate_schedule_polynomial(self):
         # cos(theta) = 1 - 2/n keeps the amplification factor bounded by e,
         # so the bound grows polynomially (close to n ln^2 n).
@@ -990,10 +984,6 @@ class TestTheoryBounds:
         assert count == math.ceil(tb.readout_cost) * report.readout_attempts
         assert (report.mu, report.cycles_per_attempt) == (mu, tb.cycle_bound)
 
-    def test_gap_route(self):
-        tb = sv.theory_bounds(0.4 * np.pi, 6, 12, 0.1, uniform_gap=0.2, g=3)
-        assert tb.ln_inv_mu == pytest.approx(0.2 / 36)
-
     @pytest.mark.parametrize("readout", ["unique", "multiple"])
     def test_no_variables_refused(self, readout):
         # the readout parameters take log(n / delta)
@@ -1001,9 +991,5 @@ class TestTheoryBounds:
             sv.theory_bounds(0.4 * np.pi, 0, 1, 0.1, mu=0.0, readout=readout)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sv.theory_bounds(0.4, 6, 10, 0.1)  # neither mu nor gap
-        with pytest.raises(ValueError):
-            sv.theory_bounds(0.4, 6, 10, 0.1, uniform_gap=0.1)  # missing g
         with pytest.raises(ValueError, match="convergence rate"):
             sv.theory_bounds(0.4, 6, 10, 0.1, mu=1.0)

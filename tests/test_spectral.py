@@ -77,7 +77,7 @@ class TestUniformGap:
     def test_propagated_hamiltonians_respect_uniform_gap(self):
         theta = 0.3 * np.pi
         rng = np.random.default_rng(15)
-        f = fm.random_satisfiable(rng, 5, 7, 3)
+        f = oracle.random_satisfiable(rng, 5, 7, 3)
         uni = sp.uniform_gap(f, theta).value
         cur = f
         while cur.n > 1 and cur.m > 0:
@@ -93,7 +93,7 @@ class TestUniformGap:
 
     def test_sampled_estimate_flagged(self):
         rng = np.random.default_rng(3)
-        f = fm.random_satisfiable(rng, 5, 14, 3)
+        f = oracle.random_satisfiable(rng, 5, 14, 3)
         est = sp.uniform_gap(f, 0.3 * np.pi)
         assert not est.exact and est.value > 0
 
@@ -169,7 +169,7 @@ def _mu_case(draw):
     theta = draw(
         st.floats(0.1 * np.pi, 0.45 * np.pi, exclude_min=True, exclude_max=True)
     )
-    return fm.random_satisfiable(rng, n, m, 3), theta
+    return oracle.random_satisfiable(rng, n, m, 3), theta
 
 
 def _clustered_case():
@@ -315,7 +315,7 @@ class TestFriedrichs:
         rng = np.random.default_rng(44)
         checked = 0
         while checked < 5:
-            f = fm.random_satisfiable(rng, 5, 9, 3)
+            f = oracle.random_satisfiable(rng, 5, 9, 3)
             slack, c, ell = sp.friedrichs_speed_slack(f, 0.3 * np.pi)
             if ell < 2:
                 continue
@@ -364,7 +364,7 @@ class TestAvgOverlapIdentity:
 
 class TestSpectralReport:
     def test_report_fields_and_json(self):
-        f = fm.random_satisfiable(np.random.default_rng(1), 5, 8, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(1), 5, 8, 3)
         rep = sp.spectral_report(f, 0.3 * np.pi)
         assert rep.d_sol == f.solutions.size
         assert rep.gap_bound_slack >= -1e-9

@@ -40,7 +40,7 @@ class TestClauseCheck:
 
     def test_ground_state_always_passes(self):
         theta = 0.35 * np.pi
-        f = fm.random_satisfiable(np.random.default_rng(0), 5, 9, 3)
+        f = oracle.random_satisfiable(np.random.default_rng(0), 5, 9, 3)
         s = next(iter(fm.brute_force_solutions(f)))
         psi = enc.theta_string_state(s, theta)
         for c in f.clauses:
