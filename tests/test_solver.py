@@ -938,6 +938,13 @@ class TestSolve:
 
 
 class TestTheoryBounds:
+    def test_unrotated_expression(self):
+        # at theta = pi/2 and mu = 0 one cycle suffices and the floor is
+        # 2^-n, so the preparation cost is m ln(1/delta) 2^n
+        tb = sv.theory_bounds(np.pi / 2, 8, 30, 0.1, mu=0.0)
+        assert tb.cycle_bound == 1
+        assert tb.prep_cost == pytest.approx(30 * math.log(10) * 2**8)
+
     def test_unate_schedule_polynomial(self):
         # cos(theta) = 1 - 2/n keeps the amplification factor bounded by e,
         # so the bound grows polynomially (close to n ln^2 n).
@@ -983,6 +990,15 @@ class TestTheoryBounds:
         count = sum(1 for traj in prepared if traj is of_f[0][1])
         assert count == math.ceil(tb.readout_cost) * report.readout_attempts
         assert (report.mu, report.cycles_per_attempt) == (mu, tb.cycle_bound)
+
+    def test_gap_route(self):
+        # the paper's worst case, ln(1/mu) >= gap / (4 g^2), is priced as
+        # mu = exp(-gap / (4 g^2)): cycle_bound is the gap-route ceiling
+        theta, n, delta, gap, g = 0.4 * np.pi, 6, 0.1, 0.2, 3
+        tb = sv.theory_bounds(theta, n, 12, delta, mu=math.exp(-gap / (4 * g**2)))
+        assert tb.ln_inv_mu == pytest.approx(0.2 / 36)
+        target = math.log(1 / (tb.epsilon * math.cos(theta / 2) ** n))
+        assert tb.cycle_bound == math.ceil(target / (gap / (4 * g**2)))
 
     @pytest.mark.parametrize("readout", ["unique", "multiple"])
     def test_no_variables_refused(self, readout):
