@@ -117,7 +117,7 @@ def _schedule_from_args(args) -> float | sv.Schedule:
         c_q = 32 if args.cycles is None else args.cycles
         if args.theta_init is None:
             return sv.Schedule(c_q=c_q)
-        return sv.Schedule(c_q=c_q, theta_init=args.theta_init)
+        return sv.Schedule(c_q=c_q, theta_init=_snap_right_angle(args.theta_init))
     if args.theta_init is not None or args.cycles is not None:
         raise ValueError("--theta-init and --cycles need --schedule")
     if args.theta is not None:

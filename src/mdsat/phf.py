@@ -145,8 +145,8 @@ def build_layers(f: Formula, theta: float | None = None) -> list[Layer]:
     assignment agrees with on its support; empty layers are dropped.  A
     verified perfect hash family guarantees every clause a slot, so no clause
     is ever left over.  ``theta`` does not influence the grouping (commutation
-    is structural) and is accepted for symmetry with the other per-angle
-    constructors.
+    is structural); no caller in the package passes it, and it is accepted
+    only for ``perfbench/record_reference.py``.
     """
     if f.m == 0:
         return []

@@ -61,7 +61,7 @@ from .formula import (
     evaluate,
     propagate,
 )
-from .phf import build_layers, layered_order, noncommuting_degree
+from .phf import build_layers, noncommuting_degree
 from .statevec import (
     apply_check_unnormalized,
     basis_cdf,
@@ -186,9 +186,10 @@ def resolve_mu(f: Formula, cfg: PrepConfig) -> float:
         # so mu vanishes with no dense computation: unate supports commute at
         # every angle, and at theta = pi/2 the perpendicular states become
         # orthogonal basis states.
-        if abs(theta - math.pi / 2) < 1e-12 or noncommuting_degree(f) == 0:
+        if theta == math.pi / 2 or noncommuting_degree(f) == 0:
             return 0.0
-        order = layered_order(build_layers(f, theta)) if cfg.plan == "layered" else None
+        # mu of the cycle the trajectory applies: its steps, flattened
+        order = [ci for step in _plan_steps(f, cfg.plan) for ci in step]
         mu = spectral.convergence_rate(f, theta, order=order)
         return 0.0 if mu <= _MU_ZERO else min(mu, 1.0 - 1e-15)
     gap = spectral.spectral_gap(f, theta)
@@ -237,10 +238,11 @@ def _plan_steps(f: Formula, plan: str) -> list[list[int]]:
 
 def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     """Evolve |+>^n through ``cycles`` all-pass cycles, recording the pass
-    probability of every measurement.  Both walks below return their pass
-    probabilities and final state, and stop at the first pass probability of
-    exactly zero with no final state; this function pads the remaining
-    entries with zeros and builds the trajectory, which is then dead: its
+    probability of every measurement.  The L = len(steps) * cycles pass
+    probabilities are one float64 array, allocated once as zeros; both walks
+    below write each probability into it in place and return the final
+    state, or None at the first pass probability of exactly zero, where they
+    stop.  The entries after it stay 0 and the trajectory is dead: its
     ``final_state`` is None.  The measurement steps are planned once: the
     layer grouping does not depend on the angle.
 
@@ -274,59 +276,67 @@ def allpass_trajectory(f: Formula, cfg: PrepConfig, cycles: int) -> Trajectory:
     probabilities do not depend on the frame.  A schedule that reaches
     theta = pi/2 stays on this route, where that frame is the identity.
 
+    A trajectory is refused before anything large is allocated unless its
+    walk's state peak and 32 bytes per measurement fit the memory budget: the
+    array's 8, and the 24 that :attr:`Trajectory.failure_pmf` takes at its
+    peak when the first preparation builds it, of which it keeps 8; restart
+    sampling later takes 16 beside them.
+
     A pass probability that is not finite, or a step that leaves a pass
     probability or squared norm positive but below the smallest normal float,
     raises FloatingPointError instead of being renormalized, as does the
     final state of a live trajectory whose norm is off 1 by more than 1e-10.
     """
     steps = _plan_steps(f, cfg.plan)
-    if not cfg.is_scheduled and cfg.theta == math.pi / 2:
-        probs, psi = _survivor_walk(f, steps, cycles)
+    length = len(steps) * cycles
+    counted = not cfg.is_scheduled and cfg.theta == math.pi / 2
+    # Counting holds 10 bytes per assignment, then 8 for the state beside at
+    # most 4 for the survivors, and a 64 KiB buffer that casts them to intp
+    # for the scatter.  The checks hold the state and the kernel's two
+    # half-state temporaries (w and its scratch, at k = 1) or the frame
+    # rotation's two half-state buffers; numpy's ufunc iteration buffers
+    # (64 KiB per strided operand) and the plan add at most 181 KiB by
+    # tracemalloc at n = 8..18, which 256 KiB covers.
+    state_bytes = (12 << f.n) + (64 << 10) if counted else (16 << f.n) + (256 << 10)
+    check_alloc(state_bytes + 32 * length, "state preparation")
+    probs = np.zeros(length)
+    if counted:
+        psi = _survivor_walk(f, steps, cycles, probs)
     else:
-        probs, psi = _check_walk(f, cfg, steps, cycles)
-    probs += [0.0] * (len(steps) * cycles - len(probs))
+        psi = _check_walk(f, cfg, steps, cycles, probs)
     return Trajectory(
         final_state=psi,
-        step_pass_probs=np.array(probs),
+        step_pass_probs=probs,
         steps_per_cycle=len(steps),
         cycles=cycles,
     )
 
 
 def _survivor_walk(
-    f: Formula, steps: list[list[int]], cycles: int
-) -> tuple[list[float], np.ndarray | None]:
+    f: Formula, steps: list[list[int]], cycles: int, probs: np.ndarray
+) -> np.ndarray | None:
     """The theta = pi/2 walk of :func:`allpass_trajectory`, from survivor
-    counts: (pass probabilities, final state), cut at the first zero."""
-    # 10 bytes per assignment while counting, then 8 for the state beside at
-    # most 4 for the survivors, allocated after the work arrays are freed;
-    # scattering into the state casts the int32 survivors to intp through a
-    # 64 KiB buffer
-    check_alloc((12 << f.n) + (64 << 10), "state preparation")
+    counts: writes the pass probabilities into ``probs`` up to the first
+    zero and returns the final state, None after a zero."""
     clause_steps = [[f.clauses[i] for i in step] for step in steps]
-    counts = []
-    for cand in _survivors(f.n, clause_steps * cycles):
-        counts.append(cand.size)
-    probs = [after / before for before, after in zip(counts, counts[1:])]
+    survivors = _survivors(f.n, (step for _ in range(cycles) for step in clause_steps))
+    cand = next(survivors)
+    for j, after in enumerate(survivors):
+        probs[j] = after.size / cand.size
+        cand = after
     if not cand.size:
-        return probs, None
+        return None
     psi = np.zeros(1 << f.n)
     psi[cand] = 1.0 / math.sqrt(cand.size)
-    return probs, psi
+    return psi
 
 
 def _check_walk(
-    f: Formula, cfg: PrepConfig, steps: list[list[int]], cycles: int
-) -> tuple[list[float], np.ndarray | None]:
+    f: Formula, cfg: PrepConfig, steps: list[list[int]], cycles: int, probs: np.ndarray
+) -> np.ndarray | None:
     """The checked walk of :func:`allpass_trajectory` in the sparse frame:
-    (pass probabilities, final state), cut at the first zero."""
-    # The state, plus the check kernel's two half-state temporaries (w and
-    # its scratch, at k = 1) or the frame rotation's two half-state buffers:
-    # 2 state vectors.  numpy's ufunc iteration buffers (64 KiB per strided
-    # operand) and the plan add a fixed amount, at most 181 KiB by
-    # tracemalloc at n = 8..18; 256 KiB covers it.
-    check_alloc((16 << f.n) + (256 << 10), "state preparation")
-    probs: list[float] = []
+    writes the pass probabilities into ``probs`` up to the first zero and
+    returns the final state, None after a zero."""
     angles = (
         [schedule_angle(cfg.theta, c) for c in range(cycles)]
         if cfg.is_scheduled
@@ -339,13 +349,13 @@ def _check_walk(
     else:
         plus = plus_state(1)
         psi = product_state([plus if b is None else b @ plus for b in bases])
-    for angle in angles:
+    for c, angle in enumerate(angles):
         if angle != last_angle:
             new_bases, projs = sparse_frame(f, angle)
             rotate_qubits_inplace(psi, _frame_change(bases, new_bases))
             bases, last_angle = new_bases, angle
         norm2 = 1.0  # squared norm of psi
-        for step in steps:
+        for j, step in enumerate(steps, c * len(steps)):
             for ci in step:
                 psi = apply_check_unnormalized(psi, projs[ci], out=psi)
             after = float(np.dot(psi, psi))
@@ -353,11 +363,11 @@ def _check_walk(
             if not math.isfinite(p) or 0.0 < min(p, after) < _TINY:
                 raise FloatingPointError(
                     f"pass probability {p!r} (squared norm {after!r}) at measurement "
-                    f"{len(probs)} cannot be renormalized"
+                    f"{j} cannot be renormalized"
                 )
-            probs.append(min(p, 1.0))
+            probs[j] = min(p, 1.0)
             if p == 0.0:
-                return probs, None
+                return None
             norm2 = after
             if norm2 < _SQRT_TINY:
                 np.divide(psi, math.sqrt(norm2), out=psi)
@@ -367,7 +377,7 @@ def _check_walk(
     norm = math.sqrt(float(np.dot(psi, psi)))
     if not abs(norm - 1.0) <= _NORM_DRIFT:
         raise FloatingPointError(f"final state has norm {norm!r}, not 1")
-    return probs, psi
+    return psi
 
 
 class TraceWriter:

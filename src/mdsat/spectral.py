@@ -268,7 +268,7 @@ def friedrichs_speed_slack(f: Formula, theta: float):
     B B^T = sum_i (Q_i - P_GS); it has the nonzero spectrum of B^T B, and one
     eigensolve of sum_i Q_i - ell P_GS gives lambda_max.
     """
-    layers = build_layers(f, theta)
+    layers = build_layers(f)
     ell = len(layers)
     if ell < 2:
         return None, None, ell

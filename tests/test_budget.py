@@ -68,10 +68,7 @@ REFUSALS = {
 BUDGETS = {"assembled mu operator": 1 << 20}
 
 
-@pytest.mark.parametrize("what", list(REFUSALS))
-def test_refused_before_anything_large_is_allocated(what, monkeypatch):
-    fn, *args = REFUSALS[what]()
-    budget = BUDGETS.get(what, REFUSAL_BUDGET)
+def _assert_refused(monkeypatch, what, budget, fn, *args):
     monkeypatch.setenv("MDSAT_MEM_BYTES", str(budget))
     tracemalloc.start()
     try:
@@ -81,6 +78,20 @@ def test_refused_before_anything_large_is_allocated(what, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("what", list(REFUSALS))
+def test_refused_before_anything_large_is_allocated(what, monkeypatch):
+    fn, *args = REFUSALS[what]()
+    _assert_refused(monkeypatch, what, BUDGETS.get(what, REFUSAL_BUDGET), fn, *args)
+
+
+def test_state_preparation_counts_its_pass_probabilities(monkeypatch):
+    # The state of planted_unique 6/26 fits in a few KiB, but 10^9 cycles of
+    # its 27 measurements need 32 bytes each for the pass probabilities.
+    cfg = sv.PrepConfig(theta=0.1, mu_source="user", mu=0.5)
+    _assert_refused(monkeypatch, "state preparation", REFUSAL_BUDGET,
+                    sv.allpass_trajectory, _pu(6, 26), cfg, 10**9)
 
 
 def test_budget_is_read_at_each_check(monkeypatch):

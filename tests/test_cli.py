@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,20 @@ class TestSolve:
             run(["solve", str(cnf), *flag, "--seed", "4", "--report", str(rep), "--no-timing"])
             reports.append(rep.read_text())
         capsys.readouterr()
+        assert reports[0] == reports[1]
+
+    def test_theta_init_snaps_like_theta(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        run(["gen", "planted_unique", "6", "-m", "26", "--seed", "1", "--out", str(cnf)])
+        reports = []
+        for theta_init in ("1.5708", repr(math.pi / 2)):
+            rep = tmp_path / f"r{len(reports)}.json"
+            assert run(["solve", str(cnf), "--schedule", "cubic", "--cycles", "4",
+                        "--theta-init", theta_init, "--seed", "4", "--report", str(rep),
+                        "--no-timing"]) == 0
+            reports.append(rep.read_text())
+        capsys.readouterr()
+        assert json.loads(reports[0])["schedule"]["theta_init"] == math.pi / 2
         assert reports[0] == reports[1]
 
     def test_trace_csv(self, tmp_path, capsys):

@@ -89,6 +89,24 @@ class TestResolveMu:
                 cfg = sv.PrepConfig(theta=theta, mu_source="dl_bound")
                 assert sv.resolve_mu(f, cfg) >= sp.convergence_rate(f, theta) - 1e-12
 
+    @pytest.mark.parametrize("plan", ["sequential", "layered"])
+    def test_mu_multiplies_the_trajectory_steps(self, plan, monkeypatch):
+        # the cycle bound needs the contraction of the cycle the trajectory
+        # applies: its steps, flattened, are mu's check order
+        f = fm.generate("planted_unique", 6, 26, 3, 1)
+        orders = []
+        convergence_rate = sp.convergence_rate
+
+        def recording_convergence_rate(f, theta, order=None):
+            orders.append(order)
+            return convergence_rate(f, theta, order=order)
+
+        monkeypatch.setattr(sp, "convergence_rate", recording_convergence_rate)
+        sv.resolve_mu(f, sv.PrepConfig(theta=0.4 * np.pi, plan=plan))
+        steps = sv._plan_steps(f, plan)
+        assert orders == [[ci for step in steps for ci in step]]
+        assert (len(steps) < f.m) == (plan == "layered")
+
 
 class TestPrepareState:
     def test_pi_half_success_probability_exact(self, small_instances):
@@ -491,18 +509,21 @@ class TestUnrotatedSurvivorTrajectory:
     @pytest.mark.parametrize("plan", ["sequential", "layered"])
     def test_peak_within_reserved_bytes(self, f, plan, monkeypatch):
         # the counting arrays, then the state beside the survivors, stay
-        # within what the route reserves; 64 KiB covers Python objects
+        # within what the route reserves, beside the 8 of the 32 bytes per
+        # measurement that the pass probabilities hold; 64 KiB covers
+        # Python objects
         reserved = []
         monkeypatch.setattr(sv, "check_alloc", lambda nbytes, what: reserved.append(nbytes))
         cfg = sv.PrepConfig(theta=np.pi / 2, plan=plan)
         tracemalloc.start()
         try:
-            sv.allpass_trajectory(f, cfg, 1)
+            traj = sv.allpass_trajectory(f, cfg, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert reserved == [(12 << self.N) + (64 << 10)]
-        assert peak <= reserved[0] + (64 << 10)
+        state = (12 << self.N) + (64 << 10)
+        assert reserved == [state + 32 * traj.length]
+        assert peak <= state + 8 * traj.length + (64 << 10)
 
 
 def _longdouble_trajectory(f, cfg, cycles):

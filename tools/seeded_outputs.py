@@ -44,11 +44,17 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
 - the first ``spectral`` run and ``phf 9 3`` once more without ``--out``,
   which pins what each prints to stdout (the spectral CSV; the family
   alone, its summary line on stderr);
-- three refusals, each of which must exit 2 with empty stdout:
+- four refusals, each of which must exit 2 with empty stdout:
   ``solve --report missing/r.json`` on planted_unique 9/39 seed 1, whose
   report directory does not exist, ``solve --budget 0`` on the same
-  instance, and ``gen unate_unique 5 -m 7 -k 3``, a clause count and width
-  that kind cannot honour.
+  instance, ``gen unate_unique 5 -m 7 -k 3``, a clause count and width
+  that kind cannot honour, and ``solve --theta 0.1 --mu-source user --mu
+  0.9999999`` on planted_unique 6/26 seed 1 under
+  ``MDSAT_MEM_BYTES=1073741824``: its state takes a few KiB, but about
+  6.7e7 cycles of 27 measurements need 32 bytes each for their pass
+  probabilities, so the trajectory is refused before its walk starts (the
+  user mu keeps the refused byte count free of Lanczos and BLAS bits, the
+  fixed budget keeps the refusal on any host).
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
@@ -85,7 +91,8 @@ VARIANTS = {
     "user-mu": ["--mu-source", "user", "--mu", "0.6"],
     "budget3000": ["--budget", "3000"],
 }
-REFUSALS = ("solve-missing-report", "solve-budget-0", "gen-unate-unique-m7-k3")
+REFUSALS = ("solve-missing-report", "solve-budget-0", "gen-unate-unique-m7-k3",
+            "solve-pu6-s1-theta0.1")
 
 
 def run(name: str, argv: list[str], exit_codes: list[str]) -> None:
@@ -180,6 +187,11 @@ def main(argv: list[str]) -> int:
                                  "--report", "missing/r.json"], codes)
     run("solve-budget-0", ["solve", "pu9-s1.cnf", "--budget", "0"], codes)
     run("gen-unate-unique-m7-k3", ["gen", "unate_unique", "5", "-m", "7", "-k", "3"], codes)
+    run("gen-pu6-s1", ["gen", "planted_unique", "6", "-m", "26", "--seed", "1",
+                       "--out", "pu6-s1.cnf"], codes)
+    with mock.patch.dict(os.environ, MDSAT_MEM_BYTES="1073741824"):
+        run("solve-pu6-s1-theta0.1", ["solve", "pu6-s1.cnf", "--theta", "0.1", "--mu-source",
+                                      "user", "--mu", "0.9999999"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     wrong = []
     for line in codes:
