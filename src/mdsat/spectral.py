@@ -14,9 +14,11 @@ above a kernel whose dimension is that clause set's solution count.
 The gaps and c diagonalize dense 2^n x 2^n matrices, so they stop where the
 memory budget of :mod:`mdsat.config` does.  mu is the top singular value of
 the check product off the ground space, from a thick-restart Lanczos
-eigensolver that only needs products with vectors: above n = _ASSEMBLE_MAX_N
-it applies the check kernel to one vector at a time in the solver's sparse
-frame, holding vectors only.
+eigensolver that only needs products with vectors and stops at the first step
+whose top Ritz value has converged, by its residual or by the Kato-Temple
+estimate residual^2 / Ritz gap: above n = _ASSEMBLE_MAX_N it applies the
+check kernel to one vector at a time in the solver's sparse frame, holding
+vectors only.
 """
 
 from __future__ import annotations
@@ -50,12 +52,17 @@ _UNIFORM_SAMPLES = 512
 _SPEED_R_MAX = 10
 # Largest n whose mu operator is assembled densely; up to it the per-vector
 # route is bound by Python overhead.  One mu at theta = 0.4 pi on a 2-vCPU
-# host (planted_unique, m = round(4.3n), seed 1, best of 5): 0.039 s assembled
-# against 0.089 s per vector at n = 9, 0.169 s against 0.133 s at n = 10.
-_ASSEMBLE_MAX_N = 9
+# host (seed 1, best of 5), assembled against per vector:
+#   planted_unique 8/34, d = 1:     8.2 ms against 14.3 ms
+#   random_ksat 8/9, d = 74:        8.0 ms against 10.9 ms
+#   planted_unique 9/39, d = 1:    27.9 ms against 23.9 ms
+#   random_ksat 9/10, d = 130:     22.7 ms against 18.5 ms
+#   planted_unique 10/43, d = 1:  128.7 ms against 23.6 ms
+_ASSEMBLE_MAX_N = 8
 _LANCZOS_BASIS = 30  # Krylov vectors per restart
 _LANCZOS_KEEP = 10  # Ritz vectors kept across a restart
 _LANCZOS_TOL = 1e-13  # residual of the top Ritz pair; the operator has norm <= 1
+_LANCZOS_GAP_TOL = 1e-16  # residual^2 / Ritz gap, the estimated eigenvalue error
 _LANCZOS_MAX_RESTARTS = 200
 
 
@@ -135,10 +142,18 @@ def _lanczos_max(matvec, dim: int) -> float:
     Each restart keeps the _LANCZOS_KEEP largest Ritz vectors of a
     _LANCZOS_BASIS-vector Krylov basis (Wu & Simon, SIAM J. Matrix Anal.
     Appl. 22, 2000), so a near-degenerate top of the spectrum converges as a
-    cluster.  The start vector is drawn from PCG64(0).  Returns once the top
-    Ritz pair's residual is at most _LANCZOS_TOL; a breakdown (an invariant
-    subspace) returns the exact Ritz value, so the zero operator gives 0.0.
-    Raises LinAlgError after _LANCZOS_MAX_RESTARTS restarts.
+    cluster.  The start vector is drawn from PCG64(0).
+
+    After every step the top Ritz pair (rho_1, residual r) is tested, and
+    rho_1 is returned once r <= _LANCZOS_TOL or, with a second Ritz value
+    rho_2, once r^2 / (rho_1 - rho_2) <= _LANCZOS_GAP_TOL.  The second test
+    is the Kato-Temple bound (Parlett, The Symmetric Eigenvalue Problem, SIAM
+    1998) with the Ritz gap rho_1 - rho_2 standing in for the true gap to
+    the rest of the spectrum, so it is an estimate of the eigenvalue's error,
+    not a bound; a near-degenerate top has a small Ritz gap and so asks for
+    a smaller residual.  A breakdown (an invariant subspace, r = 0) returns
+    the exact Ritz value, so the zero operator gives 0.0.  Raises LinAlgError
+    after _LANCZOS_MAX_RESTARTS restarts.
     """
     size = min(_LANCZOS_BASIS, dim)
     basis = np.empty((size + 1, dim))
@@ -154,14 +169,15 @@ def _lanczos_max(matvec, dim: int) -> float:
                 w -= h @ basis[: j + 1]
                 t[j, j] += h[j]
             beta = float(np.linalg.norm(w))
-            if beta <= _LANCZOS_TOL:
-                return float(np.linalg.eigvalsh(t[: j + 1, : j + 1])[-1])
+            ritz, s = np.linalg.eigh(t[: j + 1, : j + 1])
+            residual = abs(beta * s[-1, -1])
+            if residual <= _LANCZOS_TOL or (
+                j > 0 and residual**2 <= _LANCZOS_GAP_TOL * (ritz[-1] - ritz[-2])
+            ):
+                return float(ritz[-1])
             basis[j + 1] = w / beta
             if j + 1 < size:
                 t[j, j + 1] = t[j + 1, j] = beta
-        ritz, s = np.linalg.eigh(t)
-        if abs(beta * s[-1, -1]) <= _LANCZOS_TOL:
-            return float(ritz[-1])
         kept = min(_LANCZOS_KEEP, size - 1)
         basis[:kept] = s[:, -kept:].T @ basis[:size]
         basis[kept] = basis[size]
@@ -189,7 +205,10 @@ def convergence_rate(f: Formula, theta: float, order=None) -> float:
     of :func:`mdsat.encoding.sparse_frame`, with Q rotated into it in place;
     the frame is orthogonal, so mu is the same in both.
 
-    lambda_max is resolved to _LANCZOS_TOL (||A|| <= 1), so a mu below about
+    lambda_max is accepted once the top Ritz pair's residual is at most
+    _LANCZOS_TOL or its estimated error, residual^2 over the Ritz gap, is at
+    most _LANCZOS_GAP_TOL (||A|| <= 1).  The Ritz gap is at most mu^2, so
+    near mu = 0 the residual test decides, and a mu below about
     sqrt(_LANCZOS_TOL) ~ 3e-7 is only known to lie below it.
     """
     if f.n <= _ASSEMBLE_MAX_N:

@@ -64,7 +64,7 @@ REFUSALS = {
     "Friedrichs angle and speed bound": lambda: (sp.friedrichs_speed_slack, _pu(12, 52), THETA),
 }
 # The assembled operator at the largest n that assembles it, 24 * 4^n bytes
-# (6 MiB at n = 9), fits in REFUSAL_BUDGET.
+# (1.5 MiB at n = 8), fits in REFUSAL_BUDGET.
 BUDGETS = {"assembled mu operator": 1 << 20}
 
 

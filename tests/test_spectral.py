@@ -137,8 +137,9 @@ class TestConvergenceRate:
         # The ground-space projector is built while this function holds
         # nothing of its own, then the product and its scratch beside it:
         # the peak is the larger of the projector's own and 24 * 4^n.
-        # random_ksat 9/1 and 9/2 seed 1 have 448 and 392 solutions.
-        f = fm.generate("random_ksat", 9, m, 3, seed=1)
+        # random_ksat 8/1 and 8/2 seed 1 have 224 and 192 solutions.
+        f = fm.generate("random_ksat", sp._ASSEMBLE_MAX_N, m, 3, seed=1)
+        assert f.n <= sp._ASSEMBLE_MAX_N
         theta = 0.4 * np.pi
         tracemalloc.start()
         try:
@@ -181,6 +182,23 @@ def _clustered_case():
     return fm.generate("planted_unique", ref["n"], ref["m"], 3, 37), row["theta"], row["mu"]
 
 
+def _count_matvecs(monkeypatch):
+    """A one-element list that counts the matvecs of every later
+    :func:`mdsat.spectral._lanczos_max` call."""
+    calls = [0]
+    lanczos_max = sp._lanczos_max
+
+    def counted(matvec, dim):
+        def matvec_counted(v):
+            calls[0] += 1
+            return matvec(v)
+
+        return lanczos_max(matvec_counted, dim)
+
+    monkeypatch.setattr(sp, "_lanczos_max", counted)
+    return calls
+
+
 class TestConvergenceRateMatchesDenseOracle:
     @pytest.mark.parametrize(
         "assemble_max_n", [sp._ASSEMBLE_MAX_N, 0], ids=["assembled", "per_vector"]
@@ -217,6 +235,25 @@ class TestConvergenceRateMatchesDenseOracle:
         f, theta, _ = _clustered_case()
         with pytest.raises(np.linalg.LinAlgError):
             sp.convergence_rate(f, theta)
+
+    @pytest.mark.parametrize("assemble_max_n", [sp._ASSEMBLE_MAX_N, 0])
+    def test_clustered_top_restarts(self, monkeypatch, assemble_max_n):
+        # the thick restart is exercised: one basis is too few for the cluster
+        monkeypatch.setattr(sp, "_ASSEMBLE_MAX_N", assemble_max_n)
+        calls = _count_matvecs(monkeypatch)
+        f, theta, _ = _clustered_case()
+        sp.convergence_rate(f, theta)
+        assert calls[0] > sp._LANCZOS_BASIS
+
+    @pytest.mark.parametrize("gap, tol", [(0.3, 1e-15), (1e-6, 1e-12)])
+    def test_stops_on_a_known_gap(self, monkeypatch, gap, tol):
+        # a top eigenvalue 1 with the rest of the spectrum spread over
+        # [0, 1 - gap]; a wide gap stops inside the first basis
+        d = np.append(np.linspace(0.0, 1.0 - gap, 1023), 1.0)
+        calls = _count_matvecs(monkeypatch)
+        assert abs(sp._lanczos_max(lambda v: d * v, d.size) - 1.0) <= tol
+        if gap == 0.3:
+            assert calls[0] < sp._LANCZOS_BASIS
 
     def test_zero_operator_gives_zero(self):
         assert sp._lanczos_max(np.zeros_like, 64) == 0.0
