@@ -454,12 +454,14 @@ class Preparer:
     """Prepares ground-space approximations and keeps a run's state.
 
     One instance serves every preparation of a solve run; its ``cfg`` and
-    ``rng`` are the run's only configuration and generator.  The
-    convergence-rate input (:meth:`mu`) and the trajectory are computed once
-    per distinct formula (and cycle count) and reused, Monte Carlo restart
-    counts are sampled fresh on every call, and every measurement, the
-    readouts' shots included, is counted by :meth:`spend` in ``used``
-    against ``budget`` (None: no limit), the only rule that ends a run.
+    ``rng`` are the run's only configuration and generator.
+    :meth:`cycles` alone decides how many cycles prepare a formula to a
+    tolerance.  The convergence-rate input (:meth:`mu`) and the trajectory
+    are computed once per distinct formula (and cycle count) and reused,
+    Monte Carlo restart counts are sampled fresh on every call, and every
+    measurement, the readouts' shots included, is counted by :meth:`spend`
+    in ``used`` against ``budget`` (None: no limit), the only rule that
+    ends a run.
     ``preparations`` and ``restarts`` count the completed preparations,
     which the trace is numbered by, and their failed attempts.
     """
@@ -497,17 +499,20 @@ class Preparer:
             self._mus[f] = resolve_mu(f, self.cfg)
         return self._mus[f]
 
-    def trajectory(self, f: Formula, epsilon: float) -> Trajectory:
-        """The all-pass trajectory that prepares ``f`` to tolerance
-        ``epsilon``; a schedule fixes its cycle count and ignores
-        ``epsilon``."""
+    def cycles(self, f: Formula, epsilon: float) -> int:
+        """The cycle count that prepares ``f`` to tolerance ``epsilon``: a
+        schedule's c_q + 1, which ignores ``epsilon``, otherwise
+        :func:`cycles_required` at the formula's :meth:`mu`."""
         if self.cfg.is_scheduled:
-            cycles = self.cfg.theta.c_q + 1
-        else:
-            cycles = cycles_required(self.cfg.theta, f.n, epsilon, self.mu(f))
-        key = (f, cycles)
+            return self.cfg.theta.c_q + 1
+        return cycles_required(self.cfg.theta, f.n, epsilon, self.mu(f))
+
+    def trajectory(self, f: Formula, epsilon: float) -> Trajectory:
+        """The all-pass trajectory of :meth:`cycles` cycles that prepares
+        ``f`` to tolerance ``epsilon``, built once per formula and count."""
+        key = (f, self.cycles(f, epsilon))
         if key not in self._trajectories:
-            self._trajectories[key] = allpass_trajectory(f, self.cfg, cycles)
+            self._trajectories[key] = allpass_trajectory(f, self.cfg, key[1])
         return self._trajectories[key]
 
     def prepare(self, traj: Trajectory) -> None:
@@ -531,23 +536,21 @@ class Preparer:
         self.restarts += restarts
 
 
-def unique_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
-    """(epsilon, copies) for the majority-vote readout of a unique solution;
-    the copy count is not rounded.  Raises ValueError for n < 1."""
-    check_angle(theta)
-    if n < 1:
-        raise ValueError(f"readout needs n >= 1 variables, got n = {n}")
-    eps = (1.0 - 1.0 / math.sqrt(2.0)) ** 2 / 8.0 * math.sin(theta) ** 2
-    return eps, 2.0 * math.log(n / delta) / math.log(2.0 / (1.0 + math.cos(theta) ** 2))
-
-
-def multiple_readout_parameters(theta: float, n: int, delta: float) -> tuple[float, float]:
-    """(epsilon, shots-per-variable) for the variable-by-variable readout;
-    the shot count is not rounded.  Raises ValueError for n < 1."""
+def readout_parameters(readout: str, theta: float, n: int, delta: float) -> tuple[float, float]:
+    """(epsilon, count) for ``readout`` at the angle ``theta``: the copies of
+    the majority vote for a unique solution (``"unique"``), or the shots per
+    variable of the variable-by-variable readout (``"multiple"``); the count
+    is not rounded.  Raises ValueError for any other readout name, an angle
+    outside its domain and n < 1."""
+    if readout not in ("unique", "multiple"):
+        raise ValueError(f"unknown readout {readout!r}")
     check_angle(theta)
     if n < 1:
         raise ValueError(f"readout needs n >= 1 variables, got n = {n}")
     s2 = math.sin(theta) ** 2
+    if readout == "unique":
+        eps = (1.0 - 1.0 / math.sqrt(2.0)) ** 2 / 8.0 * s2
+        return eps, 2.0 * math.log(n / delta) / math.log(2.0 / (1.0 + math.cos(theta) ** 2))
     return s2 / 8.0, 8.0 * math.log(2.0 * n / delta) / s2
 
 
@@ -560,7 +563,7 @@ def readout_unique(f: Formula, delta: float, preparer: Preparer) -> str:
     :func:`mdsat.formula.assignment_from_index`.  The returned assignment is
     verified against the formula."""
     theta = readout_angle(preparer.cfg.theta)
-    eps, copies = unique_readout_parameters(theta, f.n, delta)
+    eps, copies = readout_parameters("unique", theta, f.n, delta)
     # A dead trajectory has no final state, and its first preparation raises
     # before any copy is read.
     traj = preparer.trajectory(f, eps)
@@ -589,7 +592,7 @@ def readout_multiple(f: Formula, delta: float, preparer: Preparer) -> str:
     a fix empties a clause.  Reduced formulas inherit their solution sets
     from ``f``'s, read before the first fix: neither check nor μ enumerates."""
     theta = readout_angle(preparer.cfg.theta)
-    eps, shots = multiple_readout_parameters(theta, f.n, delta)
+    eps, shots = readout_parameters("multiple", theta, f.n, delta)
     shots = math.ceil(shots)
     sin_t = math.sin(theta)
     f.solutions  # enumerated once, for every attempt
@@ -647,20 +650,17 @@ def theory_bounds(
     """Evaluate the preparation/readout cost bounds with constants as stated,
     at the convergence rate ``mu``.
 
-    Every factor comes from a function the run calls: the readout
-    parameters, the cycle bound of :func:`cycles_required` and
-    :func:`success_probability_floor`.  The paper's worst case bounds
-    ln(1/mu) below by gap / (4 g^2), from the uniform gap and the
-    non-commutation degree g; that bound is
+    Every factor comes from a function the run calls: ``readout``'s
+    :func:`readout_parameters`, which validates the name, the cycle bound
+    of :func:`cycles_required` and :func:`success_probability_floor`.  The
+    paper's worst case bounds ln(1/mu) below by gap / (4 g^2), from the
+    uniform gap and the non-commutation degree g; that bound is
     ``theory_bounds(..., mu=math.exp(-gap / (4 * g**2)))`` to rounding, and
     the one at mu = 0 when g = 0.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if readout not in ("unique", "multiple"):
-        raise ValueError(f"unknown readout {readout!r}")
-    parameters = unique_readout_parameters if readout == "unique" else multiple_readout_parameters
-    epsilon, readout_cost = parameters(theta, n, delta)
+    epsilon, readout_cost = readout_parameters(readout, theta, n, delta)
     cycle_bound = cycles_required(theta, n, epsilon, mu)
     amplification = 1.0 / success_probability_floor(theta, n)
     prep_cost = m * cycle_bound * math.log(1.0 / delta) * amplification
@@ -732,11 +732,12 @@ def solve(
     is at least 1; by default it is ten times :func:`theory_bounds` at the
     convergence rate the run resolves for ``f`` (the user's mu, or a generic
     0.5 under a schedule and for a formula with no satisfying assignment),
-    and at least 1000.  At a fixed angle the report gives that mu and the
-    cycle count of one attempt at the readout's tolerance whenever the run
-    resolved it, which it always has under the default budget; a run with
-    its own budget resolves no mu for ``f`` when the multiple readout finds
-    variable 1 in no clause, and its report gives None for both.
+    and at least 1000.  At a fixed angle the report gives that mu and
+    :meth:`Preparer.cycles` at the tolerance of :func:`readout_parameters`
+    whenever the run resolved the mu, which it always has under the default
+    budget; a run with its own budget resolves no mu for ``f`` when the
+    multiple readout finds variable 1 in no clause, and its report gives
+    None for both.
     ``trace``, an open text stream, receives a CSV log of every preparation
     measurement; the caller opens and closes it.
     """
@@ -744,11 +745,11 @@ def solve(
         raise ValueError("delta must lie in (0, 1)")
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    if readout not in ("unique", "multiple"):
-        raise ValueError(f"unknown readout {readout!r}")
     start = time.perf_counter()
     theta_ro = readout_angle(theta)
     cfg = PrepConfig(theta=theta, mu_source=mu_source, mu=mu, plan=plan)
+    # f is prepared at the readout's tolerance only
+    epsilon, _ = readout_parameters(readout, theta_ro, f.n, delta)
     notes: list[str] = []
     if not cfg.is_scheduled and cfg.mu_source != "user" and f.solutions.size == 0:
         # No ground space to measure a convergence rate against; fall back to
@@ -770,25 +771,18 @@ def solve(
         budget = preparer.budget = max(1000, math.ceil(10.0 * est.total_cost))
     readout_fn = readout_unique if readout == "unique" else readout_multiple
     assignment = None
-    attempts = 0
     try:
-        while attempts < _MAX_READOUT_ATTEMPTS:
-            attempts += 1
+        for attempts in range(1, _MAX_READOUT_ATTEMPTS + 1):
             try:
                 assignment = readout_fn(f, delta, preparer)
                 break
             except ReadoutFailed as exc:
                 notes.append(f"readout attempt {attempts} failed: {exc}")
-                continue
     except BudgetExhausted as exc:
         notes.append(str(exc))
-    # f is prepared at the readout's tolerance only, so this is the cycle
-    # count of every attempt; a mu is never resolved for the report alone
+    # the cycle count of every attempt; a mu is never resolved for the report alone
     mu_used = None if cfg.is_scheduled else preparer._mus.get(f)
-    cycles = None
-    if mu_used is not None:
-        params = unique_readout_parameters if readout == "unique" else multiple_readout_parameters
-        cycles = cycles_required(theta_ro, f.n, params(theta_ro, f.n, delta)[0], mu_used)
+    cycles = None if mu_used is None else preparer.cycles(f, epsilon)
     verified = assignment is not None and evaluate(f, assignment)
     return RunReport(
         status="SAT" if verified else "UNSAT",

@@ -228,7 +228,7 @@ def test_c10_unique_readout_guarantee():
     failure rate consistent with <= 0.1; R and eps match the formulas."""
     start = time.perf_counter()
     theta, delta, n = 0.4 * np.pi, 0.1, 8
-    eps, copies = sv.unique_readout_parameters(theta, n, delta)
+    eps, copies = sv.readout_parameters("unique", theta, n, delta)
     assert abs(eps - (1 - 1 / math.sqrt(2)) ** 2 / 8 * math.sin(theta) ** 2) <= 1e-15
     assert copies == 2 * math.log(n / delta) / math.log(2 / (1 + math.cos(theta) ** 2))
     failures = 0

@@ -674,10 +674,10 @@ class TestTrajectoryNumerics:
 
 class TestReadoutUnique:
     def test_parameter_formulas(self):
-        eps, copies = sv.unique_readout_parameters(np.pi / 2, 4, 0.1)
+        eps, copies = sv.readout_parameters("unique", np.pi / 2, 4, 0.1)
         assert math.ceil(copies) == 11  # ceil(2 ln 40 / ln 2)
         assert abs(eps - (1 - 1 / math.sqrt(2)) ** 2 / 8) < 1e-12
-        eps2, _ = sv.unique_readout_parameters(0.3 * np.pi, 4, 0.1)
+        eps2, _ = sv.readout_parameters("unique", 0.3 * np.pi, 4, 0.1)
         assert abs(eps2 - (1 - 1 / math.sqrt(2)) ** 2 / 8 * math.sin(0.3 * np.pi) ** 2) < 1e-12
 
     def test_recovers_planted_solution(self):
@@ -695,6 +695,31 @@ class TestReadoutUnique:
             hits += 1
         assert hits >= 18  # failure rate must stay near delta
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tied_vote_is_a_failed_readout(self, seed, monkeypatch):
+        # x2 and exactly one of x1, x3: at pi/2 the prepared state is uniform
+        # over the solutions 011 and 110, and draws alternating below and
+        # above 0.5 read them 5/5 over the ten copies, so x1 and x3 tie, the
+        # tie reads FALSE, and 010 leaves (x1 or x3) unsatisfied
+        f = fm.formula_from_dimacs_codes(3, [[2], [1, 3], [-1, -3]])
+        assert math.ceil(sv.readout_parameters("unique", np.pi / 2, f.n, 0.1)[1]) == 10
+        rng = _AlternatingUniforms(np.random.default_rng(seed))
+        prep = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), rng)
+        with pytest.raises(sv.ReadoutFailed, match="majority vote produced a non-satisfying"):
+            sv.readout_unique(f, 0.1, prep)
+        assert prep.preparations == 10
+        # every attempt of a run reads ten copies, so every one of them ties
+        make_rng = np.random.default_rng
+        monkeypatch.setattr(
+            sv.np.random, "default_rng", lambda s: _AlternatingUniforms(make_rng(s))
+        )
+        report = sv.solve(f, np.pi / 2, readout="unique", budget=10**6, seed=seed)
+        assert report.status == "UNSAT" and report.readout_attempts == 64
+        assert report.notes == [
+            f"readout attempt {i} failed: majority vote produced a non-satisfying assignment"
+            for i in range(1, 65)
+        ]
+
 
 class _HighUniforms:
     """A generator whose uniform draws all return 0.999999."""
@@ -707,6 +732,18 @@ class _HighUniforms:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+class _AlternatingUniforms(_HighUniforms):
+    """A generator whose uniform draws alternate between 0.25 and 0.75,
+    returned as arrays of the requested size."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self._draws = itertools.cycle((0.25, 0.75))
+
+    def random(self, size):
+        return np.fromiter(itertools.islice(self._draws, size), float, size)
 
 
 def _recording_preparer(lookups, prepared):
@@ -743,7 +780,7 @@ def _assert_every_readout_fails(monkeypatch, f, theta, **solve_args):
 
 class TestReadoutMultiple:
     def test_parameter_formulas(self):
-        eps, shots = sv.multiple_readout_parameters(np.pi / 2, 4, 0.1)
+        eps, shots = sv.readout_parameters("multiple", np.pi / 2, 4, 0.1)
         assert math.ceil(shots) == 36  # ceil(8 ln 80)
         assert abs(eps - 1 / 8) < 1e-12
 
@@ -816,7 +853,7 @@ class TestReadoutMultiple:
         assert enumerated == [f]
         formulas = [g for g, _, _ in lookups]
         assert len(formulas) > 1 and len(set(formulas)) == len(formulas)
-        shots = math.ceil(sv.multiple_readout_parameters(sv.readout_angle(cfg.theta), f.n, 0.1)[1])
+        shots = math.ceil(sv.readout_parameters("multiple", sv.readout_angle(cfg.theta), f.n, 0.1)[1])
         assert len(prepared) == shots * len(lookups)
         for _, _, traj in lookups:
             assert sum(1 for t in prepared if t is traj) == shots
@@ -854,6 +891,33 @@ class TestSolve:
         assert report.status == "SAT" and report.verified
         assert fm.evaluate(f, report.assignment)
         assert report.measurements > 0
+
+    def test_no_clauses(self):
+        # every check commutes, so mu is 0 and one cycle of no checks
+        # prepares |+>^3: no attempt can fail, and a copy costs its readout
+        f = fm.Formula(n=3, clauses=(), k=3)
+        unique = sv.solve(f, 0.4 * np.pi, readout="unique", seed=0)
+        assert unique.status == "SAT" and unique.restarts == 0
+        assert unique.preparations > 0 and unique.measurements == unique.preparations * 3
+        assert unique.cycles_per_attempt == 1 and unique.mu == 0.0
+        # the multiple readout finds every variable unconstrained
+        multiple = sv.solve(f, 0.4 * np.pi, readout="multiple", seed=0)
+        assert multiple.status == "SAT" and multiple.assignment == "000"
+        assert multiple.preparations == 0 and multiple.measurements == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sv.readout_parameters("both", 0.4 * np.pi, 3, 0.1),
+            lambda: sv.theory_bounds(0.4 * np.pi, 3, 3, 0.1, mu=0.0, readout="both"),
+            lambda: sv.solve(fm.formula_from_dimacs_codes(3, [[1, 2]]), 0.4 * np.pi,
+                             readout="both"),
+        ],
+        ids=["readout_parameters", "theory_bounds", "solve"],
+    )
+    def test_unknown_readout_refused(self, call):
+        with pytest.raises(ValueError, match="^unknown readout 'both'$"):
+            call()
 
     def test_unsatisfiable_budget_verdict(self):
         f = fm.formula_from_dimacs_codes(1, [[1], [-1]])
@@ -901,14 +965,11 @@ class TestSolve:
         theta = 0.45 * np.pi
         mu = sv.resolve_mu(f, sv.PrepConfig(theta=theta, mu_source="dl_bound"))
         assert mu >= sp.convergence_rate(f, theta)
-        for readout, params in (
-            ("unique", sv.unique_readout_parameters),
-            ("multiple", sv.multiple_readout_parameters),
-        ):
+        for readout in ("unique", "multiple"):
             report = sv.solve(f, theta, readout=readout, mu_source="dl_bound", seed=1)
             assert report.status == "SAT" and fm.evaluate(f, report.assignment)
             assert report.mu_source == "dl_bound" and report.mu == mu
-            eps = params(theta, f.n, 0.1)[0]
+            eps = sv.readout_parameters(readout, theta, f.n, 0.1)[0]
             assert report.cycles_per_attempt == sv.cycles_required(theta, f.n, eps, mu)
 
     @pytest.mark.parametrize(
@@ -955,7 +1016,7 @@ class TestSolve:
         # measurements exhausts it.
         f = fm.generate("planted_unique", 6, 20, 3, seed=14)
         first = sv.Preparer(sv.PrepConfig(theta=np.pi / 2), np.random.default_rng(0))
-        first.prepare(first.trajectory(f, sv.unique_readout_parameters(np.pi / 2, f.n, 0.1)[0]))
+        first.prepare(first.trajectory(f, sv.readout_parameters("unique", np.pi / 2, f.n, 0.1)[0]))
         spent = first.used
         report = sv.solve(f, np.pi / 2, readout="unique", budget=spent + 1, seed=0)
         assert report.status == "UNSAT" and report.measurements == spent + 1
@@ -1005,14 +1066,15 @@ class TestTheoryBounds:
             assert b / a < 8 * poly_ref  # far below any exponential doubling
 
     def test_bound_agrees_with_the_cost_formulas(self):
-        params = {"unique": sv.unique_readout_parameters, "multiple": sv.multiple_readout_parameters}
         thetas = (0.1 * np.pi, 0.25 * np.pi, 0.4 * np.pi, 0.47 * np.pi / 2, np.pi / 2)
-        grid = itertools.product(thetas, (4, 9, 16, 31), (0.1, 0.01), (0.0, 0.3, 0.6, 0.99), params)
+        grid = itertools.product(
+            thetas, (4, 9, 16, 31), (0.1, 0.01), (0.0, 0.3, 0.6, 0.99), ("unique", "multiple")
+        )
         for theta, n, delta, mu, readout in grid:
             m = 4 * n
             tb = sv.theory_bounds(theta, n, m, delta, mu=mu, readout=readout)
             assert tb.cycle_bound == sv.cycles_required(theta, n, tb.epsilon, mu)
-            eps, count = params[readout](theta, n, delta)
+            eps, count = sv.readout_parameters(readout, theta, n, delta)
             assert (tb.epsilon, math.ceil(tb.readout_cost)) == (eps, math.ceil(count))
             floor = sv.success_probability_floor(theta, n)
             expected = m * tb.cycle_bound * math.log(1 / delta)

@@ -55,6 +55,14 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   probabilities, so the trajectory is refused before its walk starts (the
   user mu keeps the refused byte count free of Lanczos and BLAS bits, the
   fixed budget keeps the refusal on any host).
+- after the refusals, ``solve --readout unique`` and ``--readout multiple``
+  at ``--theta-fraction 0.8`` on ``p cnf 3 0``, a formula with no clauses,
+  which this script writes: every attempt has no measurement to fail, and
+  the multiple readout fixes every variable FALSE without a shot; and
+  ``solve --readout unique --seed 10`` on x2 & (x1 | x3) & (-x1 | -x3),
+  also written here, whose solutions 011 and 110 tie the majority vote on
+  x1 and x3 in its first two attempts (two "majority vote produced a
+  non-satisfying assignment" notes) before the third reads 011.
 
 Every output file, stdout, stderr and exit code is written under a name
 relative to OUTDIR; the commands run with OUTDIR as the working directory,
@@ -192,6 +200,14 @@ def main(argv: list[str]) -> int:
     with mock.patch.dict(os.environ, MDSAT_MEM_BYTES="1073741824"):
         run("solve-pu6-s1-theta0.1", ["solve", "pu6-s1.cnf", "--theta", "0.1", "--mu-source",
                                       "user", "--mu", "0.9999999"], codes)
+    Path("free3.cnf").write_text("p cnf 3 0\n", encoding="utf-8")
+    for readout in ("unique", "multiple"):
+        name = f"solve-free3-{readout}"
+        run(name, ["solve", "free3.cnf", "--seed", "7", "--no-timing", "--report", f"{name}.json",
+                   "--readout", readout, "--theta-fraction", "0.8"], codes)
+    Path("two3.cnf").write_text("p cnf 3 3\n2 0\n1 3 0\n-1 -3 0\n", encoding="utf-8")
+    run("solve-two3-unique", ["solve", "two3.cnf", "--seed", "10", "--no-timing", "--report",
+                              "solve-two3-unique.json", "--readout", "unique"], codes)
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n", encoding="utf-8")
     wrong = []
     for line in codes:
