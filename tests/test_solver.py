@@ -853,7 +853,8 @@ class TestReadoutMultiple:
         assert enumerated == [f]
         formulas = [g for g, _, _ in lookups]
         assert len(formulas) > 1 and len(set(formulas)) == len(formulas)
-        shots = math.ceil(sv.readout_parameters("multiple", sv.readout_angle(cfg.theta), f.n, 0.1)[1])
+        theta = sv.readout_angle(cfg.theta)
+        shots = math.ceil(sv.readout_parameters("multiple", theta, f.n, 0.1)[1])
         assert len(prepared) == shots * len(lookups)
         for _, _, traj in lookups:
             assert sum(1 for t in prepared if t is traj) == shots

@@ -55,10 +55,12 @@ with ``diff -r OUTDIR_A OUTDIR_B``.  The set:
   probabilities, so the trajectory is refused before its walk starts (the
   user mu keeps the refused byte count free of Lanczos and BLAS bits, the
   fixed budget keeps the refusal on any host).
-- after the refusals, ``solve --readout unique`` and ``--readout multiple``
-  at ``--theta-fraction 0.8`` on ``p cnf 3 0``, a formula with no clauses,
-  which this script writes: every attempt has no measurement to fail, and
-  the multiple readout fixes every variable FALSE without a shot; and
+- after the refusals, ``solve --seed 0`` with ``--readout unique`` and
+  ``--readout multiple`` at ``--theta-fraction 0.8`` on ``p cnf 3 0``, a
+  formula with no clauses, which this script writes: every attempt has no
+  measurement to fail, so a preparation draws nothing from the generator
+  (at this seed the unique readout's assignment moves if it does), and the
+  multiple readout fixes every variable FALSE without a shot; and
   ``solve --readout unique --seed 10`` on x2 & (x1 | x3) & (-x1 | -x3),
   also written here, whose solutions 011 and 110 tie the majority vote on
   x1 and x3 in its first two attempts (two "majority vote produced a
@@ -203,7 +205,7 @@ def main(argv: list[str]) -> int:
     Path("free3.cnf").write_text("p cnf 3 0\n", encoding="utf-8")
     for readout in ("unique", "multiple"):
         name = f"solve-free3-{readout}"
-        run(name, ["solve", "free3.cnf", "--seed", "7", "--no-timing", "--report", f"{name}.json",
+        run(name, ["solve", "free3.cnf", "--seed", "0", "--no-timing", "--report", f"{name}.json",
                    "--readout", readout, "--theta-fraction", "0.8"], codes)
     Path("two3.cnf").write_text("p cnf 3 3\n2 0\n1 3 0\n-1 -3 0\n", encoding="utf-8")
     run("solve-two3-unique", ["solve", "two3.cnf", "--seed", "10", "--no-timing", "--report",
